@@ -166,7 +166,20 @@ def evaluate_transform(transform: PolytopeTransform, xi: Sequence) -> complex:
     exactly and only converted to floating point at the end.
     """
     point = as_vector(xi)
-    d = len(point)
+    return sum(_unscaled_terms(transform, point), 0j) / (-2j * math.pi) ** len(point)
+
+
+def per_term_values(transform: PolytopeTransform, xi: Sequence) -> list[complex]:
+    """The individually normalized vertex contributions at xi, in vertex
+    order; their sum is evaluate_transform(transform, xi)."""
+    point = as_vector(xi)
+    scale = (-2j * math.pi) ** len(point)
+    return [value / scale for value in _unscaled_terms(transform, point)]
+
+
+def _unscaled_terms(transform: PolytopeTransform, point: Vector):
+    """Each term's p_K(xi) e^{2 pi i <v, xi>} / prod(<w, xi>) in vertex
+    order, after checking every term's linear forms for a zero at xi."""
     for term in transform.terms:
         for w in term.generators:
             if dot(w, point) == 0:
@@ -175,34 +188,6 @@ def evaluate_transform(transform: PolytopeTransform, xi: Sequence) -> complex:
                     vertex=tuple(str(c) for c in term.apex),
                     generator=tuple(str(c) for c in w),
                 )
-    total = 0j
     for term in transform.terms:
-        ratio = term.numerator.evaluate(point)
-        for w in term.generators:
-            ratio /= dot(w, point)
-        phase = cmath.exp(2j * math.pi * float(dot(term.apex, point)))
-        total += float(ratio) * phase
-    return total / (-2j * math.pi) ** d
-
-
-def per_term_values(transform: PolytopeTransform, xi: Sequence) -> list[complex]:
-    """The individually normalized vertex contributions at xi, in vertex
-    order; their sum is evaluate_transform(transform, xi)."""
-    point = as_vector(xi)
-    d = len(point)
-    scale = (-2j * math.pi) ** d
-    values = []
-    for term in transform.terms:
-        ratio = term.numerator.evaluate(point)
-        for w in term.generators:
-            denom = dot(w, point)
-            if denom == 0:
-                raise SingularEvaluationPointError(
-                    "a generator linear form vanishes at the evaluation point",
-                    vertex=tuple(str(c) for c in term.apex),
-                    generator=tuple(str(c) for c in w),
-                )
-            ratio /= denom
-        phase = cmath.exp(2j * math.pi * float(dot(term.apex, point)))
-        values.append(float(ratio) * phase / scale)
-    return values
+        ratio = term.numerator.evaluate(point) / math.prod(dot(w, point) for w in term.generators)
+        yield float(ratio) * cmath.exp(2j * math.pi * float(dot(term.apex, point)))

@@ -200,7 +200,9 @@ def cmd_compare(args) -> str:
     return json.dumps(out, indent=2) + "\n"
 
 
-def cmd_vervan(args) -> str:
+def cmd_vervan(args) -> tuple[str, int]:
+    """One JSON line per family, in order: its record, or the compact error
+    object when its check raises. Returns (text, 1) if any family raised."""
     cone, _ = _load_cone(args)
     if args.family and args.random:
         raise MalformedInputError("give either --family or --random, not both")
@@ -211,8 +213,14 @@ def cmd_vervan(args) -> str:
         families = [sample_family(rng, cone) for _ in range(args.random)]
     else:
         raise MalformedInputError("vervan needs --family or --random")
-    lines = [json.dumps(vervan_record_to_json(verify_vervan(cone, fam))) for fam in families]
-    return "".join(line + "\n" for line in lines)
+    lines, status = [], 0
+    for fam in families:
+        try:
+            line = vervan_record_to_json(verify_vervan(cone, fam))
+        except ConeFourierError as err:
+            line, status = _error_json(err), 1
+        lines.append(json.dumps(line))
+    return "".join(line + "\n" for line in lines), status
 
 
 def cmd_brion_eval(args) -> str:
@@ -287,20 +295,24 @@ def main(argv=None) -> int:
     except SystemExit as exit_:  # argparse already printed usage
         return 0 if exit_.code in (0, None) else 2
     try:
-        text = args.func(args)
+        result = args.func(args)
     except MalformedInputError as err:
         _print_error(err)
         return 2
     except ConeFourierError as err:
         _print_error(err)
         return 1
+    text, status = result if isinstance(result, tuple) else (result, 0)
     _write(text, args.output)
-    return 0
+    return status
+
+
+def _error_json(err: ConeFourierError) -> dict:
+    return {"code": err.code, "message": err.message, "context": _jsonable(err.context)}
 
 
 def _print_error(err: ConeFourierError):
-    obj = {"code": err.code, "message": err.message, "context": _jsonable(err.context)}
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(json.dumps(_error_json(err), indent=2) + "\n")
 
 
 if __name__ == "__main__":

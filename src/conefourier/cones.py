@@ -6,14 +6,18 @@ the generalized cross product of the selected rays, the normal vector of
 the hyperplane they span. Diagonals classify as extremal (all remaining
 generators strictly on one side), interior (generators on both sides), or
 degenerate (some generator exactly on the hyperplane, or a zero dual).
+Each pairing <dual, w_j> is a signed maximal minor of the generators, read
+from the cone's one table of them (``Cone.maximal_minor``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect
+from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     DimensionError,
@@ -29,6 +33,7 @@ from .geometry import Vector, as_vector, determinant, dot, generalized_cross, is
 class Cone:
     apex: Vector
     generators: tuple[Vector, ...]
+    _minors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "apex", as_vector(self.apex))
@@ -58,6 +63,27 @@ class Cone:
     @property
     def num_generators(self) -> int:
         return len(self.generators)
+
+    def maximal_minor(self, indices: Sequence[int]) -> Fraction:
+        """det of the generators at the given indices, rows in that order
+        (callers pass sorted d-subsets), computed on first use and kept."""
+        key = tuple(indices)
+        if key not in self._minors:
+            self._minors[key] = determinant([self.generators[i] for i in key])
+        return self._minors[key]
+
+    def dual_pairings(self, diagonal: Sequence[int]) -> tuple[Fraction, ...]:
+        """<dual(D), w_j> for each j off the sorted diagonal D, in index
+        order: det(w_D..., w_j), which is the minor at sorted(D + (j,)) times
+        (-1)^#{i in D : i > j} for moving w_j into place."""
+        members = tuple(diagonal)
+        values = []
+        for j in range(self.num_generators):
+            if j not in members:
+                k = bisect(members, j)
+                value = self.maximal_minor(members[:k] + (j,) + members[k:])
+                values.append(-value if (len(members) - k) % 2 else value)
+        return tuple(values)
 
 
 def _positive_multiples(u: Vector, v: Vector) -> bool:
@@ -118,20 +144,17 @@ def enumerate_diagonals(cone: Cone) -> tuple[Diagonal, ...]:
 
 
 def classify_diagonal(cone: Cone, diagonal: Diagonal) -> DiagonalClass:
-    """Classify by the signs of <dual, w_j> over generators off the diagonal.
+    """Classify by the signs of <dual, w_j> over generators off the diagonal."""
+    return classify_pairings(cone.dual_pairings(diagonal.indices))
 
-    All positive gives Extremal(+1), all negative Extremal(-1), mixed signs
-    Interior. A zero dual or any vanishing product is Degenerate; neither
+
+def classify_pairings(pairings: Iterable[Fraction]) -> DiagonalClass:
+    """All positive gives Extremal(+1), all negative Extremal(-1), mixed
+    signs Interior. Any zero, as from a zero dual, is Degenerate; none
     occurs when the cone is in general position.
     """
-    if is_zero_vector(diagonal.dual):
-        return DiagonalClass(DiagonalKind.DEGENERATE)
-    chosen = set(diagonal.indices)
     signs: set[int] = set()
-    for j, w in enumerate(cone.generators):
-        if j in chosen:
-            continue
-        value = dot(diagonal.dual, w)
+    for value in pairings:
         if value == 0:
             return DiagonalClass(DiagonalKind.DEGENERATE)
         signs.add(1 if value > 0 else -1)
@@ -143,7 +166,7 @@ def classify_diagonal(cone: Cone, diagonal: Diagonal) -> DiagonalClass:
 def is_general_position(cone: Cone) -> bool:
     """True when every d-subset of generators is linearly independent."""
     return all(
-        determinant([cone.generators[i] for i in idx]) != 0
+        cone.maximal_minor(idx) != 0
         for idx in combinations(range(cone.num_generators), cone.dimension)
     )
 

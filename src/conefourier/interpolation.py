@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .cones import Cone, Diagonal, DiagonalClass, DiagonalKind, classify_diagonal, enumerate_diagonals
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     InconsistentError,
     RankDeficientError,
 )
-from .geometry import ONE, ZERO, basis_size, dot, veronese
+from .geometry import ONE, ZERO, basis_size, veronese
 from .polynomials import HomogeneousPolynomial
 
 
@@ -55,12 +56,7 @@ class SolveDetails:
 def _rhs_from_class(cone: Cone, diagonal: Diagonal, cls: DiagonalClass) -> Fraction:
     if cls.kind is DiagonalKind.INTERIOR:
         return ZERO
-    chosen = set(diagonal.indices)
-    product = ONE
-    for j, w in enumerate(cone.generators):
-        if j not in chosen:
-            product *= dot(diagonal.dual, w)
-    return product if cls.sign > 0 else -product
+    return cls.sign * prod(cone.dual_pairings(diagonal.indices), start=ONE)
 
 
 def rhs_value(cone: Cone, diagonal: Diagonal) -> Fraction:

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
 from .cones import Cone, is_general_position
+from .errors import DimensionError
 from .geometry import Vector, as_vector, dot
 
 
@@ -29,7 +30,8 @@ def sample_cone(
     max_height: int = 3,
     apex_range: int = 4,
 ) -> Cone:
-    """A random pointed cone in general position with integer generators."""
+    """A random pointed cone in general position with integer generators.
+    Raises DimensionError when 5000 draws find fewer than n distinct rays."""
     d, n = dimension, num_generators
     if d < 2:
         raise ValueError("sampler supports dimension >= 2")
@@ -54,7 +56,9 @@ def sample_cone(
             seen.add(primitive)
             rays.append(ray)
         if len(rays) < n:
-            continue
+            raise DimensionError(
+                f"only {len(rays)} distinct rays for {n} generators", dimension=d, generators=n, rays_found=len(rays)
+            )
         apex = tuple(Fraction(rng.randint(-apex_range, apex_range)) for _ in range(d))
         cone = Cone(apex, tuple(as_vector(r) for r in rays))
         if is_general_position(cone):
@@ -72,14 +76,6 @@ def sample_family(rng: random.Random, cone: Cone) -> tuple[tuple[int, ...], ...]
     diagonals = list(combinations(range(n), d - 1))
     picked = rng.sample(range(len(diagonals)), comb(n - 1, d - 1))
     return tuple(sorted(diagonals[i] for i in picked))
-
-
-def sample_box(rng: random.Random, dimension: int, *, max_side: int = 5) -> tuple[list[Vector], list[Fraction]]:
-    """Vertices of a random axis-aligned box [0, a_1] x ... x [0, a_d],
-    plus its side lengths."""
-    sides = [Fraction(rng.randint(1, max_side), rng.randint(1, 2)) for _ in range(dimension)]
-    vertices = [as_vector(corner) for corner in product(*[(0, a) for a in sides])]
-    return vertices, sides
 
 
 def sample_rational_vector(

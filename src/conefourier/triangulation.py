@@ -13,11 +13,12 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
-from .cones import Cone, DiagonalKind, classify_diagonal, enumerate_diagonals, is_general_position
+from .cones import Cone, DiagonalKind, classify_pairings, is_general_position
 from .errors import DimensionError, NotGenericError, SingularSimplexError
-from .geometry import Vector, determinant
+from .geometry import Vector
 from .polynomials import HomogeneousPolynomial
 
 
@@ -52,12 +53,11 @@ def pulling_triangulation(cone: Cone, anchor: int = 0) -> Triangulation:
         raise DimensionError(f"anchor index {anchor} out of range")
     if not is_general_position(cone):
         raise NotGenericError("cone has a linearly dependent d-subset of generators")
+    others = [i for i in range(cone.num_generators) if i != anchor]
     simplices = []
-    for diagonal in enumerate_diagonals(cone):
-        if anchor in diagonal.indices:
-            continue
-        if classify_diagonal(cone, diagonal).kind is DiagonalKind.EXTREMAL:
-            simplices.append(tuple(sorted(diagonal.indices + (anchor,))))
+    for facet in combinations(others, cone.dimension - 1):
+        if classify_pairings(cone.dual_pairings(facet)).kind is DiagonalKind.EXTREMAL:
+            simplices.append(tuple(sorted(facet + (anchor,))))
     return Triangulation(tuple(simplices))
 
 
@@ -68,7 +68,7 @@ def simplicial_transform(cone: Cone, simplex: Sequence[int]) -> ConicTransform:
     if len(idx) != cone.dimension:
         raise DimensionError(f"simplex needs {cone.dimension} indices, got {len(idx)}")
     rays = tuple(cone.generators[i] for i in idx)
-    det = determinant(rays)
+    det = cone.maximal_minor(idx)
     if det == 0:
         raise SingularSimplexError(f"generators {tuple(i + 1 for i in idx)} are dependent")
     return ConicTransform(cone.apex, rays, HomogeneousPolynomial.constant(cone.dimension, abs(det)))
@@ -93,7 +93,7 @@ def pk_via_triangulation(cone: Cone, anchor: int = 0) -> HomogeneousPolynomial:
     total = HomogeneousPolynomial.zero(cone.dimension, cone.num_generators - cone.dimension)
     for simplex in triangulation.simplices:
         chosen = set(simplex)
-        volume = abs(determinant([cone.generators[i] for i in simplex]))
+        volume = abs(cone.maximal_minor(simplex))
         missing = [w for j, w in enumerate(cone.generators) if j not in chosen]
         total = total + expand_linear_forms(missing, cone.dimension).scale(volume)
     return total

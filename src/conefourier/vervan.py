@@ -36,13 +36,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
 from .cones import Cone, diagonal_for
 from .errors import DimensionError, VerificationFailureError
-from .geometry import ONE, ZERO, Vector, as_vector, determinant, dot, monomial_index, veronese
+from .geometry import ONE, ZERO, Vector, as_vector, determinant, dot, veronese
+from .triangulation import expand_linear_forms
 
 Family = tuple[tuple[int, ...], ...]
 
@@ -127,7 +128,8 @@ def verify_vervan(cone: Cone, family: Sequence[Sequence[int]]) -> VerVanRecord:
     the minor must be 0; this covers every non-filling family. Otherwise it
     is checked against the determinant product in absolute value, the sign
     being recorded rather than predicted. A mismatch raises
-    VerificationFailureError with the full counterexample attached. For
+    VerificationFailureError with the full counterexample attached, its
+    family 1-based like every index on the wire. For
     d <= 3 no family is known to raise; for d >= 4 filling families whose
     duals crowd into a flat of codimension two or more do, since the bound
     does not see them (see the module docstring).
@@ -137,7 +139,7 @@ def verify_vervan(cone: Cone, family: Sequence[Sequence[int]]) -> VerVanRecord:
     n, d = cone.num_generators, cone.dimension
     table = []
     for simplex in combinations(range(n), d):
-        det = determinant([cone.generators[i] for i in simplex])
+        det = cone.maximal_minor(simplex)
         table.append((simplex, multiplicity(fam, simplex), det))
     filled = all(mult >= 1 for _, mult, _ in table)
     witness = vanishing_witness(fam, n)
@@ -150,7 +152,7 @@ def verify_vervan(cone: Cone, family: Sequence[Sequence[int]]) -> VerVanRecord:
     if abs(value) != expected:
         raise VerificationFailureError(
             "minor identity failed",
-            family=fam,
+            family=tuple(tuple(i + 1 for i in member) for member in fam),
             fills=filled,
             minor=value,
             expected_abs=expected,
@@ -170,27 +172,11 @@ def fplus(vectors: Sequence[Sequence], dimension: int) -> Vector:
     """Coefficient vector, in monomial basis order, of the product of
     linear forms prod(<v, xi>) over the given vectors.
 
-    Built combinatorially: the coordinate at exponent vector x sums, over
-    all ways of picking one coordinate index from each vector so that
-    index k is picked x_k times in total, the product of the picked
-    coordinates. Pairing this against a Veronese-expanded point factors
-    back into the product of the linear forms at that point, which is what
-    makes it a null vector for duals of intersecting diagonals.
+    Pairing this against a Veronese-expanded point factors back into the
+    product of the linear forms at that point, which is what makes it a
+    null vector for duals of intersecting diagonals.
     """
-    vs = [as_vector(v) for v in vectors]
-    if any(len(v) != dimension for v in vs):
-        raise DimensionError("all vectors must have the ambient dimension")
-    m = len(vs)
-    position = monomial_index(dimension, m)
-    out = [ZERO] * len(position)
-    for picks in product(range(dimension), repeat=m):
-        exponents = [0] * dimension
-        term = ONE
-        for v, k in zip(vs, picks):
-            exponents[k] += 1
-            term *= v[k]
-        out[position[tuple(exponents)]] += term
-    return tuple(out)
+    return expand_linear_forms(vectors, dimension).coefficients
 
 
 def null_pairing(vectors: Sequence[Sequence], dual: Sequence) -> Fraction:

@@ -164,6 +164,15 @@ class TestEvaluation:
             want = box_closed_form(sides, xi)
             assert abs(got - want) <= 1e-9 * abs(want)
 
+    def test_per_term_values_rejects_singular_point_alike(self, unit_square_vertices):
+        T = polytope_transform(polytope_combinatorics(unit_square_vertices))
+        contexts = []
+        for evaluate in (evaluate_transform, per_term_values):
+            with pytest.raises(SingularEvaluationPointError) as err:
+                evaluate(T, (Fraction(1, 3), 0))
+            contexts.append(err.value.context)
+        assert contexts[0] == contexts[1] == {"vertex": ("0", "0"), "generator": ("0", "1")}
+
     def test_per_term_values_sum(self, octahedron_vertices):
         T = polytope_transform(polytope_combinatorics(octahedron_vertices))
         xi = (Fraction(1, 3), Fraction(2, 5), Fraction(3, 7))

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 from conefourier.cli import main
 
@@ -24,6 +26,20 @@ def test_validate_reports_fan_redundancy(capsys):
     assert report["pointed"] is True
     assert report["general_position"] is True
     assert report["redundant_generators"] == [2]
+
+
+def test_validate_sample_beyond_shell_is_domain_error():
+    # d = 2 has 20 distinct primitive rays in the sampler's shell
+    result = subprocess.run(
+        [sys.executable, "-m", "conefourier", "validate", "--sample", "2", "30"],
+        capture_output=True,
+        timeout=30,
+        check=False,
+    )
+    assert result.returncode == 1
+    err = json.loads(result.stdout)
+    assert err["code"] == "Dimension"
+    assert err["context"] == {"dimension": 2, "generators": 30, "rays_found": 20}
 
 
 def test_validate_not_pointed_is_domain_error(capsys):
@@ -97,6 +113,25 @@ def test_vervan_random_families(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 4
     assert all(json.loads(line)["pass"] for line in lines)
+
+
+def test_vervan_failure_context_is_one_based(capsys):
+    family = "[[1,2,3],[1,2,4],[1,2,5],[3,4,5]]"
+    code, out = run(capsys, "vervan", "--sample", "4", "5", "--seed", "1", "--family", family)
+    assert code == 1
+    err = json.loads(out)
+    assert err["code"] == "VerificationFailure"
+    assert err["context"]["family"] == [[1, 2, 3], [1, 2, 4], [1, 2, 5], [3, 4, 5]]
+
+
+def test_vervan_random_reports_every_family(capsys):
+    code, out = run(capsys, "vervan", "--sample", "4", "6", "--seed", "2", "--random", "40")
+    assert code == 1
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 40
+    errors = [line for line in lines if "code" in line]
+    assert errors and all(set(e) == {"code", "message", "context"} for e in errors)
+    assert all(line["pass"] for line in lines if "code" not in line)
 
 
 def test_vervan_needs_family_or_random(capsys):

@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +22,9 @@ from conefourier.errors import (
     NotPointedError,
     ZeroGeneratorError,
 )
-from conefourier.geometry import dot, vec_scale
+from conefourier.geometry import determinant, dot, vec_scale
+from conefourier.sampling import sample_cone
+from conefourier.triangulation import pk_via_triangulation
 
 from conftest import random_cones
 
@@ -155,3 +160,74 @@ class TestClassification:
                 classify_diagonal(cone, diagonal).kind
                 is classify_diagonal(reordered, image).kind
             )
+
+
+class TestMinorTable:
+    DEGENERATE = (
+        # generator 3 in the plane of the first two
+        Cone((0, 0, 0), ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))),
+        # rank 2 in dimension 3: every dual pairing and minor is 0
+        Cone((0, 0, 0), ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0))),
+        Cone((0, 0), ((1, 0), (Fraction(1, 2), Fraction(3, 4)), (0, 1))),
+    )
+
+    @staticmethod
+    def assert_pairings_match_duals(cone):
+        for diagonal in enumerate_diagonals(cone):
+            off = [w for j, w in enumerate(cone.generators) if j not in diagonal.indices]
+            assert cone.dual_pairings(diagonal.indices) == tuple(dot(diagonal.dual, w) for w in off)
+
+    @given(cone=random_cones(dims=(2, 3, 4)))
+    def test_pairings_match_duals(self, cone):
+        self.assert_pairings_match_duals(cone)
+
+    @pytest.mark.parametrize("index", range(len(DEGENERATE)))
+    def test_pairings_match_duals_on_degenerate_cones(self, index):
+        self.assert_pairings_match_duals(self.DEGENERATE[index])
+
+    def test_minor_is_the_determinant(self, square_cone):
+        for idx in combinations(range(4), 3):
+            rows = [square_cone.generators[i] for i in idx]
+            assert square_cone.maximal_minor(idx) == determinant(rows)
+
+    def test_minor_computed_once(self, square_cone, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return determinant(rows)
+
+        monkeypatch.setattr("conefourier.cones.determinant", counting)
+        assert is_general_position(square_cone)
+        assert len(calls) == 4
+        for diagonal in enumerate_diagonals(square_cone):
+            classify_diagonal(square_cone, diagonal)
+        assert square_cone.maximal_minor([0, 1, 2]) == 2
+        assert len(calls) == 4
+
+    def test_table_leaves_equality_and_hash_alone(self, square_cone):
+        fresh = Cone(square_cone.apex, square_cone.generators)
+        is_general_position(square_cone)
+        assert square_cone == fresh and hash(square_cone) == hash(fresh)
+
+    def test_shared_cone_across_threads(self):
+        sampled = sample_cone(random.Random(6), 3, 6)
+        expected = pk_via_triangulation(sampled)
+        shared = Cone(sampled.apex, sampled.generators)  # with an empty table
+        results = []
+
+        def work():
+            results.append(pk_via_triangulation(shared))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 6
