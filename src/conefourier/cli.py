@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .brion import evaluate_transform, per_term_values, polytope_combinatorics, polytope_transform
+from .brion import METHODS, evaluate_transform, per_term_values, polytope_combinatorics, polytope_transform
 from .cones import validate_cone
 from .errors import ConeFourierError, MalformedInputError
 from .interpolation import build_system, pk_via_interpolation, solve_with_details
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="compute the numerator polynomial of the cone transform")
     add_cone_input(p)
-    p.add_argument("--method", choices=("triangulation", "interpolation"), default="interpolation")
+    p.add_argument("--method", choices=METHODS, default="interpolation")
     p.add_argument("--verbose", action="store_true", help="include the full system or triangulation dump")
     p.set_defaults(func=cmd_transform)
 
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("brion-eval", help="evaluate a polytope Fourier transform at a point")
     p.add_argument("input", nargs="?", help="polytope JSON with a \"vertices\" key")
     p.add_argument("--xi", metavar="JSON", help='evaluation point as a JSON array of rationals, e.g. \'["1/2","1/2"]\'')
-    p.add_argument("--method", choices=("triangulation", "interpolation"), default="interpolation")
+    p.add_argument("--method", choices=METHODS, default="interpolation")
     p.add_argument("--allow-nonsimplicial", action="store_true", help="accept facets with more than d vertices")
     p.add_argument("--verbose", action="store_true", help="include the per-vertex breakdown")
     p.add_argument("--output", metavar="PATH")
@@ -204,6 +204,8 @@ def cmd_vervan(args) -> tuple[str, int]:
     """One JSON line per family, in order: its record, or the compact error
     object when its check raises. Returns (text, 1) if any family raised."""
     cone, _ = _load_cone(args)
+    if args.random is not None and args.random < 1:
+        raise MalformedInputError(f"--random needs K >= 1, got {args.random}")
     if args.family and args.random:
         raise MalformedInputError("give either --family or --random, not both")
     if args.family:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError
 
@@ -55,58 +56,67 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(c == 0 for c in v)
 
 
-def determinant(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a square matrix by Gaussian elimination.
+def _reduce_rows(rows: Iterable[Sequence[Fraction]], width: int) -> Iterator[tuple[int | None, Fraction, list | None]]:
+    """The one exact elimination, behind ``determinant``, ``matrix_rank``
+    and the interpolation solve. Callers check that every row has ``width``
+    entries.
 
-    The empty 0x0 matrix has determinant 1.
+    Reduces each row, in the order given, against the rows kept before it
+    and yields ``(lead, value, kept)``: the column and value of the reduced
+    row's first nonzero entry, and the reduced row divided by that value,
+    which is kept; a row that vanishes yields ``(None, ZERO, None)``. A kept
+    row is zero left of its lead and at every earlier lead, so each update
+    starts at the pivot's lead column.
     """
+    kept: list[tuple[int, list]] = []
+    for row in rows:
+        work = list(row)
+        for lead, pivot in kept:
+            factor = work[lead]
+            if factor:
+                work[lead] = ZERO  # pivot[lead] is 1
+                for j in range(lead + 1, width):
+                    b = pivot[j]
+                    if b:
+                        work[j] -= factor * b
+        for lead, value in enumerate(work):
+            if value:
+                break
+        else:
+            yield None, ZERO, None
+            continue
+        inv = ONE / value
+        work[lead:] = [a * inv for a in work[lead:]]
+        kept.append((lead, work))
+        yield lead, value, work
+
+
+def determinant(rows: Sequence[Sequence]) -> Fraction:
+    """Exact determinant of a square matrix: the product of the lead values
+    of its reduced rows, negated when their lead columns are an odd
+    permutation. The empty 0x0 matrix has determinant 1."""
     m = [[as_scalar(a) for a in row] for row in rows]
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionError(f"determinant needs a square matrix, got rows {[len(r) for r in m]}")
-    sign = 1
+    leads = []
     result = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
+    for lead, value, _ in _reduce_rows(m, n):
+        if lead is None:
             return ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        result *= m[col][col]
-        inv = ONE / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return result if sign > 0 else -result
+        leads.append(lead)
+        result *= value
+    inversions = sum(1 for i, j in combinations(leads, 2) if i > j)
+    return -result if inversions % 2 else result
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Rank of a rectangular matrix, computed exactly."""
     m = [[as_scalar(a) for a in row] for row in rows]
-    if not m:
-        return 0
-    width = len(m[0])
+    width = len(m[0]) if m else 0
     if any(len(row) != width for row in m):
         raise DimensionError("rank of a ragged matrix")
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = ONE / m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, width):
-                    m[r][c] -= factor * m[rank][c]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    return sum(1 for lead, _, _ in _reduce_rows(m, width) if lead is not None)
 
 
 def generalized_cross(vectors: Sequence[Sequence], dimension: int | None = None) -> Vector:

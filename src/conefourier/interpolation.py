@@ -21,7 +21,7 @@ from .errors import (
     InconsistentError,
     RankDeficientError,
 )
-from .geometry import ONE, ZERO, basis_size, veronese
+from .geometry import ONE, ZERO, _reduce_rows, basis_size, veronese
 from .polynomials import HomogeneousPolynomial
 
 
@@ -100,12 +100,10 @@ def build_system(cone: Cone) -> InterpolationSystem:
 def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomial, SolveDetails]:
     """Exact elimination over the rows in their given order.
 
-    Each row is reduced against the pivots found so far; a row with a
-    surviving nonzero entry becomes a new pivot (its pivot column is the
-    first such entry), and a row that reduces away must have a zero
-    residual, otherwise the system lies about its cone. Rows keep being
-    verified after full rank is reached, so consistency of the whole
-    system is always checked.
+    The rows, with the rhs as a last column, go through the shared row
+    reduction: a row's pivot column is its first surviving coefficient, and
+    a row whose only surviving entry is the rhs leaves a residual, so the
+    system lies about its cone. Every row is checked, also after full rank.
     """
     unknowns = system.unknowns
     for row in system.rows:
@@ -113,29 +111,19 @@ def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomi
             raise DimensionError(
                 f"row for diagonal {row.diagonal} has {len(row.coefficients)} entries, expected {unknowns}"
             )
-    pivots: list[tuple[int, list[Fraction], Fraction]] = []
+    pivots: list[tuple[int, list[Fraction]]] = []
     pivot_meta: list[tuple[tuple[int, ...], int]] = []
-    for row in system.rows:
-        work = list(row.coefficients)
-        value = row.rhs
-        for col, pivot_row, pivot_rhs in pivots:
-            factor = work[col]
-            if factor != 0:
-                work = [a - factor * b for a, b in zip(work, pivot_row)]
-                value -= factor * pivot_rhs
-        lead = next((j for j, a in enumerate(work) if a != 0), None)
+    augmented = ((*row.coefficients, row.rhs) for row in system.rows)
+    for row, (lead, value, work) in zip(system.rows, _reduce_rows(augmented, unknowns + 1)):
         if lead is None:
-            if value != 0:
-                raise InconsistentError(
-                    f"row for diagonal {tuple(i + 1 for i in row.diagonal)} leaves residual {value}",
-                    diagonal=tuple(i + 1 for i in row.diagonal),
-                    residual=value,
-                )
             continue
-        inv = ONE / work[lead]
-        work = [a * inv for a in work]
-        value *= inv
-        pivots.append((lead, work, value))
+        if lead == unknowns:
+            raise InconsistentError(
+                f"row for diagonal {tuple(i + 1 for i in row.diagonal)} leaves residual {value}",
+                diagonal=tuple(i + 1 for i in row.diagonal),
+                residual=value,
+            )
+        pivots.append((lead, work))
         pivot_meta.append((row.diagonal, lead))
     if len(pivots) < unknowns:
         raise RankDeficientError(
@@ -145,9 +133,9 @@ def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomi
             skipped=tuple(tuple(i + 1 for i in d) for d in system.skipped),
         )
     solution: list[Fraction | None] = [None] * unknowns
-    for col, work, value in sorted(pivots, key=lambda p: p[0], reverse=True):
+    for col, work in sorted(pivots, key=lambda p: p[0], reverse=True):
         # Entries left of the pivot column are zero by construction.
-        acc = value
+        acc = work[unknowns]
         for j in range(col + 1, unknowns):
             if work[j] != 0:
                 acc -= work[j] * solution[j]

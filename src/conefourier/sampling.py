@@ -20,16 +20,15 @@ from .cones import Cone, is_general_position
 from .errors import DimensionError
 from .geometry import Vector, as_vector, dot
 
+# Sampling ranges; every seeded stream, and so every golden output, depends on them.
+RADIUS = 6
+MAX_HEIGHT = 3
+APEX_RANGE = 4
+MAX_NUMERATOR = 9
+MAX_DENOMINATOR = 8
 
-def sample_cone(
-    rng: random.Random,
-    dimension: int,
-    num_generators: int,
-    *,
-    radius: int = 6,
-    max_height: int = 3,
-    apex_range: int = 4,
-) -> Cone:
+
+def sample_cone(rng: random.Random, dimension: int, num_generators: int) -> Cone:
     """A random pointed cone in general position with integer generators.
     Raises DimensionError when 5000 draws find fewer than n distinct rays."""
     d, n = dimension, num_generators
@@ -37,19 +36,19 @@ def sample_cone(
         raise ValueError("sampler supports dimension >= 2")
     if n < d:
         raise ValueError("need at least d generators")
-    low = max(1, (radius * radius) // 4)
-    high = radius * radius
+    low = max(1, (RADIUS * RADIUS) // 4)
+    high = RADIUS * RADIUS
     while True:
         rays: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
         attempts = 0
         while len(rays) < n and attempts < 5000:
             attempts += 1
-            head = tuple(rng.randint(-radius, radius) for _ in range(d - 1))
+            head = tuple(rng.randint(-RADIUS, RADIUS) for _ in range(d - 1))
             norm2 = sum(c * c for c in head)
             if not low <= norm2 <= high:
                 continue
-            ray = head + (rng.randint(1, max_height),)
+            ray = head + (rng.randint(1, MAX_HEIGHT),)
             primitive = _primitive(ray)
             if primitive in seen:
                 continue
@@ -59,7 +58,7 @@ def sample_cone(
             raise DimensionError(
                 f"only {len(rays)} distinct rays for {n} generators", dimension=d, generators=n, rays_found=len(rays)
             )
-        apex = tuple(Fraction(rng.randint(-apex_range, apex_range)) for _ in range(d))
+        apex = tuple(Fraction(rng.randint(-APEX_RANGE, APEX_RANGE)) for _ in range(d))
         cone = Cone(apex, tuple(as_vector(r) for r in rays))
         if is_general_position(cone):
             return cone
@@ -78,24 +77,20 @@ def sample_family(rng: random.Random, cone: Cone) -> tuple[tuple[int, ...], ...]
     return tuple(sorted(diagonals[i] for i in picked))
 
 
-def sample_rational_vector(
-    rng: random.Random, dimension: int, *, max_numerator: int = 9, max_denominator: int = 8
-) -> Vector:
+def sample_rational_vector(rng: random.Random, dimension: int) -> Vector:
     out = []
     for _ in range(dimension):
         num = 0
         while num == 0:
-            num = rng.randint(-max_numerator, max_numerator)
-        out.append(Fraction(num, rng.randint(1, max_denominator)))
+            num = rng.randint(-MAX_NUMERATOR, MAX_NUMERATOR)
+        out.append(Fraction(num, rng.randint(1, MAX_DENOMINATOR)))
     return tuple(out)
 
 
-def sample_nonsingular_point(
-    rng: random.Random, generators: Sequence[Sequence], dimension: int, **kwargs
-) -> Vector:
+def sample_nonsingular_point(rng: random.Random, generators: Sequence[Sequence], dimension: int) -> Vector:
     """A random rational point at which no given linear form vanishes."""
     gens = [as_vector(g) for g in generators]
     while True:
-        xi = sample_rational_vector(rng, dimension, **kwargs)
+        xi = sample_rational_vector(rng, dimension)
         if all(dot(g, xi) != 0 for g in gens):
             return xi

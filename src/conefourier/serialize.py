@@ -123,7 +123,7 @@ def family_from_json(data) -> tuple[tuple[int, ...], ...]:
         raise MalformedInputError("family must be an array of index arrays")
     out = []
     for entry in data:
-        if not isinstance(entry, list) or not all(isinstance(i, int) and i >= 1 for i in entry):
+        if not isinstance(entry, list) or not all(type(i) is int and i >= 1 for i in entry):  # bool is no index
             raise MalformedInputError(f"bad diagonal {entry!r}; expected 1-based indices")
         out.append(tuple(i - 1 for i in entry))
     return tuple(out)

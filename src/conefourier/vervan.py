@@ -49,8 +49,10 @@ Family = tuple[tuple[int, ...], ...]
 
 
 def normalize_family(family: Sequence[Sequence[int]]) -> Family:
-    """Sort a family of diagonals lexicographically and reject repeats."""
+    """Sort a family of diagonals lexicographically; reject repeats and the empty family."""
     normalized = tuple(sorted(tuple(sorted(d)) for d in family))
+    if not normalized:
+        raise DimensionError("family is empty")
     sizes = {len(d) for d in normalized}
     if len(sizes) > 1:
         raise DimensionError("family mixes diagonals of different sizes")
@@ -69,11 +71,7 @@ def fills(family: Sequence[Sequence[int]], num_generators: int) -> bool:
     """True when every d-subset of generators contains a family member."""
     fam = normalize_family(family)
     dimension = len(fam[0]) + 1
-    members = [set(d) for d in fam]
-    return all(
-        any(member <= set(simplex) for member in members)
-        for simplex in combinations(range(num_generators), dimension)
-    )
+    return all(multiplicity(fam, simplex) >= 1 for simplex in combinations(range(num_generators), dimension))
 
 
 def vanishing_witness(family: Sequence[Sequence[int]], num_generators: int) -> tuple[int, ...]:

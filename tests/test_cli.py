@@ -2,7 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conefourier.cli import main
+from conefourier.errors import MalformedInputError
+from conefourier.serialize import family_from_json
 
 SQUARE_CONE = json.dumps(
     {
@@ -137,6 +141,19 @@ def test_vervan_random_reports_every_family(capsys):
 def test_vervan_needs_family_or_random(capsys):
     code, out = run(capsys, "vervan", SQUARE_CONE)
     assert code == 2
+    for k in ("0", "-2"):
+        code, out = run(capsys, "vervan", SQUARE_CONE, "--random", k)
+        assert code == 2
+        err = json.loads(out)
+        assert err["code"] == "MalformedInput" and "K >= 1" in err["message"]
+
+
+def test_vervan_rejects_boolean_index(capsys):
+    with pytest.raises(MalformedInputError):
+        family_from_json([[True, 2], [1, 3], [2, 3]])
+    code, out = run(capsys, "vervan", SQUARE_CONE, "--family", "[[true, 2], [1, 3], [2, 3]]")
+    assert code == 2
+    assert json.loads(out)["code"] == "MalformedInput"
 
 
 def test_brion_eval_unit_square(capsys):

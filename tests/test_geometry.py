@@ -15,7 +15,7 @@ from conefourier.geometry import (
     veronese,
 )
 
-from conftest import nonzero_rationals, vectors
+from conftest import nonzero_rationals, rationals, vectors
 
 
 def permutation_determinant(rows):
@@ -52,7 +52,7 @@ def test_determinant_rejects_non_square():
         determinant([(1, 2, 3), (4, 5, 6)])
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 @given(data=st.data())
 def test_determinant_matches_permutation_expansion(d, data):
     rows = [data.draw(vectors(d)) for _ in range(d)]
@@ -153,3 +153,28 @@ def test_matrix_rank():
     assert matrix_rank([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
     assert matrix_rank([(1, 2), (2, 4)]) == 1
     assert matrix_rank([]) == 0
+
+
+def test_ragged_matrix_rejected():
+    # the leading zero row must not end the reduction before the shape check
+    for rows in ([(1, 2), (3,)], [(0, 0), (1,)]):
+        for function in (determinant, matrix_rank):
+            with pytest.raises(DimensionError):
+                function(rows)
+
+
+def _combination(weights, rows, width):
+    return tuple(sum((w * row[k] for w, row in zip(weights, rows)), Fraction(0)) for k in range(width))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@given(data=st.data())
+def test_rank_agrees_with_determinant(d, data):
+    rows = [data.draw(vectors(d)) for _ in range(d)]
+    if data.draw(st.booleans()):
+        # a dependent last row, so that singular matrices are drawn too
+        rows[-1] = _combination([data.draw(rationals) for _ in range(d - 1)], rows[:-1], d)
+    rank = matrix_rank(rows)
+    assert (rank == d) == (determinant(rows) != 0)
+    extra = _combination([data.draw(rationals) for _ in rows], rows, d)
+    assert matrix_rank(rows + [extra]) == rank

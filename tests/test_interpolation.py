@@ -85,8 +85,9 @@ class TestSolver:
                 SystemRow((1,), (Fraction(1), Fraction(0)), Fraction(2)),
             ),
         )
-        with pytest.raises(InconsistentError):
+        with pytest.raises(InconsistentError) as exc:
             solve_exact(system)
+        assert exc.value.context == {"diagonal": (2,), "residual": 1}
 
     def test_rank_deficiency(self):
         system = InterpolationSystem(

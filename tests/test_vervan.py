@@ -92,6 +92,14 @@ class TestFills:
     def test_two_singletons_cover_all_pairs(self):
         assert fills([(0,), (1,)], 3)
 
+    def test_empty_family_is_domain_error(self, square_cone):
+        with pytest.raises(DimensionError, match="empty"):
+            fills([], 4)
+        with pytest.raises(DimensionError, match="empty"):
+            vanishing_witness([], 4)
+        with pytest.raises(DimensionError, match="empty"):
+            verify_vervan(square_cone, [])
+
 
 class TestMinor:
     def test_non_filling_minor_vanishes(self, square_cone):
