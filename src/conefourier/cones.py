@@ -124,14 +124,15 @@ class ValidationReport:
 def diagonal_for(cone: Cone, indices: Iterable[int]) -> Diagonal:
     """Build the diagonal on the given (d-1) generator indices."""
     idx = tuple(sorted(indices))
+    wire = tuple(i + 1 for i in idx)  # 1-based, as on the wire
     if len(set(idx)) != len(idx):
-        raise DimensionError(f"repeated index in diagonal {idx}")
+        raise DimensionError(f"repeated index in diagonal {wire}", diagonal=wire, generators=cone.num_generators)
     if len(idx) != cone.dimension - 1:
         raise DimensionError(
             f"diagonal needs {cone.dimension - 1} indices in dimension {cone.dimension}, got {len(idx)}"
         )
     if idx and (idx[0] < 0 or idx[-1] >= cone.num_generators):
-        raise DimensionError(f"diagonal indices {idx} out of range")
+        raise DimensionError(f"diagonal indices {wire} out of range", diagonal=wire, generators=cone.num_generators)
     dual = generalized_cross([cone.generators[i] for i in idx], cone.dimension)
     return Diagonal(idx, dual)
 

@@ -4,15 +4,18 @@ Every diagonal of the cone supplies one exact value of the numerator
 polynomial p_K at the diagonal's dual vector: a signed product of
 determinants for extremal diagonals, zero for interior ones. Expanding the
 duals through the Veronese map turns these values into an overdetermined
-linear system for the coefficients of p_K, solved here by exact rational
-elimination.
+linear system for the coefficients of p_K. It is solved by elimination
+modulo the prime 2^61 - 1, and the candidate is accepted only when it
+satisfies every row exactly; otherwise, and for the pivots, exact rational
+elimination decides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from functools import cached_property
+from math import lcm, prod
 
 from .cones import Cone, Diagonal, DiagonalClass, DiagonalKind, classify_diagonal, enumerate_diagonals
 from .errors import (
@@ -49,8 +52,18 @@ class InterpolationSystem:
 
 @dataclass(frozen=True)
 class SolveDetails:
+    """The exact rank of a solved system, which equals its unknowns, and
+    the system itself, from which ``pivots`` is derived."""
+
     rank: int
-    pivots: tuple[tuple[tuple[int, ...], int], ...]  # (diagonal, pivot column)
+    system: InterpolationSystem = field(repr=False)
+
+    @cached_property
+    def pivots(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(diagonal, pivot column) of each row the exact reduction keeps,
+        in row order. Computed on first read and kept; the value depends
+        only on the system, so sharing the details between threads is safe."""
+        return tuple((diagonal, lead) for diagonal, lead, _ in _eliminate(self.system))
 
 
 def _rhs_from_class(cone: Cone, diagonal: Diagonal, cls: DiagonalClass) -> Fraction:
@@ -97,8 +110,62 @@ def build_system(cone: Cone) -> InterpolationSystem:
     return InterpolationSystem(cone.dimension, degree, tuple(rows), tuple(skipped))
 
 
-def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomial, SolveDetails]:
-    """Exact elimination over the rows in their given order.
+# Large, so that it seldom divides a minor the solve needs; any prime is sound.
+_PRIME = 2**61 - 1
+
+
+def _solve_modular(system: InterpolationSystem) -> list[int] | None:
+    """The system's integer solution, found mod _PRIME and checked exactly,
+    or None.
+
+    Each row, rhs included, is scaled to integers by the lcm of its
+    denominators and reduced mod p in the given order with the lead-column
+    rule of ``_reduce_rows``, until full rank. Back-substitution gives each
+    coefficient mod p, lifted to its symmetric residue. Full rank mod p
+    implies full rank over Q, so a candidate that satisfies every row
+    exactly is the unique solution. A rank short mod p, a row whose only
+    surviving entry mod p is the rhs, or a failed check (an unlucky prime,
+    or a solution that is not an integer of at most 60 bits) gives None.
+    """
+    unknowns = system.unknowns
+    rows = []
+    for row in system.rows:
+        entries = (*row.coefficients, row.rhs)
+        scale = lcm(*(c.denominator for c in entries))
+        rows.append([c.numerator * (scale // c.denominator) for c in entries])
+    kept: list[tuple[int, list[int]]] = []
+    for row in rows:
+        work = list(row)
+        for lead, pivot in kept:
+            factor = work[lead] % _PRIME
+            if factor:  # entries are reduced once, after the last update
+                work[lead:] = [a - factor * b for a, b in zip(work[lead:], pivot[lead:])]
+        work = [a % _PRIME for a in work]
+        lead = next((j for j, a in enumerate(work) if a), None)
+        if lead is None:
+            continue
+        if lead == unknowns:
+            return None
+        inv = pow(work[lead], -1, _PRIME)
+        work[lead:] = [a * inv % _PRIME for a in work[lead:]]
+        kept.append((lead, work))
+        if len(kept) == unknowns:
+            break
+    else:
+        return None
+    solution = [0] * unknowns
+    for lead, work in sorted(kept, key=lambda k: k[0], reverse=True):
+        acc = work[unknowns] - sum(work[j] * solution[j] for j in range(lead + 1, unknowns))
+        solution[lead] = acc % _PRIME
+    solution = [x - _PRIME if x > _PRIME // 2 else x for x in solution]
+    if all(sum(a * x for a, x in zip(row, solution)) == row[unknowns] for row in rows):
+        return solution
+    return None
+
+
+def _eliminate(system: InterpolationSystem) -> list[tuple[tuple[int, ...], int, list[Fraction]]]:
+    """Exact elimination over the rows in their given order, returning
+    (diagonal, pivot column, reduced row) for each row kept.
 
     The rows, with the rhs as a last column, go through the shared row
     reduction: a row's pivot column is its first surviving coefficient, and
@@ -106,13 +173,7 @@ def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomi
     system lies about its cone. Every row is checked, also after full rank.
     """
     unknowns = system.unknowns
-    for row in system.rows:
-        if len(row.coefficients) != unknowns:
-            raise DimensionError(
-                f"row for diagonal {row.diagonal} has {len(row.coefficients)} entries, expected {unknowns}"
-            )
-    pivots: list[tuple[int, list[Fraction]]] = []
-    pivot_meta: list[tuple[tuple[int, ...], int]] = []
+    kept = []
     augmented = ((*row.coefficients, row.rhs) for row in system.rows)
     for row, (lead, value, work) in zip(system.rows, _reduce_rows(augmented, unknowns + 1)):
         if lead is None:
@@ -123,25 +184,41 @@ def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomi
                 diagonal=tuple(i + 1 for i in row.diagonal),
                 residual=value,
             )
-        pivots.append((lead, work))
-        pivot_meta.append((row.diagonal, lead))
-    if len(pivots) < unknowns:
+        kept.append((row.diagonal, lead, work))
+    if len(kept) < unknowns:
         raise RankDeficientError(
-            f"only {len(pivots)} independent rows for {unknowns} unknowns",
-            rank=len(pivots),
+            f"only {len(kept)} independent rows for {unknowns} unknowns",
+            rank=len(kept),
             unknowns=unknowns,
             skipped=tuple(tuple(i + 1 for i in d) for d in system.skipped),
         )
-    solution: list[Fraction | None] = [None] * unknowns
-    for col, work in sorted(pivots, key=lambda p: p[0], reverse=True):
-        # Entries left of the pivot column are zero by construction.
-        acc = work[unknowns]
-        for j in range(col + 1, unknowns):
-            if work[j] != 0:
-                acc -= work[j] * solution[j]
-        solution[col] = acc
+    return kept
+
+
+def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomial, SolveDetails]:
+    """The exact solution of the system, and its details.
+
+    The solve mod p (``_solve_modular``) is tried first; every solution it
+    returns has been checked against every row exactly. When it gives
+    none, exact elimination (``_eliminate``) solves the system or raises
+    InconsistentError or RankDeficientError. Either way the pivots in the
+    details are those of the exact elimination, computed when first read.
+    """
+    unknowns = system.unknowns
+    for row in system.rows:
+        if len(row.coefficients) != unknowns:
+            raise DimensionError(
+                f"row for diagonal {row.diagonal} has {len(row.coefficients)} entries, expected {unknowns}"
+            )
+    solution = _solve_modular(system)
+    if solution is None:
+        solution = [ZERO] * unknowns
+        for _, col, work in sorted(_eliminate(system), key=lambda k: k[1], reverse=True):
+            # Entries left of the pivot column are zero by construction.
+            terms = (work[j] * solution[j] for j in range(col + 1, unknowns) if work[j])
+            solution[col] = work[unknowns] - sum(terms, ZERO)
     poly = HomogeneousPolynomial(system.dimension, system.degree, tuple(solution))
-    return poly, SolveDetails(rank=len(pivots), pivots=tuple(pivot_meta))
+    return poly, SolveDetails(rank=unknowns, system=system)
 
 
 def solve_exact(system: InterpolationSystem) -> HomogeneousPolynomial:

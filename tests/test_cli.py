@@ -128,6 +128,15 @@ def test_vervan_failure_context_is_one_based(capsys):
     assert err["context"]["family"] == [[1, 2, 3], [1, 2, 4], [1, 2, 5], [3, 4, 5]]
 
 
+def test_vervan_out_of_range_diagonal_is_one_based(capsys):
+    code, out = run(capsys, "vervan", SQUARE_CONE, "--family", "[[1,2],[1,3],[2,9]]")
+    assert code == 1
+    err = json.loads(out)
+    assert err["code"] == "Dimension"
+    assert err["message"] == "diagonal indices (2, 9) out of range"
+    assert err["context"] == {"diagonal": [2, 9], "generators": 4}
+
+
 def test_vervan_random_reports_every_family(capsys):
     code, out = run(capsys, "vervan", "--sample", "4", "6", "--seed", "2", "--random", "40")
     assert code == 1

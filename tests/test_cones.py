@@ -102,10 +102,15 @@ class TestDiagonals:
         assert diagonal_for(square_cone, (0, 2)).dual == (0, -2, 0)
 
     def test_diagonal_rejects_bad_indices(self, square_cone):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError) as err:
             diagonal_for(square_cone, (0, 4))
+        assert err.value.context == {"diagonal": (1, 5), "generators": 4}
         with pytest.raises(DimensionError):
             diagonal_for(square_cone, (0, 1, 2))
+        with pytest.raises(DimensionError) as err:
+            diagonal_for(square_cone, (2, 2))
+        assert err.value.message == "repeated index in diagonal (3, 3)"
+        assert err.value.context == {"diagonal": (3, 3), "generators": 4}
 
 
 class TestClassification:

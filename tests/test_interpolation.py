@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -18,8 +21,16 @@ from conefourier.errors import (
     InconsistentError,
     RankDeficientError,
 )
-from conefourier.geometry import vec_scale
-from conefourier.interpolation import InterpolationSystem, SystemRow, solve_with_details
+from conefourier.cones import is_general_position
+from conefourier.geometry import _reduce_rows, vec_scale
+from conefourier.interpolation import (
+    _PRIME,
+    InterpolationSystem,
+    SystemRow,
+    _solve_modular,
+    solve_with_details,
+)
+from conefourier.sampling import sample_cone
 
 from conftest import random_cones
 
@@ -143,3 +154,90 @@ class TestPipelineEquivalence:
         _, details = solve_with_details(system)
         assert details.rank == comb(cone.num_generators - 1, cone.dimension - 1)
         assert system.skipped == ()
+
+
+def exact_pivots(system):
+    """Pivots of the plain exact reduction of the rows, rhs as a last
+    column, in their given order."""
+    augmented = [(*row.coefficients, row.rhs) for row in system.rows]
+    leads = (lead for lead, _, _ in _reduce_rows(augmented, system.unknowns + 1))
+    return tuple((row.diagonal, lead) for row, lead in zip(system.rows, leads) if lead is not None)
+
+
+def two_row_system(first, second):
+    return InterpolationSystem(
+        dimension=2,
+        degree=1,
+        rows=tuple(
+            SystemRow((i,), tuple(map(Fraction, entries[:2])), Fraction(entries[2]))
+            for i, entries in enumerate((first, second))
+        ),
+    )
+
+
+class TestModularSolve:
+    @pytest.mark.parametrize(
+        "first, second, solution, accepted",
+        [
+            # The first lead is column 0 over Q but column 1 mod p.
+            ((_PRIME, 1, _PRIME + 1), (1, 0, 1), (1, 1), True),
+            # The first row vanishes mod p, so the rank is short there.
+            ((_PRIME, 0, _PRIME), (0, 1, 1), (1, 1), False),
+            # 2^70 lies beyond the symmetric residues, so the check fails.
+            ((1, 0, 2**70), (0, 1, 1), (2**70, 1), False),
+        ],
+    )
+    def test_hand_built_systems(self, first, second, solution, accepted):
+        system = two_row_system(first, second)
+        assert (_solve_modular(system) is not None) == accepted
+        poly, details = solve_with_details(system)
+        assert poly.coefficients == solution
+        assert details.rank == 2
+        assert details.pivots == (((0,), 0), ((1,), 1)) == exact_pivots(system)
+
+    @pytest.mark.parametrize("d, n", [(3, 6), (4, 8)])
+    def test_pivots_are_exact_on_sampled_cones(self, d, n):
+        system = build_system(sample_cone(random.Random(5), d, n))
+        assert _solve_modular(system) is not None
+        _, details = solve_with_details(system)
+        assert "pivots" not in vars(details)  # not computed until read
+        assert details.pivots == exact_pivots(system)
+        assert details.rank == system.unknowns == len(details.pivots)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_large_and_rational_coordinates(self, seed):
+        rng = random.Random(seed)
+        accepted = []
+        for d, n in [(2, 2), (2, 4), (3, 5), (3, 6), (4, 6)]:
+            base = sample_cone(rng, d, n)
+            shifted = [tuple(10**6 * c + rng.randint(-9, 9) for c in g) for g in base.generators]
+            rational = [tuple(c + Fraction(rng.randint(-3, 3), rng.randint(2, 9)) for c in g) for g in base.generators]
+            for generators in (shifted, rational):
+                cone = Cone(base.apex, tuple(generators))
+                assert is_general_position(cone)
+                accepted.append(_solve_modular(build_system(cone)) is not None)
+                assert pk_via_interpolation(cone) == pk_via_triangulation(cone)
+        # Only the simplicial cone's 40-bit |det| fits the symmetric residues.
+        assert accepted == [True, False] + [False, False] * 4
+
+    def test_shared_details_across_threads(self):
+        system = build_system(sample_cone(random.Random(6), 3, 6))
+        _, details = solve_with_details(system)
+        expected = exact_pivots(system)
+        results = []
+
+        def work():
+            results.append(details.pivots)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 6

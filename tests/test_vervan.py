@@ -184,6 +184,25 @@ class TestVerify:
             verify_vervan(cone, FAM_FLAT_ZERO)
         assert err.value.context["fills"] is True and err.value.context["minor"] == 0
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("d, n", [(3, 6), (4, 7), (5, 8)])
+    @pytest.mark.parametrize("anchor", ["first", "last"])
+    def test_anchor_star_family_has_full_rank(self, d, n, seed, anchor):
+        # The diagonals avoiding one generator a: no witness, and the minor
+        # is prod over d-subsets E without a of |det E|^(d-1), nonzero in
+        # general position (DECISIONS.md), so the interpolation system has
+        # full rank.
+        cone = sample_cone(random.Random(seed), d, n)
+        a = 0 if anchor == "first" else n - 1
+        others = [i for i in range(n) if i != a]
+        record = verify_vervan(cone, list(combinations(others, d - 1)))
+        assert record.fills and record.witness == ()
+        assert record.minor != 0 and abs(record.minor) == record.expected_abs
+        expected = 1
+        for simplex in combinations(others, d):
+            expected *= abs(cone.maximal_minor(simplex)) ** (d - 1)
+        assert record.expected_abs == expected
+
     def test_minor_scaling_degree(self):
         # scaling every generator by lam scales the minor by
         # lam ** ((d-1) * (n-d) * C(n-1, d-1))
