@@ -246,13 +246,19 @@ def cmd_brion_eval(args) -> str:
     return json.dumps(out, indent=2) + "\n"
 
 
-def cmd_bench(args) -> str:
+def cmd_bench(args) -> tuple[str, int]:
+    """Time both pipelines per size. Returns (text, 1) if they disagreed on
+    any cone, since the CSV has no ``match`` column."""
     try:
         dims = [int(part) for part in args.dims.split(",") if part]
     except ValueError:
         raise MalformedInputError(f"bad --dims value {args.dims!r}") from None
     if not dims or any(d < 2 for d in dims):
         raise MalformedInputError("--dims needs integers >= 2")
+    if args.max_extra < 0:
+        raise MalformedInputError(f"--max-extra needs an integer >= 0, got {args.max_extra}")
+    if args.trials < 1:
+        raise MalformedInputError(f"--trials needs an integer >= 1, got {args.trials}")
     rng = random.Random(args.seed)
     records = []
     for d in dims:
@@ -261,7 +267,7 @@ def cmd_bench(args) -> str:
             tri_total = 0.0
             interp_total = 0.0
             match = True
-            for _ in range(max(1, args.trials)):
+            for _ in range(args.trials):
                 cone = sample_cone(rng, d, n)
                 start = time.perf_counter()
                 by_triangulation = pk_via_triangulation(cone)
@@ -270,24 +276,24 @@ def cmd_bench(args) -> str:
                 by_interpolation = pk_via_interpolation(cone)
                 interp_total += time.perf_counter() - start
                 match = match and by_triangulation == by_interpolation
-            trials = max(1, args.trials)
             records.append(
                 {
                     "n": n,
                     "d": d,
-                    "triangulation_seconds": tri_total / trials,
-                    "interpolation_seconds": interp_total / trials,
+                    "triangulation_seconds": tri_total / args.trials,
+                    "interpolation_seconds": interp_total / args.trials,
                     "match": match,
                 }
             )
+    status = 0 if all(r["match"] for r in records) else 1
     if args.csv:
         lines = ["n,d,triangulation_seconds,interpolation_seconds"]
         lines += [
             f"{r['n']},{r['d']},{r['triangulation_seconds']:.6f},{r['interpolation_seconds']:.6f}"
             for r in records
         ]
-        return "".join(line + "\n" for line in lines)
-    return json.dumps(records, indent=2) + "\n"
+        return "".join(line + "\n" for line in lines), status
+    return json.dumps(records, indent=2) + "\n", status
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,14 @@ the hyperplane they span. Diagonals classify as extremal (all remaining
 generators strictly on one side), interior (generators on both sides), or
 degenerate (some generator exactly on the hyperplane, or a zero dual).
 Each pairing <dual, w_j> is a signed maximal minor of the generators, read
-from the cone's one table of them (``Cone.maximal_minor``).
+from the cone's one table of them.
+
+The table holds the minors of the cone's integer-normal form: generator
+w_j times the lcm m_j of its denominators, the integer vector
+u_j = m_j w_j (``Cone.integer_generators``, ``Cone.scales``). On an integer
+cone u = w. A minor of u is the minor of w times the m_j of its rows, so it
+has the same sign, and the pipelines compute on u in ``int`` and divide
+p_K by ``Cone.scale`` = prod m_j once at the end.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from math import prod
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DimensionError,
@@ -26,13 +34,20 @@ from .errors import (
     ZeroGeneratorError,
 )
 from .feasibility import conic_combination, interior_witness
-from .geometry import Vector, as_vector, determinant, dot, generalized_cross, is_zero_vector
+from .geometry import Vector, _clear_denominators, as_vector, determinant, dot, generalized_cross, is_zero_vector
 
 
 @dataclass(frozen=True)
 class Cone:
+    """An apex and n >= d generator rays, all rational. The integer-normal
+    form (``integer_generators``, ``scales``) and the table of its maximal
+    minors are derived from the generators and left out of equality,
+    hashing and repr."""
+
     apex: Vector
     generators: tuple[Vector, ...]
+    integer_generators: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    scales: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _minors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -55,6 +70,9 @@ class Cone:
                 raise DuplicateRayError(
                     f"generators {i + 1} and {j + 1} span the same ray", indices=(i + 1, j + 1)
                 )
+        normal = [_clear_denominators(g) for g in self.generators]
+        object.__setattr__(self, "integer_generators", tuple(tuple(u) for u, _ in normal))
+        object.__setattr__(self, "scales", tuple(m for _, m in normal))
 
     @property
     def dimension(self) -> int:
@@ -64,24 +82,46 @@ class Cone:
     def num_generators(self) -> int:
         return len(self.generators)
 
-    def maximal_minor(self, indices: Sequence[int]) -> Fraction:
-        """det of the generators at the given indices, rows in that order
-        (callers pass sorted d-subsets), computed on first use and kept."""
+    @property
+    def scale(self) -> int:
+        """prod m_j: the numerator of the integer generators is this times p_K."""
+        return prod(self.scales)
+
+    def integer_minor(self, indices: Sequence[int]) -> int:
+        """det of the integer generators at the given indices, rows in that
+        order (callers pass sorted d-subsets): the cone's one table of
+        minors, each computed on first use and kept."""
         key = tuple(indices)
         if key not in self._minors:
-            self._minors[key] = determinant([self.generators[i] for i in key])
+            self._minors[key] = determinant([self.integer_generators[i] for i in key])
         return self._minors[key]
 
-    def dual_pairings(self, diagonal: Sequence[int]) -> tuple[Fraction, ...]:
+    def maximal_minor(self, indices: Sequence[int]) -> int | Fraction:
+        """det of the generators at the given indices: the integer minor
+        over the scales of its rows, an int when they are all 1."""
+        value = self.integer_minor(indices)
+        scale = prod(self.scales[i] for i in indices)
+        return value if scale == 1 else Fraction(value, scale)
+
+    def integer_pairings(self, diagonal: Sequence[int]) -> tuple[int, ...]:
+        """``dual_pairings`` of the integer generators: each has the sign of
+        the rational pairing, and their product is the integer numerator's
+        value at the integer dual."""
+        return self._pairings(diagonal, self.integer_minor)
+
+    def dual_pairings(self, diagonal: Sequence[int]) -> tuple[int | Fraction, ...]:
         """<dual(D), w_j> for each j off the sorted diagonal D, in index
         order: det(w_D..., w_j), which is the minor at sorted(D + (j,)) times
         (-1)^#{i in D : i > j} for moving w_j into place."""
+        return self._pairings(diagonal, self.maximal_minor)
+
+    def _pairings(self, diagonal: Sequence[int], minor: Callable) -> tuple:
         members = tuple(diagonal)
         values = []
         for j in range(self.num_generators):
             if j not in members:
                 k = bisect(members, j)
-                value = self.maximal_minor(members[:k] + (j,) + members[k:])
+                value = minor(members[:k] + (j,) + members[k:])
                 values.append(-value if (len(members) - k) % 2 else value)
         return tuple(values)
 
@@ -146,7 +186,7 @@ def enumerate_diagonals(cone: Cone) -> tuple[Diagonal, ...]:
 
 def classify_diagonal(cone: Cone, diagonal: Diagonal) -> DiagonalClass:
     """Classify by the signs of <dual, w_j> over generators off the diagonal."""
-    return classify_pairings(cone.dual_pairings(diagonal.indices))
+    return classify_pairings(cone.integer_pairings(diagonal.indices))
 
 
 def classify_pairings(pairings: Iterable[Fraction]) -> DiagonalClass:
@@ -167,7 +207,7 @@ def classify_pairings(pairings: Iterable[Fraction]) -> DiagonalClass:
 def is_general_position(cone: Cone) -> bool:
     """True when every d-subset of generators is linearly independent."""
     return all(
-        cone.maximal_minor(idx) != 0
+        cone.integer_minor(idx) != 0
         for idx in combinations(range(cone.num_generators), cone.dimension)
     )
 

@@ -1,16 +1,19 @@
 """Exact rational linear algebra and the Veronese monomial map.
 
-Scalars are ``fractions.Fraction`` values throughout, so every operation in
-this module is exact. Vectors are plain tuples of Fractions, matrices are
-sequences of equal-length row vectors, and nothing here mutates its inputs.
+Scalars are Python ``int`` or ``fractions.Fraction`` values, so every
+operation in this module is exact; floats are refused. ``determinant``,
+``generalized_cross`` and ``veronese`` keep integer input on ``int``
+arithmetic and return ints for it, which is what the integer-normal form of
+a cone (``Cone.integer_generators``) runs on; other input gives Fractions.
+Vectors are plain tuples, matrices are sequences of equal-length row
+vectors, and nothing here mutates its inputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError
@@ -35,6 +38,18 @@ def as_vector(coords: Iterable) -> Vector:
     return tuple(as_scalar(c) for c in coords)
 
 
+def _exact(value) -> int | Fraction:
+    """An int as it is, anything else through ``as_scalar``."""
+    return value if type(value) is int else as_scalar(value)
+
+
+def _clear_denominators(row: Iterable) -> tuple[list[int], int]:
+    """The row times the lcm m of its denominators, as ints, and m."""
+    entries = [as_scalar(a) for a in row]
+    scale = lcm(*(a.denominator for a in entries))
+    return [a.numerator * (scale // a.denominator) for a in entries], scale
+
+
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise DimensionError(f"dot product of lengths {len(u)} and {len(v)}")
@@ -57,8 +72,8 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
 
 
 def _reduce_rows(rows: Iterable[Sequence[Fraction]], width: int) -> Iterator[tuple[int | None, Fraction, list | None]]:
-    """The one exact elimination, behind ``determinant``, ``matrix_rank``
-    and the interpolation solve. Callers check that every row has ``width``
+    """The one exact elimination over Q, behind ``matrix_rank`` and the
+    exact interpolation solve. Callers check that every row has ``width``
     entries.
 
     Reduces each row, in the order given, against the rows kept before it
@@ -91,23 +106,40 @@ def _reduce_rows(rows: Iterable[Sequence[Fraction]], width: int) -> Iterator[tup
         yield lead, value, work
 
 
-def determinant(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a square matrix: the product of the lead values
-    of its reduced rows, negated when their lead columns are an odd
-    permutation. The empty 0x0 matrix has determinant 1."""
-    m = [[as_scalar(a) for a in row] for row in rows]
+def determinant(rows: Sequence[Sequence]) -> int | Fraction:
+    """Exact determinant of a square matrix, by fraction-free (Bareiss)
+    elimination: every intermediate entry is a minor of the matrix, so each
+    division is exact and no gcd is taken. All-int input gives an int.
+    Otherwise each row is first scaled to integers
+    (``_clear_denominators``) and the result, a Fraction, is divided by the
+    product of the scales. The empty 0x0 matrix has determinant 1."""
+    m = [list(row) for row in rows]
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionError(f"determinant needs a square matrix, got rows {[len(r) for r in m]}")
-    leads = []
-    result = ONE
-    for lead, value, _ in _reduce_rows(m, n):
-        if lead is None:
-            return ZERO
-        leads.append(lead)
-        result *= value
-    inversions = sum(1 for i, j in combinations(leads, 2) if i > j)
-    return -result if inversions % 2 else result
+    scale = None
+    if not all(type(a) is int for row in m for a in row):
+        scale = 1
+        for i, row in enumerate(m):
+            m[i], factor = _clear_denominators(row)
+            scale *= factor
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        swap = next((i for i in range(k, n) if m[i][k]), None)
+        if swap is None:
+            return 0 if scale is None else ZERO
+        if swap != k:
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top = m[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            factor = row[k]
+            row[k + 1 :] = [(pivot * a - factor * b) // previous for a, b in zip(row[k + 1 :], top[k + 1 :])]
+        previous = pivot
+    result = sign * m[-1][-1] if n else 1
+    return result if scale is None else Fraction(result, scale)
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
@@ -124,11 +156,11 @@ def generalized_cross(vectors: Sequence[Sequence], dimension: int | None = None)
 
     Takes exactly d-1 vectors of dimension d and returns their generalized
     cross product, computed from the signed (d-1)-minors of the stacked
-    input matrix. Linearly dependent inputs yield the zero vector. The
-    ``dimension`` argument is only required when the input list is empty
-    (the d = 1 case, where the result is (1,)).
+    input matrix, so all-int input gives ints. Linearly dependent inputs
+    yield the zero vector. The ``dimension`` argument is only required when
+    the input list is empty (the d = 1 case, where the result is (1,)).
     """
-    vs = [as_vector(v) for v in vectors]
+    vs = [tuple(v) for v in vectors]
     if dimension is None:
         if not vs:
             raise DimensionError("dimension is required for an empty input")
@@ -177,13 +209,15 @@ def basis_size(dimension: int, degree: int) -> int:
 
 
 def veronese(v: Sequence, degree: int) -> Vector:
-    """Evaluate every monomial of the given degree at v, in basis order."""
-    vv = as_vector(v)
-    out = []
-    for exponents in monomial_basis(len(vv), degree):
-        term = ONE
-        for coord, e in zip(vv, exponents):
-            if e:
-                term *= coord**e
-        out.append(term)
-    return tuple(out)
+    """Evaluate every monomial of the given degree at v, in basis order.
+    An all-int v gives ints."""
+    coords = [_exact(c) for c in v]
+    if not coords or degree < 0:
+        raise DimensionError(f"invalid monomial basis ({len(coords)}, {degree})")
+    # tails[t] is the degree-t image of the coordinates taken so far, last
+    # first; in basis order the first coordinate's exponent descends.
+    tails = [[coords[-1] ** t] for t in range(degree + 1)]
+    for c in reversed(coords[:-1]):
+        powers = [c**e for e in range(degree + 1)]
+        tails = [[powers[e] * x for e in range(t, -1, -1) for x in tails[t - e]] for t in range(degree + 1)]
+    return tuple(tails[degree])

@@ -4,10 +4,13 @@ Every diagonal of the cone supplies one exact value of the numerator
 polynomial p_K at the diagonal's dual vector: a signed product of
 determinants for extremal diagonals, zero for interior ones. Expanding the
 duals through the Veronese map turns these values into an overdetermined
-linear system for the coefficients of p_K. It is solved by elimination
-modulo the prime 2^61 - 1, and the candidate is accepted only when it
-satisfies every row exactly; otherwise, and for the pivots, exact rational
-elimination decides.
+linear system for the coefficients of p_K. The system is built on the
+cone's integer-normal form (``Cone.integer_generators``), whose numerator
+is ``Cone.scale`` times p_K and has integer coefficients, so rows, values
+and solution are ints and the solve divides by the scale once at the end.
+It is solved by elimination modulo the prime 2^61 - 1, and the candidate
+is accepted only when it satisfies every row exactly; otherwise, and for
+the pivots, exact rational elimination decides.
 """
 
 from __future__ import annotations
@@ -15,35 +18,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from itertools import combinations
+from math import prod
 
-from .cones import Cone, Diagonal, DiagonalClass, DiagonalKind, classify_diagonal, enumerate_diagonals
+from .cones import Cone, Diagonal, DiagonalKind, classify_diagonal, classify_pairings
 from .errors import (
     DegenerateDiagonalError,
     DimensionError,
     InconsistentError,
     RankDeficientError,
 )
-from .geometry import ONE, ZERO, _reduce_rows, basis_size, veronese
+from .geometry import ONE, ZERO, _clear_denominators, _reduce_rows, basis_size, generalized_cross, veronese
 from .polynomials import HomogeneousPolynomial
 
 
 @dataclass(frozen=True)
 class SystemRow:
     diagonal: tuple[int, ...]
-    coefficients: tuple[Fraction, ...]
-    rhs: Fraction
+    coefficients: tuple[int | Fraction, ...]
+    rhs: int | Fraction
 
 
 @dataclass(frozen=True)
 class InterpolationSystem:
     """The stacked interpolation rows for one cone, one per non-degenerate
-    diagonal, plus the list of degenerate diagonals that were skipped."""
+    diagonal, plus the list of degenerate diagonals that were skipped. The
+    rows' solution divided by ``scale`` is the cone's p_K."""
 
     dimension: int
     degree: int
     rows: tuple[SystemRow, ...]
     skipped: tuple[tuple[int, ...], ...] = ()
+    scale: int = 1
 
     @property
     def unknowns(self) -> int:
@@ -66,12 +72,6 @@ class SolveDetails:
         return tuple((diagonal, lead) for diagonal, lead, _ in _eliminate(self.system))
 
 
-def _rhs_from_class(cone: Cone, diagonal: Diagonal, cls: DiagonalClass) -> Fraction:
-    if cls.kind is DiagonalKind.INTERIOR:
-        return ZERO
-    return cls.sign * prod(cone.dual_pairings(diagonal.indices), start=ONE)
-
-
 def rhs_value(cone: Cone, diagonal: Diagonal) -> Fraction:
     """The exact value of p_K at the diagonal's dual vector.
 
@@ -85,29 +85,31 @@ def rhs_value(cone: Cone, diagonal: Diagonal) -> Fraction:
             f"diagonal {tuple(i + 1 for i in diagonal.indices)} is degenerate",
             diagonal=tuple(i + 1 for i in diagonal.indices),
         )
-    return _rhs_from_class(cone, diagonal, cls)
+    if cls.kind is DiagonalKind.INTERIOR:
+        return ZERO
+    return cls.sign * prod(cone.dual_pairings(diagonal.indices), start=ONE)
 
 
 def build_system(cone: Cone) -> InterpolationSystem:
-    """One row per non-degenerate diagonal: the Veronese expansion of the
-    dual against the value of p_K there. Degenerate diagonals are recorded
-    in ``skipped`` instead of contributing a row."""
+    """One row per non-degenerate diagonal, on the integer generators u: the
+    Veronese expansion of the dual of u_D against the value there of the
+    numerator of u, all ints. Degenerate diagonals are recorded in
+    ``skipped`` instead of contributing a row, and ``scale`` is the cone's,
+    so that the system's solution over it is p_K."""
     degree = cone.num_generators - cone.dimension
+    generators = cone.integer_generators
     rows = []
     skipped = []
-    for diagonal in enumerate_diagonals(cone):
-        cls = classify_diagonal(cone, diagonal)
+    for indices in combinations(range(cone.num_generators), cone.dimension - 1):
+        pairings = cone.integer_pairings(indices)
+        cls = classify_pairings(pairings)
         if cls.kind is DiagonalKind.DEGENERATE:
-            skipped.append(diagonal.indices)
+            skipped.append(indices)
             continue
-        rows.append(
-            SystemRow(
-                diagonal=diagonal.indices,
-                coefficients=veronese(diagonal.dual, degree),
-                rhs=_rhs_from_class(cone, diagonal, cls),
-            )
-        )
-    return InterpolationSystem(cone.dimension, degree, tuple(rows), tuple(skipped))
+        dual = generalized_cross([generators[i] for i in indices], cone.dimension)
+        rhs = 0 if cls.kind is DiagonalKind.INTERIOR else cls.sign * prod(pairings)
+        rows.append(SystemRow(diagonal=indices, coefficients=veronese(dual, degree), rhs=rhs))
+    return InterpolationSystem(cone.dimension, degree, tuple(rows), tuple(skipped), cone.scale)
 
 
 # Large, so that it seldom divides a minor the solve needs; any prime is sound.
@@ -118,9 +120,10 @@ def _solve_modular(system: InterpolationSystem) -> list[int] | None:
     """The system's integer solution, found mod _PRIME and checked exactly,
     or None.
 
-    Each row, rhs included, is scaled to integers by the lcm of its
-    denominators and reduced mod p in the given order with the lead-column
-    rule of ``_reduce_rows``, until full rank. Back-substitution gives each
+    The rows, rhs included, are read as ints; a row built by hand with
+    other entries is first scaled to integers. They are reduced mod p in
+    the given order with the lead-column rule of ``_reduce_rows``, until
+    full rank. Back-substitution gives each
     coefficient mod p, lifted to its symmetric residue. Full rank mod p
     implies full rank over Q, so a candidate that satisfies every row
     exactly is the unique solution. A rank short mod p, a row whose only
@@ -130,9 +133,10 @@ def _solve_modular(system: InterpolationSystem) -> list[int] | None:
     unknowns = system.unknowns
     rows = []
     for row in system.rows:
-        entries = (*row.coefficients, row.rhs)
-        scale = lcm(*(c.denominator for c in entries))
-        rows.append([c.numerator * (scale // c.denominator) for c in entries])
+        entries = [*row.coefficients, row.rhs]
+        if any(type(c) is not int for c in entries):
+            entries, _ = _clear_denominators(entries)
+        rows.append(entries)
     kept: list[tuple[int, list[int]]] = []
     for row in rows:
         work = list(row)
@@ -196,7 +200,7 @@ def _eliminate(system: InterpolationSystem) -> list[tuple[tuple[int, ...], int, 
 
 
 def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomial, SolveDetails]:
-    """The exact solution of the system, and its details.
+    """The exact solution of the system over its scale, and its details.
 
     The solve mod p (``_solve_modular``) is tried first; every solution it
     returns has been checked against every row exactly. When it gives
@@ -217,6 +221,8 @@ def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomi
             # Entries left of the pivot column are zero by construction.
             terms = (work[j] * solution[j] for j in range(col + 1, unknowns) if work[j])
             solution[col] = work[unknowns] - sum(terms, ZERO)
+    if system.scale != 1:
+        solution = [Fraction(c, system.scale) for c in solution]
     poly = HomogeneousPolynomial(system.dimension, system.degree, tuple(solution))
     return poly, SolveDetails(rank=unknowns, system=system)
 

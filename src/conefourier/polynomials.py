@@ -71,15 +71,19 @@ class HomogeneousPolynomial:
         f = as_vector(form)
         if len(f) != self.dimension:
             raise DimensionError("linear form has the wrong number of variables")
-        target = self.degree + 1
-        position = monomial_index(self.dimension, target)
-        out = [ZERO] * basis_size(self.dimension, target)
-        for exponents, coeff in zip(monomial_basis(self.dimension, self.degree), self.coefficients):
-            if coeff == 0:
-                continue
-            for k in range(self.dimension):
-                if f[k] == 0:
-                    continue
-                bumped = exponents[:k] + (exponents[k] + 1,) + exponents[k + 1 :]
-                out[position[bumped]] += coeff * f[k]
-        return HomogeneousPolynomial(self.dimension, target, tuple(out))
+        coefficients = _times_linear(self.coefficients, f, self.degree)
+        return HomogeneousPolynomial(self.dimension, self.degree + 1, tuple(coefficients))
+
+
+def _times_linear(coefficients: Sequence, form: Sequence, degree: int) -> list:
+    """The coefficients of a degree-``degree`` polynomial times <form, xi>,
+    in the entries' own number type, so ints stay ints."""
+    dimension = len(form)
+    position = monomial_index(dimension, degree + 1)
+    out = [0] * basis_size(dimension, degree + 1)
+    for exponents, coeff in zip(monomial_basis(dimension, degree), coefficients):
+        if coeff:
+            for k, f in enumerate(form):
+                if f:
+                    out[position[exponents[:k] + (exponents[k] + 1,) + exponents[k + 1 :]]] += coeff * f
+    return out

@@ -145,6 +145,8 @@ def system_to_json(system: InterpolationSystem, details: SolveDetails | None = N
         ],
         "skipped": [[i + 1 for i in d] for d in system.skipped],
     }
+    if system.scale != 1:  # the rows are the integer generators'; see Cone.scale
+        out["scale"] = format_rational(system.scale)
     if details is not None:
         out["pivots"] = [
             {"diagonal": [i + 1 for i in diag], "monomial": list(basis[col])}

@@ -13,13 +13,14 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from .cones import Cone, DiagonalKind, classify_pairings, is_general_position
 from .errors import DimensionError, NotGenericError, SingularSimplexError
-from .geometry import Vector
-from .polynomials import HomogeneousPolynomial
+from .geometry import Vector, _exact, basis_size
+from .polynomials import HomogeneousPolynomial, _times_linear
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def pulling_triangulation(cone: Cone, anchor: int = 0) -> Triangulation:
     others = [i for i in range(cone.num_generators) if i != anchor]
     simplices = []
     for facet in combinations(others, cone.dimension - 1):
-        if classify_pairings(cone.dual_pairings(facet)).kind is DiagonalKind.EXTREMAL:
+        if classify_pairings(cone.integer_pairings(facet)).kind is DiagonalKind.EXTREMAL:
             simplices.append(tuple(sorted(facet + (anchor,))))
     return Triangulation(tuple(simplices))
 
@@ -79,21 +80,31 @@ def expand_linear_forms(forms: Sequence[Sequence], dimension: int) -> Homogeneou
 
     The empty product is the constant 1.
     """
-    poly = HomogeneousPolynomial.constant(dimension, 1)
-    for form in forms:
-        poly = poly.multiply_linear(form)
-    return poly
+    return HomogeneousPolynomial(dimension, len(forms), tuple(_expand(forms, dimension)))
+
+
+def _expand(forms: Sequence[Sequence], dimension: int) -> list:
+    """The coefficients of expand_linear_forms, ints for int forms."""
+    coefficients = [1]
+    for degree, form in enumerate(forms):
+        f = tuple(map(_exact, form))
+        if len(f) != dimension:
+            raise DimensionError("linear form has the wrong number of variables")
+        coefficients = _times_linear(coefficients, f, degree)
+    return coefficients
 
 
 def pk_via_triangulation(cone: Cone, anchor: int = 0) -> HomogeneousPolynomial:
     """Numerator polynomial of the cone transform, degree n - d, by
     summing |det(S)| * prod(<w_j, xi>, j not in S) over a pulling
-    triangulation."""
+    triangulation. The sum runs in int on the integer generators and is
+    divided by the cone's scale at the end."""
     triangulation = pulling_triangulation(cone, anchor)
-    total = HomogeneousPolynomial.zero(cone.dimension, cone.num_generators - cone.dimension)
+    degree = cone.num_generators - cone.dimension
+    total = [0] * basis_size(cone.dimension, degree)
     for simplex in triangulation.simplices:
-        chosen = set(simplex)
-        volume = abs(cone.maximal_minor(simplex))
-        missing = [w for j, w in enumerate(cone.generators) if j not in chosen]
-        total = total + expand_linear_forms(missing, cone.dimension).scale(volume)
-    return total
+        volume = abs(cone.integer_minor(simplex))
+        missing = [u for j, u in enumerate(cone.integer_generators) if j not in simplex]
+        for k, c in enumerate(_expand(missing, cone.dimension)):
+            total[k] += volume * c
+    return HomogeneousPolynomial(cone.dimension, degree, tuple(Fraction(c, cone.scale) for c in total))

@@ -222,6 +222,41 @@ def test_bench_json_matches(capsys):
     assert all(r["match"] for r in records)
 
 
+@pytest.mark.parametrize("option, value", [("--max-extra", "-1"), ("--trials", "0"), ("--trials", "-3")])
+def test_bench_rejects_empty_sweeps(capsys, option, value):
+    code, out = run(capsys, "bench", "--seed", "1", "--dims", "2", option, value)
+    assert code == 2
+    err = json.loads(out)
+    assert err["code"] == "MalformedInput" and option in err["message"]
+
+
+@pytest.mark.parametrize("csv", [False, True])
+def test_bench_mismatch_exits_one(capsys, monkeypatch, csv):
+    from conefourier.polynomials import HomogeneousPolynomial
+
+    monkeypatch.setattr(
+        "conefourier.cli.pk_via_interpolation",
+        lambda cone: HomogeneousPolynomial.zero(cone.dimension, cone.num_generators - cone.dimension),
+    )
+    code, out = run(capsys, "bench", "--seed", "1", "--dims", "2", "--max-extra", "1", *(["--csv"] if csv else []))
+    assert code == 1
+    if not csv:
+        assert [r["match"] for r in json.loads(out)] == [False, False]
+
+
+def test_transform_verbose_reports_scale_of_rational_cone(capsys):
+    cone = '{"apex": ["0", "0"], "generators": [["1/2", "0"], ["1", "1/3"], ["0", "1"]]}'
+    code, out = run(capsys, "transform", cone, "--verbose")
+    assert code == 0
+    data = json.loads(out)
+    # rows on the integer generators (1, 0), (3, 1), (0, 1), whose numerator is 6 * p_K
+    assert data["system"]["scale"] == "6"
+    assert [row["rhs"] for row in data["system"]["rows"]] == ["1", "0", "-3"]
+    assert [t["coefficient"] for t in data["polynomial"]["terms"]] == ["1/2", "1/6"]
+    code, out = run(capsys, "transform", SQUARE_CONE, "--verbose")
+    assert "scale" not in json.loads(out)["system"]
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "poly.json"
     code, out = run(capsys, "transform", SQUARE_CONE, "--output", str(target))

@@ -3,6 +3,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -194,6 +195,22 @@ class TestMinorTable:
         for idx in combinations(range(4), 3):
             rows = [square_cone.generators[i] for i in idx]
             assert square_cone.maximal_minor(idx) == determinant(rows)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_minor_is_the_determinant_on_rational_cones(self, seed):
+        rng = random.Random(seed)
+        base = sample_cone(rng, 4, 7)
+        def move(c):
+            return c / rng.randint(1, 5) + Fraction(rng.randint(-2, 2), rng.randint(2, 7))
+
+        cone = Cone(base.apex, tuple(tuple(map(move, g)) for g in base.generators))
+        assert cone.scale > 1
+        for idx in combinations(range(7), 4):
+            integer = determinant([cone.integer_generators[i] for i in idx])
+            assert cone.integer_minor(idx) == integer
+            rows = [cone.generators[i] for i in idx]
+            assert cone.maximal_minor(idx) == determinant(rows) == Fraction(integer, prod(cone.scales[i] for i in idx))
+        self.assert_pairings_match_duals(cone)
 
     def test_minor_computed_once(self, square_cone, monkeypatch):
         calls = []

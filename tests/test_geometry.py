@@ -59,6 +59,44 @@ def test_determinant_matches_permutation_expansion(d, data):
     assert determinant(rows) == permutation_determinant(rows)
 
 
+ENTRIES = {
+    "integer": st.integers(-9, 9),
+    "rational": rationals,
+    "large": st.integers(-(10**6), 10**6),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@given(data=st.data())
+def test_bareiss_matches_permutation_expansion(kind, d, data):
+    rows = [[data.draw(ENTRIES[kind]) for _ in range(d)] for _ in range(d)]
+    if data.draw(st.booleans()):
+        rows[0][0] = 0  # the first pivot needs a row swap
+    if data.draw(st.booleans()):
+        # a singular matrix: the last row a combination of the others
+        weights = [data.draw(ENTRIES[kind]) for _ in range(d - 1)]
+        rows[-1] = [sum(w * row[k] for w, row in zip(weights, rows[:-1])) for k in range(d)]
+    det = determinant(rows)
+    assert det == permutation_determinant(rows)
+    assert (type(det) is int) == (kind != "rational")
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([(0, 1), (1, 0)], -1),
+        ([(0, 0, 1), (0, 1, 0), (1, 0, 0)], -1),
+        ([(0, 2, 3), (0, 4, 5), (1, 1, 1)], -2),
+        # column 2 vanishes below the first pivot, so no second pivot exists
+        ([(1, 2, 3), (2, 4, 7), (1, 2, 5)], 0),
+        ([(0, Fraction(1, 2)), (Fraction(2, 3), 5)], Fraction(-1, 3)),
+    ],
+)
+def test_determinant_zero_pivots(rows, expected):
+    assert determinant(rows) == expected == permutation_determinant(rows)
+
+
 def test_generalized_cross_2d():
     assert generalized_cross([(1, 0)]) == (0, 1)
 

@@ -2,7 +2,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +22,7 @@ from conefourier.errors import (
     RankDeficientError,
 )
 from conefourier.cones import is_general_position
-from conefourier.geometry import _reduce_rows, vec_scale
+from conefourier.geometry import _reduce_rows, vec_scale, veronese
 from conefourier.interpolation import (
     _PRIME,
     InterpolationSystem,
@@ -147,6 +147,7 @@ class TestPipelineEquivalence:
             tuple(vec_scale(lam, g) if j == index else g for j, g in enumerate(cone.generators)),
         )
         assert pk_via_interpolation(scaled) == pk_via_interpolation(cone).scale(lam)
+        assert pk_via_triangulation(scaled) == pk_via_triangulation(cone).scale(lam)
 
     @given(cone=random_cones(dims=(2, 3), extras=(1, 2, 3)))
     def test_full_rank_on_generic_cones(self, cone):
@@ -217,8 +218,10 @@ class TestModularSolve:
                 assert is_general_position(cone)
                 accepted.append(_solve_modular(build_system(cone)) is not None)
                 assert pk_via_interpolation(cone) == pk_via_triangulation(cone)
-        # Only the simplicial cone's 40-bit |det| fits the symmetric residues.
-        assert accepted == [True, False] + [False, False] * 4
+        # Every rational cone takes the modular path through its integer
+        # form; of the large ones only the simplicial cone's 40-bit |det|
+        # fits the symmetric residues.
+        assert accepted == [True, True] + [False, True] * 4
 
     def test_shared_details_across_threads(self):
         system = build_system(sample_cone(random.Random(6), 3, 6))
@@ -241,3 +244,61 @@ class TestModularSolve:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * 6
+
+
+def moved(rng, cone, offsets):
+    """The cone with each generator coordinate c replaced by c * s + t, s
+    from the drawn scales and t from the drawn offsets."""
+    return Cone(
+        cone.apex,
+        tuple(tuple(c * rng.choice(offsets[0]) + rng.choice(offsets[1]) for c in g) for g in cone.generators),
+    )
+
+
+RATIONAL = ([1, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)], [0, Fraction(1, 3), Fraction(-2, 5)])
+LARGE = ([10**6], range(-9, 10))
+
+
+class TestIntegerNormalForm:
+    """Rows on the integer generators u_j = m_j w_j are the rational rows
+    times c_D^(n-d), c_D the product of m_i over the diagonal, and the
+    values there are scale * c_D^(n-d) times p_K's."""
+
+    @staticmethod
+    def assert_rows_rescale_rational_rows(cone):
+        system = build_system(cone)
+        degree = cone.num_generators - cone.dimension
+        assert system.scale == cone.scale == prod(cone.scales)
+        for row in system.rows:
+            diagonal = diagonal_for(cone, row.diagonal)
+            factor = prod(cone.scales[i] for i in row.diagonal) ** degree
+            assert row.coefficients == tuple(factor * c for c in veronese(diagonal.dual, degree))
+            assert row.rhs == cone.scale * factor * rhs_value(cone, diagonal)
+            assert all(type(c) is int for c in (*row.coefficients, row.rhs))
+        return system
+
+    def test_integer_cones_are_their_own_form(self):
+        golden = sample_cone(random.Random(42), 3, 6)  # transform_3_6 golden, with (-3, -3, 3)
+        large = moved(random.Random(1), sample_cone(random.Random(1), 4, 7), LARGE)
+        for cone in (golden, large):
+            assert cone.integer_generators == cone.generators and cone.scales == (1,) * cone.num_generators
+            self.assert_rows_rescale_rational_rows(cone)
+            assert pk_via_interpolation(cone) == pk_via_triangulation(cone)
+
+    @pytest.mark.parametrize("d, n", [(2, 4), (3, 6), (4, 7)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rational_cones(self, d, n, seed):
+        rng = random.Random(seed)
+        cone = moved(rng, sample_cone(rng, d, n), RATIONAL)
+        assert is_general_position(cone) and cone.scale > 1
+        system = self.assert_rows_rescale_rational_rows(cone)
+        assert _solve_modular(system) is not None
+        expected = pk_via_triangulation(cone)
+        assert solve_exact(system) == pk_via_interpolation(cone) == expected
+        assert expected == pk_via_triangulation(Cone(cone.apex, cone.integer_generators)).scale(Fraction(1, cone.scale))
+
+    def test_rational_and_large_coordinates_together(self):
+        rng = random.Random(3)
+        cone = moved(rng, moved(rng, sample_cone(rng, 3, 6), LARGE), RATIONAL)
+        self.assert_rows_rescale_rational_rows(cone)
+        assert pk_via_interpolation(cone) == pk_via_triangulation(cone)
