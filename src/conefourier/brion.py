@@ -31,7 +31,7 @@ from .errors import (
     NotFullDimensionalError,
     SingularEvaluationPointError,
 )
-from .geometry import Vector, as_vector, dot, generalized_cross, is_zero_vector, matrix_rank, vec_sub
+from .geometry import Vector, as_vector, dot, vec_sub
 from .interpolation import pk_via_interpolation
 from .triangulation import ConicTransform, pk_via_triangulation
 
@@ -62,53 +62,52 @@ def polytope_combinatorics(vertices: Sequence[Sequence], allow_nonsimplicial: bo
     """Derive facets and vertex adjacency from a vertex list, by brute
     force over d-subsets spanning supporting hyperplanes.
 
+    The sides are read from the minor table of the lifted vertices (1, v),
+    the generators of the cone over the polytope, whose facets are the cones
+    over the polytope's facets. A d-subset S is a diagonal of that cone, and
+    its pairing with each other lifted vertex is their determinant, d! times
+    the signed volume of the simplex on S and that vertex: S spans a facet
+    exactly when the pairings are not all zero and none have opposite signs,
+    and the facet is S with the vertices of pairing zero.
+
     Every input point must be a vertex of the hull and the hull must be
-    full-dimensional. Supporting hyperplanes through more than d vertices
-    are rejected unless ``allow_nonsimplicial`` is set; the relaxation
-    covers simple cases such as boxes, whose vertex cones are still
-    simplicial even though the facets are not.
+    full-dimensional: when the points lie in a hyperplane every pairing
+    vanishes and no facet is found. Supporting hyperplanes through more
+    than d vertices are rejected unless ``allow_nonsimplicial`` is set; the
+    relaxation covers simple cases such as boxes, whose vertex cones are
+    still simplicial even though the facets are not.
     """
     points = tuple(as_vector(v) for v in vertices)
     if not points:
         raise NotFullDimensionalError("no vertices given")
     d = len(points[0])
+    if d < 1:
+        raise DimensionError("vertices need a positive dimension")
     if any(len(p) != d for p in points):
         raise DimensionError("vertices have mixed dimensions")
     if len(set(points)) != len(points):
         raise DegenerateVertexError("duplicate vertex in input")
-    if matrix_rank([vec_sub(p, points[0]) for p in points[1:]]) < d:
-        raise NotFullDimensionalError(f"vertices span less than dimension {d}")
+    flat = f"vertices span less than dimension {d}"
+    if len(points) <= d:
+        raise NotFullDimensionalError(flat)
 
+    lifted = Cone((0,) * (d + 1), tuple((1, *p) for p in points))
     facets: set[tuple[int, ...]] = set()
     for subset in combinations(range(len(points)), d):
-        base = points[subset[0]]
-        normal = generalized_cross([vec_sub(points[i], base) for i in subset[1:]], d)
-        if is_zero_vector(normal):
+        pairings = lifted.integer_pairings(subset)
+        if min(pairings) < 0 < max(pairings) or not any(pairings):
             continue
-        offset = dot(normal, base)
-        positive = negative = False
-        coplanar: list[int] = []
-        for j, p in enumerate(points):
-            if j in subset:
-                continue
-            value = dot(normal, p) - offset
-            if value > 0:
-                positive = True
-            elif value < 0:
-                negative = True
-            else:
-                coplanar.append(j)
-            if positive and negative:
-                break
-        if positive and negative:
-            continue
-        facet = tuple(sorted(subset + tuple(coplanar)))
+        others = (j for j in range(len(points)) if j not in subset)
+        coplanar = tuple(j for j, value in zip(others, pairings) if not value)
+        facet = tuple(sorted(subset + coplanar))
         if coplanar and not allow_nonsimplicial:
             raise NonSimplicialFacetError(
                 f"supporting hyperplane contains {len(facet)} > {d} vertices",
                 facet=tuple(i + 1 for i in facet),
             )
         facets.add(facet)
+    if not facets:
+        raise NotFullDimensionalError(flat)
 
     facet_list = tuple(sorted(facets))
     membership = [set() for _ in points]

@@ -114,12 +114,12 @@ def _load_input(source: str | None):
     text = source.strip()
     if text.startswith("{") or text.startswith("["):
         return _read_json_text(text)
-    if text == "-":
-        return _read_json_text(sys.stdin.read())
     try:
+        if text == "-":
+            return _read_json_text(sys.stdin.read())
         with open(source, encoding="utf-8") as handle:
             return _read_json_text(handle.read())
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise MalformedInputError(f"cannot read {source!r}: {err}") from None
 
 
@@ -148,11 +148,14 @@ def _jsonable(value):
 
 
 def _write(text: str, output: str | None):
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise MalformedInputError(f"cannot write {output!r}: {err}") from None
 
 
 def cmd_validate(args) -> str:
@@ -304,14 +307,14 @@ def main(argv=None) -> int:
         return 0 if exit_.code in (0, None) else 2
     try:
         result = args.func(args)
+        text, status = result if isinstance(result, tuple) else (result, 0)
+        _write(text, args.output)
     except MalformedInputError as err:
         _print_error(err)
         return 2
     except ConeFourierError as err:
         _print_error(err)
         return 1
-    text, status = result if isinstance(result, tuple) else (result, 0)
-    _write(text, args.output)
     return status
 
 

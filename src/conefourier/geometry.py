@@ -72,9 +72,8 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
 
 
 def _reduce_rows(rows: Iterable[Sequence[Fraction]], width: int) -> Iterator[tuple[int | None, Fraction, list | None]]:
-    """The one exact elimination over Q, behind ``matrix_rank`` and the
-    exact interpolation solve. Callers check that every row has ``width``
-    entries.
+    """The one exact elimination over Q, behind the exact interpolation
+    solve. Callers check that every row has ``width`` entries.
 
     Reduces each row, in the order given, against the rows kept before it
     and yields ``(lead, value, kept)``: the column and value of the reduced
@@ -140,15 +139,6 @@ def determinant(rows: Sequence[Sequence]) -> int | Fraction:
         previous = pivot
     result = sign * m[-1][-1] if n else 1
     return result if scale is None else Fraction(result, scale)
-
-
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a rectangular matrix, computed exactly."""
-    m = [[as_scalar(a) for a in row] for row in rows]
-    width = len(m[0]) if m else 0
-    if any(len(row) != width for row in m):
-        raise DimensionError("rank of a ragged matrix")
-    return sum(1 for lead, _, _ in _reduce_rows(m, width) if lead is not None)
 
 
 def generalized_cross(vectors: Sequence[Sequence], dimension: int | None = None) -> Vector:

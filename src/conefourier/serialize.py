@@ -102,15 +102,20 @@ def polynomial_from_json(data) -> HomogeneousPolynomial:
     if not isinstance(data, dict):
         raise MalformedInputError("polynomial input must be a JSON object")
     try:
-        dimension = int(data["dimension"])
-        degree = int(data["degree"])
-        terms = data["terms"]
-    except (KeyError, TypeError, ValueError) as err:
+        dimension, degree, terms = data["dimension"], data["degree"], data["terms"]
+    except KeyError as err:
         raise MalformedInputError(f"bad polynomial object: {err}") from None
+    if type(dimension) is not int or type(degree) is not int:  # bool and float are no sizes
+        raise MalformedInputError(f"dimension and degree must be integers, got {dimension!r} and {degree!r}")
+    if not isinstance(terms, list):
+        raise MalformedInputError('"terms" must be an array of term objects')
     basis = monomial_basis(dimension, degree)
     coeffs = {e: Fraction(0) for e in basis}
     for term in terms:
-        exponents = tuple(term["exponents"])
+        exponents = term.get("exponents") if isinstance(term, dict) else None
+        if not isinstance(exponents, list) or not all(type(e) is int for e in exponents) or "coefficient" not in term:
+            raise MalformedInputError(f'bad term {term!r}; expected {{"exponents": [int], "coefficient": rational}}')
+        exponents = tuple(exponents)
         if exponents not in coeffs:
             raise MalformedInputError(f"exponents {exponents} do not match degree {degree}")
         coeffs[exponents] = parse_rational(term["coefficient"])

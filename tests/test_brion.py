@@ -2,7 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -14,11 +14,14 @@ from conefourier import (
 )
 from conefourier.brion import per_term_values
 from conefourier.errors import (
+    ConeFourierError,
     DegenerateVertexError,
+    DimensionError,
     NonSimplicialFacetError,
     NotFullDimensionalError,
     SingularEvaluationPointError,
 )
+from conefourier.geometry import dot, generalized_cross, is_zero_vector, vec_sub
 from conefourier.sampling import sample_nonsingular_point
 
 
@@ -71,18 +74,133 @@ class TestCombinatorics:
             polytope_combinatorics([(0, 0), (4, 0), (4, 4), (0, 4), (1, 1)])
 
     def test_flat_input_rejected(self):
-        with pytest.raises(NotFullDimensionalError):
-            polytope_combinatorics([(0, 0), (1, 1), (2, 2)])
+        for points in ([(0, 0), (1, 1), (2, 2)], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)]):
+            with pytest.raises(NotFullDimensionalError) as err:
+                polytope_combinatorics(points)
+            assert err.value.message == f"vertices span less than dimension {len(points[0])}"
 
     def test_cube_rejected_by_default(self):
-        with pytest.raises(NonSimplicialFacetError):
+        with pytest.raises(NonSimplicialFacetError) as err:
             polytope_combinatorics(box_vertices([1, 1, 1]))
+        assert err.value.context == {"facet": (1, 2, 3, 4)}
 
     def test_cube_allowed_with_flag(self):
         P = polytope_combinatorics(box_vertices([1, 1, 1]), allow_nonsimplicial=True)
         assert len(P.facets) == 6
         assert all(len(facet) == 4 for facet in P.facets)
         assert all(len(neighbors) == 3 for neighbors in P.adjacency)
+
+
+def reference_combinatorics(points, allow_nonsimplicial):
+    """Independent oracle for the facet search: each d-subset's hyperplane
+    normal as the generalized cross product of vertex differences, and each
+    other point's side as a dot product with it. Returns ("ok", facets,
+    adjacency) or the error code and context the search should raise."""
+    d = len(points[0])
+    facets = set()
+    for subset in combinations(range(len(points)), d):
+        base = points[subset[0]]
+        normal = generalized_cross([vec_sub(points[i], base) for i in subset[1:]], d)
+        if is_zero_vector(normal):
+            continue
+        sides = {j: dot(normal, vec_sub(p, base)) for j, p in enumerate(points) if j not in subset}
+        if min(sides.values()) < 0 < max(sides.values()):
+            continue
+        facet = tuple(sorted(subset + tuple(j for j, side in sides.items() if side == 0)))
+        if len(facet) > d and not allow_nonsimplicial:
+            return "NonSimplicialFacet", {"facet": tuple(i + 1 for i in facet)}
+        facets.add(facet)
+    facets = sorted(facets)
+    for i in range(len(points)):
+        if not any(i in facet for facet in facets):
+            return "DegenerateVertex", {"index": i + 1}
+    adjacency = tuple(
+        tuple(
+            j
+            for j in range(len(points))
+            if j != i and sum(i in facet and j in facet for facet in facets) >= d - 1
+        )
+        for i in range(len(points))
+    )
+    return "ok", tuple(facets), adjacency
+
+
+def combinatorics_outcome(points, allow_nonsimplicial):
+    try:
+        P = polytope_combinatorics(points, allow_nonsimplicial=allow_nonsimplicial)
+    except ConeFourierError as err:
+        return err.code, err.context
+    return "ok", P.facets, P.adjacency
+
+
+def sphere_points(rng, d, count):
+    """Rational points on the unit sphere by inverse stereographic
+    projection, so each is a vertex of their hull."""
+    points = set()
+    while len(points) < count:
+        u = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d - 1)]
+        norm = sum(c * c for c in u)
+        points.add(tuple(2 * c / (norm + 1) for c in u) + ((norm - 1) / (norm + 1),))
+    return sorted(points)
+
+
+def moment_curve(ts, d):
+    return [tuple(Fraction(t) ** k for k in range(1, d + 1)) for t in ts]
+
+
+class TestFacetSearch:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_cross_product_oracle(self, d, seed):
+        rng = random.Random(seed)
+        sides = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(d)]
+        sphere = sphere_points(rng, d, d + 3)
+        centroid = tuple(sum(c) / len(sphere) for c in zip(*sphere))
+        grid = sorted({tuple(Fraction(rng.randint(0, 2)) for _ in range(d)) for _ in range(d + 4)})
+        cases = [
+            (sphere, False),
+            (sphere + [centroid], False),
+            (moment_curve(sorted(rng.sample(range(-5, 6), d + 3)), d), False),
+            (box_vertices(sides), True),
+            (box_vertices(sides), False),
+            (grid, False),
+            (grid, True),
+        ]
+        outcomes = []
+        for points, allow in cases:
+            want = reference_combinatorics([tuple(map(Fraction, p)) for p in points], allow)
+            assert combinatorics_outcome(points, allow) == want
+            outcomes.append(want[0])
+        # a rectangle's edges are simplicial; a box's facets are not from d = 3
+        assert outcomes[:5] == ["ok", "DegenerateVertex", "ok", "ok", "ok" if d == 2 else "NonSimplicialFacet"]
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_cyclic_polytope_facet_count_d3(self, n):
+        P = polytope_combinatorics(moment_curve(range(-(n // 2), n - n // 2), 3))
+        assert len(P.facets) == 2 * n - 4
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_cyclic_polytope_facet_count_d4(self, n):
+        P = polytope_combinatorics(moment_curve(range(-(n // 2), n - n // 2), 4))
+        assert len(P.facets) == n * (n - 3) // 2
+
+    def test_segment(self):
+        P = polytope_combinatorics([(3,), (Fraction(-1, 2),)])
+        assert P.facets == ((0,), (1,))
+        assert P.adjacency == ((1,), (0,))
+        with pytest.raises(DegenerateVertexError) as err:
+            polytope_combinatorics([(0,), (2,), (1,)])
+        assert err.value.context == {"index": 3}
+
+    @pytest.mark.parametrize("points", [[(1,)], [(0, 0), (1, 2)], [(0, 0, 0), (1, 0, 0), (0, 1, 0)]])
+    def test_too_few_points_not_full_dimensional(self, points):
+        with pytest.raises(NotFullDimensionalError) as err:
+            polytope_combinatorics(points)
+        assert err.value.message == f"vertices span less than dimension {len(points[0])}"
+
+    def test_zero_dimensional_points_rejected(self):
+        with pytest.raises(DimensionError):
+            polytope_combinatorics([()])
 
 
 class TestTangentCones:

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -194,6 +195,31 @@ def test_malformed_json_is_usage_error(capsys, tmp_path):
     code, out = run(capsys, "transform", str(bad))
     assert code == 2
     assert json.loads(out)["code"] == "MalformedInput"
+
+
+def test_non_utf8_input_is_usage_error(capsys, tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    code, out = run(capsys, "validate", str(binary))
+    assert code == 2
+    err = json.loads(out)
+    assert err["code"] == "MalformedInput" and "cannot read" in err["message"]
+
+
+def test_non_utf8_stdin_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8"))
+    code, out = run(capsys, "validate", "-")
+    assert code == 2
+    assert json.loads(out)["code"] == "MalformedInput"
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, out = run(capsys, "transform", SQUARE_CONE, "--output", str(target))
+    assert code == 2
+    err = json.loads(out)
+    assert err["code"] == "MalformedInput" and "cannot write" in err["message"]
+    assert not target.parent.exists()
 
 
 def test_float_input_rejected(capsys):

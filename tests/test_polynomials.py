@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conefourier.errors import DimensionError
+from conefourier.errors import DimensionError, MalformedInputError
 from conefourier.polynomials import HomogeneousPolynomial
 from conefourier.serialize import polynomial_from_json, polynomial_to_json
 
@@ -61,6 +61,30 @@ def test_json_round_trip():
     assert data["dimension"] == 3 and data["degree"] == 2
     assert all(term["coefficient"] != "0" for term in data["terms"])
     assert polynomial_from_json(data) == poly
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {"exponents": [1, 0], "coefficient": "1"},
+        "terms",
+        7,
+        [["1", "0"]],
+        [{"coefficient": "1"}],
+        [{"exponents": [1, 0]}],
+        [{"exponents": 3, "coefficient": "1"}],
+        [{"exponents": [[1], 0], "coefficient": "1"}],
+    ],
+)
+def test_polynomial_from_json_rejects_malformed_terms(terms):
+    with pytest.raises(MalformedInputError):
+        polynomial_from_json({"dimension": 2, "degree": 1, "terms": terms})
+
+
+@pytest.mark.parametrize("dimension,degree", [(2.9, 1), (2, True), ("2", 1)])
+def test_polynomial_from_json_rejects_non_integer_sizes(dimension, degree):
+    with pytest.raises(MalformedInputError):
+        polynomial_from_json({"dimension": dimension, "degree": degree, "terms": []})
 
 
 def test_equality_is_exact():
