@@ -8,9 +8,10 @@ linear system for the coefficients of p_K. The system is built on the
 cone's integer-normal form (``Cone.integer_generators``), whose numerator
 is ``Cone.scale`` times p_K and has integer coefficients, so rows, values
 and solution are ints and the solve divides by the scale once at the end.
-It is solved by elimination modulo the prime 2^61 - 1, and the candidate
-is accepted only when it satisfies every row exactly; otherwise, and for
-the pivots, exact rational elimination decides.
+It is solved by packed elimination modulo primes below 2^61, anchor-star
+rows first and as many primes, combined by CRT, as the coefficients need;
+the candidate is accepted only when it satisfies every row exactly.
+Otherwise, and for the pivots, exact rational elimination decides.
 """
 
 from __future__ import annotations
@@ -18,8 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from math import prod
+from operator import mul
+from threading import Lock
+from typing import Iterable, Iterator, Sequence
 
 from .cones import Cone, Diagonal, DiagonalKind, classify_diagonal, classify_pairings
 from .errors import (
@@ -112,59 +116,124 @@ def build_system(cone: Cone) -> InterpolationSystem:
     return InterpolationSystem(cone.dimension, degree, tuple(rows), tuple(skipped), cone.scale)
 
 
-# Large, so that it seldom divides a minor the solve needs; any prime is sound.
-_PRIME = 2**61 - 1
+# Large, so that they seldom divide a minor the solve needs; any primes are sound.
+_PRIMES = [2**61 - 1]
+_PRIMES_LOCK = Lock()
+
+
+def _is_prime(n: int) -> bool:
+    """Strong probable-prime test to the first 12 prime bases (Miller-Rabin),
+    which is deterministic for odd n with 37 < n < 3.3 * 10^24."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+def _prime(i: int) -> int:
+    """The i-th prime down from 2^61 - 1, 0-based; each is found once per process."""
+    with _PRIMES_LOCK:
+        while len(_PRIMES) <= i:
+            _PRIMES.append(next(q for q in range(_PRIMES[-1] - 2, 2, -2) if _is_prime(q)))
+        return _PRIMES[i]
+
+
+def _reduce_mod(rows: Iterable[Sequence[int]], width: int, p: int) -> Iterator[tuple[int | None, list[int] | None]]:
+    """``_reduce_rows`` mod the prime p on int rows of ``width`` entries:
+    yields ``(lead, kept)`` per row, kept the reduced row over its lead
+    entry, in [0, p), or ``(None, None)`` for a row that vanishes mod p.
+
+    A row is one int of W-bit slots, last entry lowest, so a pivot (zero
+    left of its lead l) is a short int, applied as ``acc += (p - f) *
+    pivot`` with f the row's slot l mod p. Slots start below p and take at
+    most ``width`` updates of at most (p-1)^2, and 2^W > p + width *
+    (p-1)^2, so none carries before the row is unpacked and reduced once.
+    """
+    size = ((p + width * (p - 1) ** 2).bit_length() + 7) // 8  # bytes per slot
+    bits, mask = 8 * size, (1 << 8 * size) - 1
+    kept: list[tuple[int, int]] = []
+
+    def pack(entries: list[int]) -> int:
+        return int.from_bytes(b"".join(a.to_bytes(size, "little") for a in reversed(entries)), "little")
+
+    for row in rows:
+        acc = pack([a % p for a in row])
+        for shift, pivot in kept:
+            f = (acc >> shift & mask) % p
+            if f:
+                acc += (p - f) * pivot
+        data = acc.to_bytes(width * size, "little")
+        work = [int.from_bytes(data[j - size : j], "little") % p for j in range(width * size, 0, -size)]
+        lead = next((j for j, a in enumerate(work) if a), None)
+        if lead is None:
+            yield None, None
+            continue
+        inv = pow(work[lead], -1, p)
+        work = [a * inv % p for a in work]
+        kept.append(((width - 1 - lead) * bits, pack(work)))
+        yield lead, work
 
 
 def _solve_modular(system: InterpolationSystem) -> list[int] | None:
-    """The system's integer solution, found mod _PRIME and checked exactly,
-    or None.
+    """The system's integer solution, found modulo primes and checked
+    exactly, or None.
 
-    The rows, rhs included, are read as ints; a row built by hand with
-    other entries is first scaled to integers. They are reduced mod p in
-    the given order with the lead-column rule of ``_reduce_rows``, until
-    full rank. Back-substitution gives each
-    coefficient mod p, lifted to its symmetric residue. Full rank mod p
-    implies full rank over Q, so a candidate that satisfies every row
-    exactly is the unique solution. A rank short mod p, a row whose only
-    surviving entry mod p is the rhs, or a failed check (an unlucky prime,
-    or a solution that is not an integer of at most 60 bits) gives None.
+    The rows, rhs included, are read as ints (hand-built ones scaled to
+    integers), those whose diagonal avoids generator 0 first: under general
+    position they are the independent anchor-star family (DECISIONS.md).
+    ``_reduce_mod`` reduces them mod 2^61 - 1 until full rank, which holds
+    over Q too, so the kept square block has one solution x. Its residues
+    mod the primes so far, combined by CRT and lifted to symmetric
+    residues, are returned if they satisfy every row exactly. Otherwise
+    the block is reduced mod the next prime, until the product M of the
+    primes exceeds 2H, H the product of the block's row norms: an integral
+    x has |x_i| <= H (Cramer, Hadamard). None when a prime leaves the rank
+    short or a row with only its rhs, when a lift solves the block but not
+    another row (so the system is inconsistent), or when M > 2H.
     """
     unknowns = system.unknowns
     rows = []
-    for row in system.rows:
+    for row in sorted(system.rows, key=lambda r: 0 in r.diagonal):
         entries = [*row.coefficients, row.rhs]
         if any(type(c) is not int for c in entries):
             entries, _ = _clear_denominators(entries)
         rows.append(entries)
-    kept: list[tuple[int, list[int]]] = []
-    for row in rows:
-        work = list(row)
-        for lead, pivot in kept:
-            factor = work[lead] % _PRIME
-            if factor:  # entries are reduced once, after the last update
-                work[lead:] = [a - factor * b for a, b in zip(work[lead:], pivot[lead:])]
-        work = [a % _PRIME for a in work]
-        lead = next((j for j, a in enumerate(work) if a), None)
-        if lead is None:
-            continue
-        if lead == unknowns:
+    block, residues, modulus, bound = range(len(rows)), [0] * unknowns, 1, None
+    for i in count():
+        p = _prime(i)
+        kept = []
+        for r, (lead, work) in zip(block, _reduce_mod((rows[r] for r in block), unknowns + 1, p)):
+            if lead is None:
+                continue
+            if lead == unknowns:
+                return None
+            kept.append((r, lead, work))
+            if len(kept) == unknowns:
+                break
+        else:
             return None
-        inv = pow(work[lead], -1, _PRIME)
-        work[lead:] = [a * inv % _PRIME for a in work[lead:]]
-        kept.append((lead, work))
-        if len(kept) == unknowns:
-            break
-    else:
-        return None
-    solution = [0] * unknowns
-    for lead, work in sorted(kept, key=lambda k: k[0], reverse=True):
-        acc = work[unknowns] - sum(work[j] * solution[j] for j in range(lead + 1, unknowns))
-        solution[lead] = acc % _PRIME
-    solution = [x - _PRIME if x > _PRIME // 2 else x for x in solution]
-    if all(sum(a * x for a, x in zip(row, solution)) == row[unknowns] for row in rows):
-        return solution
-    return None
+        block = [r for r, _, _ in kept]
+        solution = [0] * unknowns
+        for _, lead, work in sorted(kept, key=lambda k: k[1], reverse=True):
+            solution[lead] = (work[unknowns] - sum(map(mul, work[lead + 1 : unknowns], solution[lead + 1 :]))) % p
+        inv = pow(modulus, -1, p)
+        residues = [x + modulus * ((s - x) * inv % p) for x, s in zip(residues, solution)]
+        modulus *= p
+        lift = [x - modulus if x > modulus // 2 else x for x in residues]
+
+        def holds(row: list[int]) -> bool:
+            return sum(map(mul, row, lift)) == row[unknowns]
+
+        if all(holds(rows[r]) for r in block):
+            others = set(range(len(rows))).difference(block)
+            return lift if all(holds(rows[r]) for r in others) else None
+        if bound is None:
+            bound = 4 * prod(sum(a * a for a in rows[r]) for r in block)
+        if modulus * modulus > bound:
+            return None
 
 
 def _eliminate(system: InterpolationSystem) -> list[tuple[tuple[int, ...], int, list[Fraction]]]:

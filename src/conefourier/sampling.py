@@ -26,11 +26,15 @@ MAX_HEIGHT = 3
 APEX_RANGE = 4
 MAX_NUMERATOR = 9
 MAX_DENOMINATOR = 8
+# Cone draws before giving up: seeded samples in the tests and the benchmark
+# reject at most 6, at d = 3 rejections grow to ~100 at n = 14 and past 4000 at n = 18.
+MAX_DRAWS = 1000
 
 
 def sample_cone(rng: random.Random, dimension: int, num_generators: int) -> Cone:
     """A random pointed cone in general position with integer generators.
-    Raises DimensionError when 5000 draws find fewer than n distinct rays."""
+    Raises DimensionError when 5000 ray draws find fewer than n distinct
+    rays, or when MAX_DRAWS cone draws are all out of general position."""
     d, n = dimension, num_generators
     if d < 2:
         raise ValueError("sampler supports dimension >= 2")
@@ -38,7 +42,7 @@ def sample_cone(rng: random.Random, dimension: int, num_generators: int) -> Cone
         raise ValueError("need at least d generators")
     low = max(1, (RADIUS * RADIUS) // 4)
     high = RADIUS * RADIUS
-    while True:
+    for _ in range(MAX_DRAWS):
         rays: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
         attempts = 0
@@ -62,6 +66,8 @@ def sample_cone(rng: random.Random, dimension: int, num_generators: int) -> Cone
         cone = Cone(apex, tuple(as_vector(r) for r in rays))
         if is_general_position(cone):
             return cone
+    message = f"no cone in general position in {MAX_DRAWS} draws of {n} rays"
+    raise DimensionError(message, dimension=d, generators=n, draws=MAX_DRAWS)
 
 
 def _primitive(ray: tuple[int, ...]) -> tuple[int, ...]:

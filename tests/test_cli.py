@@ -47,6 +47,21 @@ def test_validate_sample_beyond_shell_is_domain_error():
     assert err["context"] == {"dimension": 2, "generators": 30, "rays_found": 20}
 
 
+def test_validate_sample_never_in_general_position_is_domain_error():
+    # 20 rays drawn from the d = 3 shell all but never avoid three in one
+    # plane; the sampler used to redraw them without end
+    result = subprocess.run(
+        [sys.executable, "-m", "conefourier", "validate", "--sample", "3", "20", "--seed", "0"],
+        capture_output=True,
+        timeout=60,
+        check=False,
+    )
+    assert result.returncode == 1
+    err = json.loads(result.stdout)
+    assert err["code"] == "Dimension"
+    assert err["context"] == {"dimension": 3, "generators": 20, "draws": 1000}
+
+
 def test_validate_not_pointed_is_domain_error(capsys):
     cone = json.dumps({"apex": ["0", "0"], "generators": [["1", "0"], ["-1", "0"]]})
     code, out = run(capsys, "validate", cone)

@@ -23,16 +23,22 @@ from conefourier.errors import (
 )
 from conefourier.cones import is_general_position
 from conefourier.geometry import _reduce_rows, vec_scale, veronese
+from conefourier.brion import polytope_combinatorics, tangent_cone
 from conefourier.interpolation import (
-    _PRIME,
+    _PRIMES,
     InterpolationSystem,
     SystemRow,
+    _is_prime,
+    _prime,
+    _reduce_mod,
     _solve_modular,
     solve_with_details,
 )
 from conefourier.sampling import sample_cone
 
 from conftest import random_cones
+
+P = _PRIMES[0]
 
 
 class TestRhsValues:
@@ -181,11 +187,15 @@ class TestModularSolve:
         "first, second, solution, accepted",
         [
             # The first lead is column 0 over Q but column 1 mod p.
-            ((_PRIME, 1, _PRIME + 1), (1, 0, 1), (1, 1), True),
+            ((P, 1, P + 1), (1, 0, 1), (1, 1), True),
             # The first row vanishes mod p, so the rank is short there.
-            ((_PRIME, 0, _PRIME), (0, 1, 1), (1, 1), False),
-            # 2^70 lies beyond the symmetric residues, so the check fails.
-            ((1, 0, 2**70), (0, 1, 1), (2**70, 1), False),
+            ((P, 0, P), (0, 1, 1), (1, 1), False),
+            # 2^70 lies beyond one prime's symmetric residues; the CRT lift
+            # over two primes recovers it.
+            ((1, 0, 2**70), (0, 1, 1), (2**70, 1), True),
+            # The solution is not integral, so no lift passes and the exact
+            # reduction gives the Fractions.
+            ((2, 0, 1), (0, 3, 1), (Fraction(1, 2), Fraction(1, 3)), False),
         ],
     )
     def test_hand_built_systems(self, first, second, solution, accepted):
@@ -218,10 +228,10 @@ class TestModularSolve:
                 assert is_general_position(cone)
                 accepted.append(_solve_modular(build_system(cone)) is not None)
                 assert pk_via_interpolation(cone) == pk_via_triangulation(cone)
-        # Every rational cone takes the modular path through its integer
-        # form; of the large ones only the simplicial cone's 40-bit |det|
-        # fits the symmetric residues.
-        assert accepted == [True, True] + [False, True] * 4
+        # Every cone takes the modular path: rational ones through their
+        # integer form, large ones with as many primes as their
+        # coefficients need.
+        assert accepted == [True] * 10
 
     def test_shared_details_across_threads(self):
         system = build_system(sample_cone(random.Random(6), 3, 6))
@@ -244,6 +254,128 @@ class TestModularSolve:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * 6
+
+
+def plain_reduce_mod(rows, width, p):
+    """The reference for ``_reduce_mod``: the lead-column rule of
+    ``_reduce_rows`` mod p, one reduced entry at a time."""
+    kept = []
+    for row in rows:
+        work = [a % p for a in row]
+        for lead, pivot in kept:
+            factor = work[lead]
+            if factor:
+                work = [(a - factor * b) % p for a, b in zip(work, pivot)]
+        lead = next((j for j, a in enumerate(work) if a), None)
+        if lead is None:
+            yield None, None
+            continue
+        inv = pow(work[lead], -1, p)
+        work = [a * inv % p for a in work]
+        kept.append((lead, work))
+        yield lead, work
+
+
+class TestPackedReduction:
+    @pytest.mark.parametrize("p", [P, _prime(1), 101])
+    @pytest.mark.parametrize("d, n, seed", [(2, 5, 1), (3, 6, 2), (4, 7, 3)])
+    def test_matches_plain_reduction_on_sampled_systems(self, d, n, seed, p):
+        system = build_system(sample_cone(random.Random(seed), d, n))
+        rows = [[*row.coefficients, row.rhs] for row in system.rows]
+        rows.append(rows[0])  # a row that vanishes
+        expected = list(plain_reduce_mod(rows, system.unknowns + 1, p))
+        assert list(_reduce_mod(rows, system.unknowns + 1, p)) == expected
+        assert expected[-1] == (None, None)
+
+    @pytest.mark.parametrize("unknowns", [2, 5, 126])
+    def test_matches_plain_reduction_at_the_slot_bound(self, unknowns):
+        """A ladder of p - 1 entries only, whose last row takes ``unknowns``
+        updates, and pivots e_k + (p-1) e_rhs, which take the last row's rhs
+        slot to p - 1 + unknowns * (p-1)^2, the most a slot can reach."""
+        p = P
+        width = unknowns + 1
+        ladder = [[p - 1] * (k + 1) + [0] * (width - k - 1) for k in range(unknowns)]
+        spikes = [[int(j == k) + (p - 1) * (j == unknowns) for j in range(width)] for k in range(unknowns)]
+        for rows in (ladder + [[p - 1] * width], spikes + [[1] * unknowns + [p - 1]]):
+            expected = list(plain_reduce_mod(rows, width, p))
+            assert list(_reduce_mod(rows, width, p)) == expected
+            assert [lead for lead, _ in expected] == list(range(width))
+
+    @pytest.mark.parametrize("d, n", [(3, 6), (4, 8), (5, 10)])
+    def test_anchor_star_rows_reach_full_rank(self, d, n):
+        """Under general position the rows whose diagonal avoids generator 0
+        are independent, so the solve keeps each of them (DECISIONS.md)."""
+        system = build_system(sample_cone(random.Random(1), d, n))
+        anchor = [[*row.coefficients, row.rhs] for row in system.rows if 0 not in row.diagonal]
+        assert len(anchor) == comb(n - 1, d - 1) == system.unknowns
+        leads = [lead for lead, _ in _reduce_mod(anchor, system.unknowns + 1, P)]
+        assert sorted(leads) == list(range(system.unknowns))
+
+
+FIRST_PRIMES = [2**61 - k for k in (1, 31, 45, 229, 259, 283)]
+
+
+class TestPrimes:
+    def test_first_primes(self):
+        assert [_prime(i) for i in range(6)] == FIRST_PRIMES == _PRIMES[:6]
+
+    def test_list_grows_once_across_threads(self):
+        saved = _PRIMES[:]
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            del _PRIMES[1:]
+            threads = [threading.Thread(target=lambda: results.append(_prime(5))) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            grown = _PRIMES[:]
+        finally:
+            sys.setswitchinterval(interval)
+            _PRIMES[:] = saved
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [FIRST_PRIMES[5]] * 6 and grown == FIRST_PRIMES
+
+    def test_miller_rabin_matches_trial_division(self):
+        def trial(n):
+            return all(n % q for q in range(3, int(n**0.5) + 1, 2))
+
+        # 2047, 3277, 4033 and 4681 are strong pseudoprimes to base 2
+        odd = range(39, 5001, 2)
+        assert [n for n in odd if _is_prime(n)] == [n for n in odd if trial(n)]
+        assert not _is_prime(2**61 + 1) and not _is_prime((2**31 - 1) ** 2)
+
+
+class TestBeyondOnePrime:
+    def test_cyclic_vertex_cone(self):
+        """A vertex cone of the d = 3 cyclic polytope with 12 vertices, as
+        the polytopes benchmark draws it: 11 generators, and coefficients
+        of C * p_K beyond one prime."""
+        rng = random.Random(1)
+        ts = sorted(rng.sample(range(-7, 8), 12))
+        cone = tangent_cone(polytope_combinatorics([(t, t * t, t**3) for t in ts]), 0)
+        system = build_system(cone)
+        solution = _solve_modular(system)
+        assert cone.num_generators == 11 and max(abs(c) for c in solution).bit_length() > 61
+        assert pk_via_interpolation(cone) == pk_via_triangulation(cone)
+        assert solve_exact(system).coefficients == tuple(Fraction(c, system.scale) for c in solution)
+
+    @pytest.mark.parametrize("d, n", [(2, 3), (3, 6)])
+    def test_inconsistent_row_after_full_rank(self, d, n):
+        """A copy of the last row with rhs + 1 and a diagonal avoiding
+        generator 0, so it comes after full rank in either row order: the
+        modular solve gives up and the exact reduction raises with the
+        copy's diagonal and residual 1."""
+        system = build_system(sample_cone(random.Random(4), d, n))
+        last = system.rows[-1]
+        extra = SystemRow((n,) * (d - 1), last.coefficients, last.rhs + 1)
+        broken = InterpolationSystem(d, system.degree, (*system.rows, extra), scale=system.scale)
+        assert _solve_modular(broken) is None
+        with pytest.raises(InconsistentError) as exc:
+            solve_exact(broken)
+        assert exc.value.context == {"diagonal": (n + 1,) * (d - 1), "residual": 1}
 
 
 def moved(rng, cone, offsets):
