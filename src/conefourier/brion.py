@@ -162,18 +162,32 @@ def evaluate_transform(transform: PolytopeTransform, xi: Sequence) -> complex:
 
     The singularity guard runs in exact arithmetic: every generator linear
     form must be nonzero at xi. Each term's rational part is computed
-    exactly and only converted to floating point at the end.
+    exactly and only converted to floating point at the end. A point whose
+    length is not the polytope's dimension is a DimensionError.
     """
-    point = as_vector(xi)
+    point = _evaluation_point(transform, xi)
     return sum(_unscaled_terms(transform, point), 0j) / (-2j * math.pi) ** len(point)
 
 
 def per_term_values(transform: PolytopeTransform, xi: Sequence) -> list[complex]:
     """The individually normalized vertex contributions at xi, in vertex
     order; their sum is evaluate_transform(transform, xi)."""
-    point = as_vector(xi)
+    point = _evaluation_point(transform, xi)
     scale = (-2j * math.pi) ** len(point)
     return [value / scale for value in _unscaled_terms(transform, point)]
+
+
+def _evaluation_point(transform: PolytopeTransform, xi: Sequence) -> Vector:
+    """xi as an exact vector, checked against the polytope's dimension."""
+    point = as_vector(xi)
+    dimension = len(transform.terms[0].apex) if transform.terms else len(point)
+    if len(point) != dimension:
+        raise DimensionError(
+            f"evaluation point has length {len(point)}, expected the polytope's dimension {dimension}",
+            dimension=dimension,
+            length=len(point),
+        )
+    return point
 
 
 def _unscaled_terms(transform: PolytopeTransform, point: Vector):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .brion import METHODS, evaluate_transform, per_term_values, polytope_combinatorics, polytope_transform
-from .cones import validate_cone
+from .cones import Cone, validate_cone
 from .errors import ConeFourierError, MalformedInputError
 from .interpolation import build_system, pk_via_interpolation, solve_with_details
 from .sampling import sample_cone, sample_family
@@ -250,8 +250,10 @@ def cmd_brion_eval(args) -> str:
 
 
 def cmd_bench(args) -> tuple[str, int]:
-    """Time both pipelines per size. Returns (text, 1) if they disagreed on
-    any cone, since the CSV has no ``match`` column."""
+    """Time both pipelines per size, each on its own copy of every sampled
+    cone, whose minor table is empty, so neither reads minors or duals the
+    other computed. Returns (text, 1) if they disagreed on any cone, since
+    the CSV has no ``match`` column."""
     try:
         dims = [int(part) for part in args.dims.split(",") if part]
     except ValueError:
@@ -272,11 +274,13 @@ def cmd_bench(args) -> tuple[str, int]:
             match = True
             for _ in range(args.trials):
                 cone = sample_cone(rng, d, n)
+                fresh = Cone(cone.apex, cone.generators)
                 start = time.perf_counter()
-                by_triangulation = pk_via_triangulation(cone)
+                by_triangulation = pk_via_triangulation(fresh)
                 tri_total += time.perf_counter() - start
+                fresh = Cone(cone.apex, cone.generators)
                 start = time.perf_counter()
-                by_interpolation = pk_via_interpolation(cone)
+                by_interpolation = pk_via_interpolation(fresh)
                 interp_total += time.perf_counter() - start
                 match = match and by_triangulation == by_interpolation
             records.append(

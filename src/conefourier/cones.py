@@ -7,7 +7,9 @@ the hyperplane they span. Diagonals classify as extremal (all remaining
 generators strictly on one side), interior (generators on both sides), or
 degenerate (some generator exactly on the hyperplane, or a zero dual).
 Each pairing <dual, w_j> is a signed maximal minor of the generators, read
-from the cone's one table of them.
+from the cone's one table of them. The pairings also determine the dual:
+``Cone.integer_dual`` reads it off the table by Cramer's rule on one basis
+of generators, so only the d duals of that basis are cross products.
 
 The table holds the minors of the cone's integer-normal form: generator
 w_j times the lcm m_j of its denominators, the integer vector
@@ -23,6 +25,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import prod
 from typing import Callable, Iterable, Sequence
@@ -40,9 +43,9 @@ from .geometry import Vector, _clear_denominators, as_vector, determinant, dot, 
 @dataclass(frozen=True)
 class Cone:
     """An apex and n >= d generator rays, all rational. The integer-normal
-    form (``integer_generators``, ``scales``) and the table of its maximal
-    minors are derived from the generators and left out of equality,
-    hashing and repr."""
+    form (``integer_generators``, ``scales``), the table of its maximal
+    minors and the basis ``integer_dual`` reads are derived from the
+    generators and left out of equality, hashing and repr."""
 
     apex: Vector
     generators: tuple[Vector, ...]
@@ -115,15 +118,61 @@ class Cone:
         (-1)^#{i in D : i > j} for moving w_j into place."""
         return self._pairings(diagonal, self.maximal_minor)
 
+    def integer_dual(self, diagonal: Sequence[int]) -> tuple[int, ...]:
+        """``generalized_cross`` of the integer generators on the sorted
+        diagonal D, read off the minor table by Cramer's rule on the basis
+        S (``_dual_basis``): dual(D) = sum over s in S of <dual(D), u_s>
+        dual(S - s) / <dual(S - s), u_s>, each pairing a signed minor (0 for
+        s in D), summed over |det u_S| and divided exactly, since dual(D) is
+        integral. A cone of rank below d has no basis, and gets the cross
+        product."""
+        members = tuple(diagonal)
+        basis = self._dual_basis
+        if basis is None:
+            return generalized_cross([self.integer_generators[i] for i in members], self.dimension)
+        subset, denominator, duals = basis
+        weighted = [
+            (_pairing(members, s, self.integer_minor), dual) for s, dual in zip(subset, duals) if s not in members
+        ]
+        return tuple(sum(w * dual[i] for w, dual in weighted) // denominator for i in range(self.dimension))
+
+    @cached_property
+    def _dual_basis(self) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]] | None:
+        """(S, |det u_S|, duals) for the first d-subset S, in combinations
+        order, with a nonzero minor, or None when there is none. duals[k] is
+        dual(S - s_k) times the sign of its pairing with u_{s_k}, which is
+        +-det u_S. Derived on first use and kept, like the table."""
+        for subset in combinations(range(self.num_generators), self.dimension):
+            minor = self.integer_minor(subset)
+            if minor:
+                break
+        else:
+            return None
+        duals = []
+        for k, s in enumerate(subset):
+            others = subset[:k] + subset[k + 1 :]
+            dual = generalized_cross([self.integer_generators[i] for i in others], self.dimension)
+            duals.append(dual if _pairing(others, s, self.integer_minor) > 0 else tuple(-c for c in dual))
+        return subset, abs(minor), tuple(duals)
+
     def _pairings(self, diagonal: Sequence[int], minor: Callable) -> tuple:
         members = tuple(diagonal)
         values = []
+        # _pairing inlined: this loop runs on every diagonal of both pipelines
         for j in range(self.num_generators):
             if j not in members:
                 k = bisect(members, j)
                 value = minor(members[:k] + (j,) + members[k:])
                 values.append(-value if (len(members) - k) % 2 else value)
         return tuple(values)
+
+
+def _pairing(members: tuple[int, ...], j: int, minor: Callable):
+    """One entry of ``Cone._pairings``: det(w_D..., w_j) for the sorted
+    diagonal D and j off it."""
+    k = bisect(members, j)
+    value = minor(members[:k] + (j,) + members[k:])
+    return -value if (len(members) - k) % 2 else value
 
 
 def _positive_multiples(u: Vector, v: Vector) -> bool:

@@ -205,9 +205,12 @@ def veronese(v: Sequence, degree: int) -> Vector:
     if not coords or degree < 0:
         raise DimensionError(f"invalid monomial basis ({len(coords)}, {degree})")
     # tails[t] is the degree-t image of the coordinates taken so far, last
-    # first; in basis order the first coordinate's exponent descends.
+    # first; in basis order the first coordinate's exponent descends. The
+    # first coordinate, taken last, is expanded into the degree-``degree``
+    # tail alone, the one returned.
     tails = [[coords[-1] ** t] for t in range(degree + 1)]
-    for c in reversed(coords[:-1]):
-        powers = [c**e for e in range(degree + 1)]
-        tails = [[powers[e] * x for e in range(t, -1, -1) for x in tails[t - e]] for t in range(degree + 1)]
+    for i in range(len(coords) - 2, -1, -1):
+        powers = [coords[i] ** e for e in range(degree + 1)]
+        low = degree if i == 0 else 0
+        tails[low:] = [[powers[e] * x for e in range(t, -1, -1) for x in tails[t - e]] for t in range(low, degree + 1)]
     return tuple(tails[degree])

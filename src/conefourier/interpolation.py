@@ -8,9 +8,12 @@ linear system for the coefficients of p_K. The system is built on the
 cone's integer-normal form (``Cone.integer_generators``), whose numerator
 is ``Cone.scale`` times p_K and has integer coefficients, so rows, values
 and solution are ints and the solve divides by the scale once at the end.
-It is solved by packed elimination modulo primes below 2^61, anchor-star
-rows first and as many primes, combined by CRT, as the coefficients need;
-the candidate is accepted only when it satisfies every row exactly.
+Values and duals are both read off the cone's minor table, each dual by
+Cramer's rule on one basis of generators (``Cone.integer_dual``), so a
+build makes at most d cross products. The system is solved by packed
+elimination modulo primes below 2^61, anchor-star rows first and as many
+primes, combined by CRT, as the coefficients need; the candidate is
+accepted only when it satisfies every row exactly.
 Otherwise, and for the pivots, exact rational elimination decides.
 """
 
@@ -32,7 +35,7 @@ from .errors import (
     InconsistentError,
     RankDeficientError,
 )
-from .geometry import ONE, ZERO, _clear_denominators, _reduce_rows, basis_size, generalized_cross, veronese
+from .geometry import ONE, ZERO, _clear_denominators, _reduce_rows, basis_size, veronese
 from .polynomials import HomogeneousPolynomial
 
 
@@ -96,12 +99,11 @@ def rhs_value(cone: Cone, diagonal: Diagonal) -> Fraction:
 
 def build_system(cone: Cone) -> InterpolationSystem:
     """One row per non-degenerate diagonal, on the integer generators u: the
-    Veronese expansion of the dual of u_D against the value there of the
-    numerator of u, all ints. Degenerate diagonals are recorded in
-    ``skipped`` instead of contributing a row, and ``scale`` is the cone's,
-    so that the system's solution over it is p_K."""
+    Veronese expansion of the dual of u_D (``Cone.integer_dual``) against
+    the value there of the numerator of u, all ints. Degenerate diagonals
+    are recorded in ``skipped`` instead of contributing a row, and
+    ``scale`` is the cone's, so that the system's solution over it is p_K."""
     degree = cone.num_generators - cone.dimension
-    generators = cone.integer_generators
     rows = []
     skipped = []
     for indices in combinations(range(cone.num_generators), cone.dimension - 1):
@@ -110,7 +112,7 @@ def build_system(cone: Cone) -> InterpolationSystem:
         if cls.kind is DiagonalKind.DEGENERATE:
             skipped.append(indices)
             continue
-        dual = generalized_cross([generators[i] for i in indices], cone.dimension)
+        dual = cone.integer_dual(indices)
         rhs = 0 if cls.kind is DiagonalKind.INTERIOR else cls.sign * prod(pairings)
         rows.append(SystemRow(diagonal=indices, coefficients=veronese(dual, degree), rhs=rhs))
     return InterpolationSystem(cone.dimension, degree, tuple(rows), tuple(skipped), cone.scale)

@@ -257,6 +257,14 @@ class TestEvaluation:
         T = polytope_transform(polytope_combinatorics(unit_square_vertices))
         assert abs(evaluate_transform(T, (1, 1))) <= 1e-9
 
+    @pytest.mark.parametrize("xi", [(Fraction(1, 3),), (1, 2, 3)])
+    def test_point_of_wrong_length_rejected(self, unit_square_vertices, xi):
+        T = polytope_transform(polytope_combinatorics(unit_square_vertices))
+        for evaluate in (evaluate_transform, per_term_values):
+            with pytest.raises(DimensionError) as exc:
+                evaluate(T, xi)
+            assert exc.value.context == {"dimension": 2, "length": len(xi)}
+
     def test_singular_point_rejected(self, unit_square_vertices):
         T = polytope_transform(polytope_combinatorics(unit_square_vertices))
         with pytest.raises(SingularEvaluationPointError):

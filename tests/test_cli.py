@@ -198,6 +198,16 @@ def test_brion_eval_verbose_terms(capsys):
     assert abs(total - (data["re"] + 1j * data["im"])) <= 1e-12
 
 
+@pytest.mark.parametrize("xi", ['["1/3"]', '["1/3","1/2","1"]'])
+def test_brion_eval_point_of_wrong_length(capsys, xi):
+    triangle = '{"vertices":[[0,0],[1,0],[0,1]]}'
+    code, out = run(capsys, "brion-eval", triangle, "--xi", xi)
+    assert code == 1
+    err = json.loads(out)
+    assert err["code"] == "Dimension"
+    assert err["context"] == {"dimension": 2, "length": len(json.loads(xi))}
+
+
 def test_brion_eval_singular_point(capsys):
     code, out = run(capsys, "brion-eval", UNIT_SQUARE, "--xi", '["0","1/3"]')
     assert code == 1
@@ -283,6 +293,29 @@ def test_bench_mismatch_exits_one(capsys, monkeypatch, csv):
     assert code == 1
     if not csv:
         assert [r["match"] for r in json.loads(out)] == [False, False]
+
+
+def test_bench_gives_each_pipeline_a_fresh_cone(capsys, monkeypatch):
+    """Neither pipeline reads minors or duals the other one computed, nor
+    those of the sampler's general-position test."""
+    from conefourier import pk_via_interpolation, pk_via_triangulation
+
+    seen = []
+
+    def recording(name, pipeline):
+        def run_pipeline(cone):
+            seen.append((name, cone, dict(cone._minors), "_dual_basis" in vars(cone)))
+            return pipeline(cone)
+
+        return run_pipeline
+
+    monkeypatch.setattr("conefourier.cli.pk_via_triangulation", recording("triangulation", pk_via_triangulation))
+    monkeypatch.setattr("conefourier.cli.pk_via_interpolation", recording("interpolation", pk_via_interpolation))
+    code, _ = run(capsys, "bench", "--seed", "1", "--dims", "2,3", "--max-extra", "2", "--trials", "2")
+    assert code == 0
+    assert [pipeline for pipeline, *_ in seen] == ["triangulation", "interpolation"] * 12
+    assert len({id(cone) for _, cone, _, _ in seen}) == 24
+    assert all(table == {} and not basis for _, _, table, basis in seen)
 
 
 def test_transform_verbose_reports_scale_of_rational_cone(capsys):

@@ -23,7 +23,8 @@ from conefourier.errors import (
     NotPointedError,
     ZeroGeneratorError,
 )
-from conefourier.geometry import determinant, dot, vec_scale
+from conefourier.cones import classify_pairings
+from conefourier.geometry import determinant, dot, generalized_cross, vec_scale
 from conefourier.sampling import sample_cone
 from conefourier.triangulation import pk_via_triangulation
 
@@ -253,3 +254,90 @@ class TestMinorTable:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * 6
+
+
+def assert_duals_match_cross_products(cone):
+    """integer_dual equals generalized_cross of the integer generators on
+    every diagonal, degenerate ones included; returns the diagonals'
+    classes."""
+    kinds = []
+    for indices in combinations(range(cone.num_generators), cone.dimension - 1):
+        rows = [cone.integer_generators[i] for i in indices]
+        dual = cone.integer_dual(indices)
+        assert dual == generalized_cross(rows, cone.dimension)
+        assert all(type(c) is int for c in dual)
+        kinds.append(classify_pairings(cone.integer_pairings(indices)).kind)
+    return kinds
+
+
+integer_cones = st.integers(min_value=2, max_value=4).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.integers(min_value=-9, max_value=9)] * d),
+        min_size=d,
+        max_size=d + 3,
+        unique=True,
+    )
+)
+
+
+class TestIntegerDual:
+    """Cone.integer_dual reads each dual off the minor table by Cramer's
+    rule on the first nonsingular d-subset S of generators."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_cones(self, d, seed):
+        cone = sample_cone(random.Random(seed), d, d + 4)
+        assert set(assert_duals_match_cross_products(cone)) <= {DiagonalKind.EXTREMAL, DiagonalKind.INTERIOR}
+        assert cone._dual_basis[0] == tuple(range(d))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rational_cones(self, seed):
+        rng = random.Random(seed)
+        base = sample_cone(rng, 4, 7)
+
+        def move(c):
+            return c / rng.randint(1, 5) + Fraction(rng.randint(-2, 2), rng.randint(2, 7))
+
+        cone = Cone(base.apex, tuple(tuple(map(move, g)) for g in base.generators))
+        assert cone.scale > 1
+        assert_duals_match_cross_products(cone)
+
+    def test_first_generators_dependent(self):
+        """The first three generators lie in a plane, so S = (0, 1, 3);
+        generators 1 and 4 are opposite, so diagonal (1, 4) has dual 0."""
+        cone = Cone(
+            (0, 0, 0),
+            ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, -1, 0), (1, 2, 3)),
+        )
+        kinds = assert_duals_match_cross_products(cone)
+        assert cone._dual_basis[0] == (0, 1, 3)
+        assert kinds.count(DiagonalKind.DEGENERATE) >= 2
+        assert cone.integer_dual((1, 4)) == (0, 0, 0)
+
+    def test_lower_rank_cone_falls_back_to_the_cross_product(self):
+        cone = TestMinorTable.DEGENERATE[1]  # rank 2 in dimension 3
+        assert cone._dual_basis is None
+        assert_duals_match_cross_products(cone)
+        assert cone.integer_dual((0, 1)) == (0, 0, 1)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_coordinates_near_2_to_the_70(self, d):
+        rng = random.Random(d)
+        base = sample_cone(rng, d, d + 3)
+        cone = Cone(base.apex, tuple(tuple(2**70 * c + rng.randint(-9, 9) for c in g) for g in base.generators))
+        assert max(abs(c) for g in cone.integer_generators for c in g).bit_length() > 70
+        assert_duals_match_cross_products(cone)
+
+    @pytest.mark.parametrize("generators", [((5,),), ((2,), (-3,)), ((Fraction(-1, 4),), (7,))])
+    def test_dimension_one(self, generators):
+        cone = Cone((0,), generators)
+        assert cone.integer_dual(()) == generalized_cross([], 1) == (1,)
+
+    @given(generators=integer_cones)
+    def test_random_integer_cones(self, generators):
+        try:
+            cone = Cone((0,) * len(generators[0]), generators)
+        except (ZeroGeneratorError, DuplicateRayError):
+            return
+        assert_duals_match_cross_products(cone)

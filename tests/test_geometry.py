@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -172,6 +173,25 @@ def test_veronese_example():
 
 def test_veronese_zero_vector():
     assert veronese((0, 0, 0), 2) == (0,) * 6
+
+
+def test_veronese_dimension_one():
+    assert veronese((3,), 4) == (81,)
+    assert veronese((Fraction(-1, 2),), 3) == (Fraction(-1, 8),)
+
+
+def test_veronese_degree_zero():
+    assert veronese((3,), 0) == (1,)
+    assert veronese((2, -5, 7), 0) == (1,)
+    assert veronese((0, 0), 0) == (1,)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 5])
+def test_veronese_evaluates_the_monomial_basis(d, s):
+    v = tuple(range(2, d + 2))
+    expected = tuple(prod(c**e for c, e in zip(v, exponents)) for exponents in monomial_basis(d, s))
+    assert veronese(v, s) == expected
 
 
 def test_veronese_degree_one_is_identity():

@@ -22,7 +22,7 @@ from conefourier.errors import (
     RankDeficientError,
 )
 from conefourier.cones import is_general_position
-from conefourier.geometry import _reduce_rows, vec_scale, veronese
+from conefourier.geometry import _reduce_rows, generalized_cross, vec_scale, veronese
 from conefourier.brion import polytope_combinatorics, tangent_cone
 from conefourier.interpolation import (
     _PRIMES,
@@ -84,6 +84,33 @@ class TestBuildSystem:
         system = build_system(cone)
         assert (0, 1) in system.skipped
         assert all(row.diagonal not in system.skipped for row in system.rows)
+
+    @pytest.mark.parametrize(
+        "cone",
+        [
+            sample_cone(random.Random(1), 4, 9),
+            sample_cone(random.Random(1), 5, 10),
+            Cone((0, 0, 0), ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3))),
+            Cone((0, 0, 0), ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0))),
+        ],
+        ids=["4-9", "5-10", "non-generic", "rank-2"],
+    )
+    def test_at_most_d_cross_products(self, cone, monkeypatch):
+        """The duals come from the minor table; only the d duals of its
+        basis are cross products."""
+        calls = []
+
+        def counting(vectors, dimension=None):
+            calls.append(vectors)
+            return generalized_cross(vectors, dimension)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("conefourier") and hasattr(module, "generalized_cross"):
+                monkeypatch.setattr(module, "generalized_cross", counting)
+        fresh = Cone(cone.apex, cone.generators)
+        system = build_system(fresh)
+        assert len(calls) <= cone.dimension
+        assert system == build_system(cone)
 
 
 class TestSolver:
