@@ -178,9 +178,12 @@ def per_term_values(transform: PolytopeTransform, xi: Sequence) -> list[complex]
 
 
 def _evaluation_point(transform: PolytopeTransform, xi: Sequence) -> Vector:
+    return evaluation_point(xi, len(transform.terms[0].apex) if transform.terms else len(xi))
+
+
+def evaluation_point(xi: Sequence, dimension: int) -> Vector:
     """xi as an exact vector, checked against the polytope's dimension."""
     point = as_vector(xi)
-    dimension = len(transform.terms[0].apex) if transform.terms else len(point)
     if len(point) != dimension:
         raise DimensionError(
             f"evaluation point has length {len(point)}, expected the polytope's dimension {dimension}",

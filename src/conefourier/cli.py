@@ -14,7 +14,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .brion import METHODS, evaluate_transform, per_term_values, polytope_combinatorics, polytope_transform
+from .brion import METHODS, evaluate_transform, evaluation_point, per_term_values, polytope_combinatorics
+from .brion import polytope_transform
 from .cones import Cone, validate_cone
 from .errors import ConeFourierError, MalformedInputError
 from .interpolation import build_system, pk_via_interpolation, solve_with_details
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="compute the numerator polynomial of the cone transform")
     add_cone_input(p)
     p.add_argument("--method", choices=METHODS, default="interpolation")
-    p.add_argument("--verbose", action="store_true", help="include the full system or triangulation dump")
+    p.add_argument("--verbose", action="store_true", help="add the system (exact, costly pivots) or triangulation dump")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("compare", help="run both pipelines and check they agree")
@@ -168,26 +169,20 @@ def cmd_validate(args) -> str:
 
 def cmd_transform(args) -> str:
     cone, sampled = _load_cone(args)
-    if args.method == "triangulation":
+    extra = {}
+    if not args.verbose:
+        poly = (pk_via_triangulation if args.method == "triangulation" else pk_via_interpolation)(cone)
+    elif args.method == "triangulation":
         poly = pk_via_triangulation(cone)
-        extra = {
-            "triangulation": {
-                "simplices": [[i + 1 for i in s] for s in pulling_triangulation(cone).simplices]
-            }
-        }
+        extra = {"triangulation": {"simplices": [[i + 1 for i in s] for s in pulling_triangulation(cone).simplices]}}
     else:
         system = build_system(cone)
         poly, details = solve_with_details(system)
         extra = {"system": system_to_json(system, details)}
     if not (sampled or args.verbose):
         return json.dumps(polynomial_to_json(poly), indent=2) + "\n"
-    out = {}
-    if sampled:
-        out["cone"] = cone_to_json(cone)
-    out["polynomial"] = polynomial_to_json(poly)
-    if args.verbose:
-        out.update(extra)
-    return json.dumps(out, indent=2) + "\n"
+    out = {"cone": cone_to_json(cone)} if sampled else {}
+    return json.dumps({**out, "polynomial": polynomial_to_json(poly), **extra}, indent=2) + "\n"
 
 
 def cmd_compare(args) -> str:
@@ -237,6 +232,7 @@ def cmd_brion_eval(args) -> str:
         xi = parse_vector(data["xi"])
     else:
         raise MalformedInputError('an evaluation point is required: --xi or a "xi" key in the input')
+    xi = evaluation_point(xi, len(vertices[0]))  # before the facet search and the cone solves
     polytope = polytope_combinatorics(vertices, allow_nonsimplicial=args.allow_nonsimplicial)
     transform = polytope_transform(polytope, method=args.method)
     value = evaluate_transform(transform, xi)

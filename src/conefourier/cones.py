@@ -6,10 +6,11 @@ the generalized cross product of the selected rays, the normal vector of
 the hyperplane they span. Diagonals classify as extremal (all remaining
 generators strictly on one side), interior (generators on both sides), or
 degenerate (some generator exactly on the hyperplane, or a zero dual).
-Each pairing <dual, w_j> is a signed maximal minor of the generators, read
-from the cone's one table of them. The pairings also determine the dual:
-``Cone.integer_dual`` reads it off the table by Cramer's rule on one basis
-of generators, so only the d duals of that basis are cross products.
+Each pairing of a dual with a generator off its diagonal is a signed
+maximal minor, read from the cone's one table of them. The pairings also
+determine the dual: ``Cone.integer_dual`` reads it off the table by
+Cramer's rule on one basis of generators, so only the d duals of that
+basis are cross products, and ``diagonal_for`` divides it by the scales.
 
 The table holds the minors of the cone's integer-normal form: generator
 w_j times the lcm m_j of its denominators, the integer vector
@@ -28,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import prod
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DimensionError,
@@ -107,16 +108,19 @@ class Cone:
         return value if scale == 1 else Fraction(value, scale)
 
     def integer_pairings(self, diagonal: Sequence[int]) -> tuple[int, ...]:
-        """``dual_pairings`` of the integer generators: each has the sign of
-        the rational pairing, and their product is the integer numerator's
-        value at the integer dual."""
-        return self._pairings(diagonal, self.integer_minor)
-
-    def dual_pairings(self, diagonal: Sequence[int]) -> tuple[int | Fraction, ...]:
-        """<dual(D), w_j> for each j off the sorted diagonal D, in index
-        order: det(w_D..., w_j), which is the minor at sorted(D + (j,)) times
-        (-1)^#{i in D : i > j} for moving w_j into place."""
-        return self._pairings(diagonal, self.maximal_minor)
+        """<integer_dual(D), u_j> = det(u_D..., u_j) for each j off the sorted
+        diagonal D, in index order: the integer minor at sorted(D + (j,))
+        times (-1)^#{i in D : i > j}. Each has the sign of the rational
+        pairing; their product is the integer numerator at the integer dual."""
+        members = tuple(diagonal)
+        values = []
+        # _pairing inlined: this loop runs on every diagonal of both pipelines
+        for j in range(self.num_generators):
+            if j not in members:
+                k = bisect(members, j)
+                value = self.integer_minor(members[:k] + (j,) + members[k:])
+                values.append(-value if (len(members) - k) % 2 else value)
+        return tuple(values)
 
     def integer_dual(self, diagonal: Sequence[int]) -> tuple[int, ...]:
         """``generalized_cross`` of the integer generators on the sorted
@@ -132,7 +136,7 @@ class Cone:
             return generalized_cross([self.integer_generators[i] for i in members], self.dimension)
         subset, denominator, duals = basis
         weighted = [
-            (_pairing(members, s, self.integer_minor), dual) for s, dual in zip(subset, duals) if s not in members
+            (self._pairing(members, s), dual) for s, dual in zip(subset, duals) if s not in members
         ]
         return tuple(sum(w * dual[i] for w, dual in weighted) // denominator for i in range(self.dimension))
 
@@ -152,27 +156,15 @@ class Cone:
         for k, s in enumerate(subset):
             others = subset[:k] + subset[k + 1 :]
             dual = generalized_cross([self.integer_generators[i] for i in others], self.dimension)
-            duals.append(dual if _pairing(others, s, self.integer_minor) > 0 else tuple(-c for c in dual))
+            duals.append(dual if self._pairing(others, s) > 0 else tuple(-c for c in dual))
         return subset, abs(minor), tuple(duals)
 
-    def _pairings(self, diagonal: Sequence[int], minor: Callable) -> tuple:
-        members = tuple(diagonal)
-        values = []
-        # _pairing inlined: this loop runs on every diagonal of both pipelines
-        for j in range(self.num_generators):
-            if j not in members:
-                k = bisect(members, j)
-                value = minor(members[:k] + (j,) + members[k:])
-                values.append(-value if (len(members) - k) % 2 else value)
-        return tuple(values)
-
-
-def _pairing(members: tuple[int, ...], j: int, minor: Callable):
-    """One entry of ``Cone._pairings``: det(w_D..., w_j) for the sorted
-    diagonal D and j off it."""
-    k = bisect(members, j)
-    value = minor(members[:k] + (j,) + members[k:])
-    return -value if (len(members) - k) % 2 else value
+    def _pairing(self, members: tuple[int, ...], j: int) -> int:
+        """One entry of ``integer_pairings``: det(u_D..., u_j) for the
+        sorted diagonal D and j off it."""
+        k = bisect(members, j)
+        value = self.integer_minor(members[:k] + (j,) + members[k:])
+        return -value if (len(members) - k) % 2 else value
 
 
 def _positive_multiples(u: Vector, v: Vector) -> bool:
@@ -211,7 +203,9 @@ class ValidationReport:
 
 
 def diagonal_for(cone: Cone, indices: Iterable[int]) -> Diagonal:
-    """Build the diagonal on the given (d-1) generator indices."""
+    """Build the diagonal on the given (d-1) generator indices. Its dual,
+    their cross product, is ``Cone.integer_dual`` over the product c_D of
+    their scales (the cross product is multilinear): ints when c_D = 1."""
     idx = tuple(sorted(indices))
     wire = tuple(i + 1 for i in idx)  # 1-based, as on the wire
     if len(set(idx)) != len(idx):
@@ -222,8 +216,9 @@ def diagonal_for(cone: Cone, indices: Iterable[int]) -> Diagonal:
         )
     if idx and (idx[0] < 0 or idx[-1] >= cone.num_generators):
         raise DimensionError(f"diagonal indices {wire} out of range", diagonal=wire, generators=cone.num_generators)
-    dual = generalized_cross([cone.generators[i] for i in idx], cone.dimension)
-    return Diagonal(idx, dual)
+    dual = cone.integer_dual(idx)
+    scale = prod(cone.scales[i] for i in idx)
+    return Diagonal(idx, dual if scale == 1 else tuple(Fraction(c, scale) for c in dual))
 
 
 def enumerate_diagonals(cone: Cone) -> tuple[Diagonal, ...]:

@@ -28,14 +28,14 @@ from operator import mul
 from threading import Lock
 from typing import Iterable, Iterator, Sequence
 
-from .cones import Cone, Diagonal, DiagonalKind, classify_diagonal, classify_pairings
+from .cones import Cone, Diagonal, DiagonalKind, classify_pairings
 from .errors import (
     DegenerateDiagonalError,
     DimensionError,
     InconsistentError,
     RankDeficientError,
 )
-from .geometry import ONE, ZERO, _clear_denominators, _reduce_rows, basis_size, veronese
+from .geometry import ZERO, _clear_denominators, _reduce_rows, basis_size, veronese
 from .polynomials import HomogeneousPolynomial
 
 
@@ -84,17 +84,19 @@ def rhs_value(cone: Cone, diagonal: Diagonal) -> Fraction:
 
     Extremal diagonals give sign * prod(<dual, w_j>, j off the diagonal),
     the sign being the common sign of those determinants; interior
-    diagonals give zero. Degenerate diagonals have no defined value.
+    diagonals give zero. Degenerate diagonals have no defined value. The
+    integer pairings' product is the rational one times C * c_D^(n-d), C
+    the cone's scale and c_D the product of the diagonal's scales.
     """
-    cls = classify_diagonal(cone, diagonal)
+    pairings = cone.integer_pairings(diagonal.indices)
+    cls = classify_pairings(pairings)
     if cls.kind is DiagonalKind.DEGENERATE:
-        raise DegenerateDiagonalError(
-            f"diagonal {tuple(i + 1 for i in diagonal.indices)} is degenerate",
-            diagonal=tuple(i + 1 for i in diagonal.indices),
-        )
+        wire = tuple(i + 1 for i in diagonal.indices)
+        raise DegenerateDiagonalError(f"diagonal {wire} is degenerate", diagonal=wire)
     if cls.kind is DiagonalKind.INTERIOR:
         return ZERO
-    return cls.sign * prod(cone.dual_pairings(diagonal.indices), start=ONE)
+    c_d = prod(cone.scales[i] for i in diagonal.indices)
+    return Fraction(cls.sign * prod(pairings), cone.scale * c_d ** (cone.num_generators - cone.dimension))
 
 
 def build_system(cone: Cone) -> InterpolationSystem:

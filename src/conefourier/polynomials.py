@@ -46,7 +46,10 @@ class HomogeneousPolynomial:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value of the polynomial at a rational point."""
-        values = veronese(as_vector(point), self.degree)
+        coords = as_vector(point)
+        if len(coords) != self.dimension:
+            raise DimensionError(f"point of length {len(coords)} for a polynomial in {self.dimension} variables")
+        values = veronese(coords, self.degree)
         return sum((c * v for c, v in zip(self.coefficients, values)), ZERO)
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:

@@ -1,8 +1,9 @@
 """Determinant identities of the diagonal interpolation matrix.
 
 The maximal minors of the interpolation matrix factor combinatorially.
-Take a family of N = C(n-1, d-1) diagonals. Its minor is predicted in two
-branches.
+Take a family of N = C(n-1, d-1) diagonals. Its minor, the determinant of
+the Veronese images of their duals (read off the cone's minor table by
+``diagonal_for``), is predicted in two branches.
 
 Rank bound (minor 0). Take a set T of at most n-d generators. Every family
 member that meets T has its dual on the union of the hyperplanes w_t^perp,
@@ -42,7 +43,7 @@ from typing import Sequence
 
 from .cones import Cone, diagonal_for
 from .errors import DimensionError, VerificationFailureError
-from .geometry import ONE, ZERO, Vector, as_vector, determinant, dot, veronese
+from .geometry import ONE, ZERO, Vector, as_scalar, as_vector, determinant, dot, veronese
 from .triangulation import expand_linear_forms
 
 Family = tuple[tuple[int, ...], ...]
@@ -93,15 +94,15 @@ def vanishing_witness(family: Sequence[Sequence[int]], num_generators: int) -> t
 
 def minor(cone: Cone, family: Sequence[Sequence[int]]) -> Fraction:
     """Determinant of the square matrix of Veronese-expanded duals, one
-    row per family diagonal in lexicographic order."""
+    row per family diagonal in lexicographic order; in ``int`` on an
+    integer cone, whose duals (``diagonal_for``) are ints."""
     fam = normalize_family(family)
     n, d = cone.num_generators, cone.dimension
     expected = comb(n - 1, d - 1)
     if len(fam) != expected:
         raise DimensionError(f"family needs {expected} diagonals, got {len(fam)}")
-    degree = n - d
-    rows = [veronese(diagonal_for(cone, idx).dual, degree) for idx in fam]
-    return determinant(rows)
+    rows = [veronese(diagonal_for(cone, idx).dual, n - d) for idx in fam]
+    return as_scalar(determinant(rows))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conefourier import interpolation
 from conefourier.cli import main
 from conefourier.errors import MalformedInputError
 from conefourier.serialize import family_from_json
@@ -208,6 +209,33 @@ def test_brion_eval_point_of_wrong_length(capsys, xi):
     assert err["context"] == {"dimension": 2, "length": len(json.loads(xi))}
 
 
+WRONG_LENGTH = """{
+  "code": "Dimension",
+  "message": "evaluation point has length %d, expected the polytope's dimension 2",
+  "context": {
+    "dimension": 2,
+    "length": %d
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, length",
+    [
+        (['{"vertices":[[0,0],[1,0],[0,1]]}', "--xi", '["1/3"]'], 1),
+        (['{"vertices":[[0,0],[1,0],[0,1]]}', "--xi", '["1/3","1/2","1"]'], 3),
+        (['{"vertices":[[0,0],[1,0],[0,1]],"xi":["1"]}'], 1),
+    ],
+)
+def test_brion_eval_point_checked_before_the_facet_search(capsys, monkeypatch, argv, length):
+    calls = []
+    monkeypatch.setattr("conefourier.cli.polytope_combinatorics", lambda *a, **k: calls.append(a))
+    code, out = run(capsys, "brion-eval", *argv)
+    assert (code, out) == (1, WRONG_LENGTH % (length, length))
+    assert calls == []
+
+
 def test_brion_eval_singular_point(capsys):
     code, out = run(capsys, "brion-eval", UNIT_SQUARE, "--xi", '["0","1/3"]')
     assert code == 1
@@ -345,3 +373,25 @@ def test_stdin_input(capsys, monkeypatch):
     code, out = run(capsys, "transform", "-")
     assert code == 0
     assert json.loads(out)["degree"] == 1
+
+
+@pytest.mark.parametrize("method", ["interpolation", "triangulation"])
+def test_transform_eliminates_exactly_only_under_verbose(capsys, monkeypatch, method):
+    """The exact pivots behind the --verbose system dump cost far more than
+    the solve, so a plain transform never runs the exact elimination."""
+    calls = []
+    eliminate = interpolation._eliminate
+
+    def counting(system):
+        calls.append(system)
+        return eliminate(system)
+
+    monkeypatch.setattr(interpolation, "_eliminate", counting)
+    code, plain = run(capsys, "transform", "--sample", "5", "10", "--seed", "1", "--method", method)
+    assert code == 0 and calls == []
+    code, verbose = run(capsys, "transform", "--sample", "3", "6", "--seed", "1", "--method", method, "--verbose")
+    assert code == 0 and (len(calls) >= 1) is (method == "interpolation")
+    assert set(json.loads(plain)) == {"cone", "polynomial"}
+    dump = "system" if method == "interpolation" else "triangulation"
+    assert set(json.loads(verbose)) == {"cone", "polynomial", dump}
+

@@ -180,9 +180,15 @@ class TestMinorTable:
 
     @staticmethod
     def assert_pairings_match_duals(cone):
-        for diagonal in enumerate_diagonals(cone):
-            off = [w for j, w in enumerate(cone.generators) if j not in diagonal.indices]
-            assert cone.dual_pairings(diagonal.indices) == tuple(dot(diagonal.dual, w) for w in off)
+        """integer_pairings against dot products with the cross product of
+        the rational generators: <cross(u_D), u_j> = c_D m_j <cross(w_D), w_j>,
+        c_D the product of the diagonal's scales."""
+        for indices in combinations(range(cone.num_generators), cone.dimension - 1):
+            dual = generalized_cross([cone.generators[i] for i in indices], cone.dimension)
+            c_d = prod(cone.scales[i] for i in indices)
+            off = [j for j in range(cone.num_generators) if j not in indices]
+            expected = tuple(c_d * cone.scales[j] * dot(dual, cone.generators[j]) for j in off)
+            assert cone.integer_pairings(indices) == expected
 
     @given(cone=random_cones(dims=(2, 3, 4)))
     def test_pairings_match_duals(self, cone):
@@ -199,12 +205,7 @@ class TestMinorTable:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_minor_is_the_determinant_on_rational_cones(self, seed):
-        rng = random.Random(seed)
-        base = sample_cone(rng, 4, 7)
-        def move(c):
-            return c / rng.randint(1, 5) + Fraction(rng.randint(-2, 2), rng.randint(2, 7))
-
-        cone = Cone(base.apex, tuple(tuple(map(move, g)) for g in base.generators))
+        cone = rational_cone(random.Random(seed), 4, 7)
         assert cone.scale > 1
         for idx in combinations(range(7), 4):
             integer = determinant([cone.integer_generators[i] for i in idx])
@@ -256,6 +257,51 @@ class TestMinorTable:
         assert results == [expected] * 6
 
 
+def rational_cone(rng, d, n):
+    """A seeded cone with every generator coordinate c moved to c / s + t,
+    s and t drawn, so its generators have denominators."""
+    base = sample_cone(rng, d, n)
+
+    def move(c):
+        return c / rng.randint(1, 5) + Fraction(rng.randint(-2, 2), rng.randint(2, 7))
+
+    return Cone(base.apex, tuple(tuple(map(move, g)) for g in base.generators))
+
+
+class TestDiagonalDual:
+    """diagonal_for reads the dual off the minor table (integer_dual over
+    c_D); it must equal the cross product of the rational generators."""
+
+    @staticmethod
+    def assert_duals_match_rational_cross_products(cone):
+        diagonals = enumerate_diagonals(cone)
+        assert [diagonal.indices for diagonal in diagonals] == list(
+            combinations(range(cone.num_generators), cone.dimension - 1)
+        )
+        for diagonal in diagonals:
+            expected = generalized_cross([cone.generators[i] for i in diagonal.indices], cone.dimension)
+            assert diagonal.dual == expected
+            assert diagonal_for(cone, reversed(diagonal.indices)) == diagonal
+            if all(cone.scales[i] == 1 for i in diagonal.indices):
+                assert all(type(c) is int for c in diagonal.dual)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_integer_cones(self, d, seed):
+        cone = sample_cone(random.Random(seed), d, d + 3)
+        self.assert_duals_match_rational_cross_products(cone)
+
+    @pytest.mark.parametrize("d, n", [(2, 4), (3, 6), (4, 7)])
+    def test_rational_cones(self, d, n):
+        cone = rational_cone(random.Random(d), d, n)
+        assert cone.scale > 1
+        self.assert_duals_match_rational_cross_products(cone)
+
+    @pytest.mark.parametrize("index", range(len(TestMinorTable.DEGENERATE)))
+    def test_degenerate_cones(self, index):
+        self.assert_duals_match_rational_cross_products(TestMinorTable.DEGENERATE[index])
+
+
 def assert_duals_match_cross_products(cone):
     """integer_dual equals generalized_cross of the integer generators on
     every diagonal, degenerate ones included; returns the diagonals'
@@ -293,13 +339,7 @@ class TestIntegerDual:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_rational_cones(self, seed):
-        rng = random.Random(seed)
-        base = sample_cone(rng, 4, 7)
-
-        def move(c):
-            return c / rng.randint(1, 5) + Fraction(rng.randint(-2, 2), rng.randint(2, 7))
-
-        cone = Cone(base.apex, tuple(tuple(map(move, g)) for g in base.generators))
+        cone = rational_cone(random.Random(seed), 4, 7)
         assert cone.scale > 1
         assert_duals_match_cross_products(cone)
 

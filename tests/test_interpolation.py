@@ -22,7 +22,7 @@ from conefourier.errors import (
     RankDeficientError,
 )
 from conefourier.cones import is_general_position
-from conefourier.geometry import _reduce_rows, generalized_cross, vec_scale, veronese
+from conefourier.geometry import _reduce_rows, dot, generalized_cross, vec_scale, veronese
 from conefourier.brion import polytope_combinatorics, tangent_cone
 from conefourier.interpolation import (
     _PRIMES,
@@ -421,7 +421,10 @@ LARGE = ([10**6], range(-9, 10))
 class TestIntegerNormalForm:
     """Rows on the integer generators u_j = m_j w_j are the rational rows
     times c_D^(n-d), c_D the product of m_i over the diagonal, and the
-    values there are scale * c_D^(n-d) times p_K's."""
+    values there are scale * c_D^(n-d) times p_K's. The rational rows are
+    built from the cross product and dot products of the rational
+    generators, apart from the minor table that the rows, ``diagonal_for``
+    and ``rhs_value`` all read."""
 
     @staticmethod
     def assert_rows_rescale_rational_rows(cone):
@@ -429,10 +432,14 @@ class TestIntegerNormalForm:
         degree = cone.num_generators - cone.dimension
         assert system.scale == cone.scale == prod(cone.scales)
         for row in system.rows:
+            dual = generalized_cross([cone.generators[i] for i in row.diagonal], cone.dimension)
+            pairings = [dot(dual, w) for j, w in enumerate(cone.generators) if j not in row.diagonal]
+            value = 0 if min(pairings) < 0 < max(pairings) else (1 if pairings[0] > 0 else -1) * prod(pairings)
             diagonal = diagonal_for(cone, row.diagonal)
+            assert diagonal.dual == dual and rhs_value(cone, diagonal) == value
             factor = prod(cone.scales[i] for i in row.diagonal) ** degree
-            assert row.coefficients == tuple(factor * c for c in veronese(diagonal.dual, degree))
-            assert row.rhs == cone.scale * factor * rhs_value(cone, diagonal)
+            assert row.coefficients == tuple(factor * c for c in veronese(dual, degree))
+            assert row.rhs == cone.scale * factor * value
             assert all(type(c) is int for c in (*row.coefficients, row.rhs))
         return system
 

@@ -28,6 +28,15 @@ def test_multiply_linear_builds_product():
     assert p.coefficients == (1, 0, -1)
 
 
+@pytest.mark.parametrize("point", [(1, 1), (1, 1, 1, 3), ()])
+def test_evaluate_rejects_a_point_of_the_wrong_length(point):
+    poly = HomogeneousPolynomial(3, 1, (1, 2, 3))
+    assert poly.evaluate((1, 1, 1)) == 6
+    with pytest.raises(DimensionError) as err:
+        poly.evaluate(point)
+    assert err.value.message == f"point of length {len(point)} for a polynomial in 3 variables"
+
+
 def test_addition_requires_matching_shape():
     with pytest.raises(DimensionError):
         HomogeneousPolynomial.zero(2, 1) + HomogeneousPolynomial.zero(2, 2)

@@ -17,11 +17,12 @@ from conefourier import (
     verify_vervan,
 )
 from conefourier.errors import DimensionError, VerificationFailureError
-from conefourier.geometry import dot, vec_scale, veronese
+from conefourier.geometry import determinant, dot, generalized_cross, vec_scale, veronese
 from conefourier.sampling import sample_cone, sample_family
 from conefourier.serialize import vervan_record_to_json
 from conefourier.triangulation import expand_linear_forms
 from conefourier.cones import Cone
+from conefourier.vervan import normalize_family
 
 from conftest import random_cones, vectors
 
@@ -115,6 +116,34 @@ class TestMinor:
     def test_repeated_diagonal_rejected(self, square_cone):
         with pytest.raises(DimensionError):
             minor(square_cone, [(0, 1), (1, 0), (2, 3)])
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_minor_matches_cross_product_rows(self, rational, monkeypatch):
+        """The minor off the table equals the Fraction determinant of the
+        Veronese images of the rational generators' cross products; on an
+        integer cone the determinant it takes is all int."""
+        rng = random.Random(5)
+        cone = sample_cone(rng, 3, 6)
+        if rational:
+            moved = (tuple(c / rng.randint(1, 5) + Fraction(1, 3) for c in g) for g in cone.generators)
+            cone = Cone(cone.apex, tuple(moved))
+            assert cone.scale > 1
+        taken = []
+
+        def recording(rows):
+            taken.append(rows)
+            return determinant(rows)
+
+        monkeypatch.setattr("conefourier.vervan.determinant", recording)
+        nonzero = 0
+        for family in (normalize_family(sample_family(rng, cone)) for _ in range(8)):
+            rows = [veronese(generalized_cross([cone.generators[i] for i in member], 3), 3) for member in family]
+            assert all(type(c) is Fraction for row in rows for c in row)
+            expected = determinant(rows)
+            assert minor(cone, family) == expected and type(minor(cone, family)) is Fraction
+            nonzero += expected != 0
+            assert all(type(c) is int for row in taken[-1] for c in row) is not rational
+        assert nonzero >= 2
 
 
 class TestVerify:
