@@ -10,21 +10,24 @@ is ``Cone.scale`` times p_K and has integer coefficients, so rows, values
 and solution are ints and the solve divides by the scale once at the end.
 Values and duals are both read off the cone's minor table, each dual by
 Cramer's rule on one basis of generators (``Cone.integer_dual``), so a
-build makes at most d cross products. The system is solved by packed
-elimination modulo primes below 2^61, anchor-star rows first and as many
-primes, combined by CRT, as the coefficients need; the candidate is
-accepted only when it satisfies every row exactly.
-Otherwise, and for the pivots, exact rational elimination decides.
+build makes at most d cross products. The system is solved by elimination
+modulo primes on rows packed in 8-byte slots, the primes sized to the row
+width so that no slot overflows; anchor-star rows come first, and as many
+primes, combined by CRT, as the coefficients need. The candidate is
+accepted only when it satisfies every row exactly. Otherwise, and for the
+pivots, exact rational elimination decides.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, count
+from itertools import combinations, compress, count
 from math import prod
 from operator import mul
+from sys import byteorder
 from threading import Lock
 from typing import Iterable, Iterator, Sequence
 
@@ -37,6 +40,8 @@ from .errors import (
 )
 from .geometry import ZERO, _clear_denominators, _reduce_rows, basis_size, veronese
 from .polynomials import HomogeneousPolynomial
+
+_SLOT_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,8 @@ def build_system(cone: Cone) -> InterpolationSystem:
     return InterpolationSystem(cone.dimension, degree, tuple(rows), tuple(skipped), cone.scale)
 
 
-# Large, so that they seldom divide a minor the solve needs; any primes are sound.
-_PRIMES = [2**61 - 1]
+# One descending list per ceiling 2^k, grown on demand; any primes are sound.
+_PRIMES: dict[int, list[int]] = {}
 _PRIMES_LOCK = Lock()
 
 
@@ -137,12 +142,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime(i: int) -> int:
-    """The i-th prime down from 2^61 - 1, 0-based; each is found once per process."""
+def _prime(i: int, width: int) -> int:
+    """The i-th prime down from 2^k, 0-based, k = (64 - width.bit_length()) // 2,
+    so that ``_reduce_mod`` holds rows of ``width`` entries mod it in 8-byte
+    slots. Each is found once per process."""
+    k = (64 - width.bit_length()) // 2
     with _PRIMES_LOCK:
-        while len(_PRIMES) <= i:
-            _PRIMES.append(next(q for q in range(_PRIMES[-1] - 2, 2, -2) if _is_prime(q)))
-        return _PRIMES[i]
+        primes = _PRIMES.setdefault(k, [])
+        while len(primes) <= i:
+            start = primes[-1] - 2 if primes else (1 << k) - 1
+            primes.append(next(q for q in range(start, 2, -2) if _is_prime(q)))
+        return primes[i]
+
+
+def _pack(entries: Sequence[int]) -> int:
+    """Entries in [0, 2^64) as one int of 64-bit slots, last entry lowest."""
+    return int.from_bytes(array("Q", entries[::-1]).tobytes(), byteorder)
 
 
 def _reduce_mod(rows: Iterable[Sequence[int]], width: int, p: int) -> Iterator[tuple[int | None, list[int] | None]]:
@@ -150,34 +165,31 @@ def _reduce_mod(rows: Iterable[Sequence[int]], width: int, p: int) -> Iterator[t
     yields ``(lead, kept)`` per row, kept the reduced row over its lead
     entry, in [0, p), or ``(None, None)`` for a row that vanishes mod p.
 
-    A row is one int of W-bit slots, last entry lowest, so a pivot (zero
-    left of its lead l) is a short int, applied as ``acc += (p - f) *
-    pivot`` with f the row's slot l mod p. Slots start below p and take at
-    most ``width`` updates of at most (p-1)^2, and 2^W > p + width *
-    (p-1)^2, so none carries before the row is unpacked and reduced once.
+    A row is one int of 64-bit slots, last entry lowest, packed from and
+    unpacked to an ``array("Q")``, so a pivot (zero left of its lead l) is
+    a short int, applied as ``acc += (p - f) * pivot`` with f the row's
+    slot l mod p. Slots start below p and take at most ``width`` updates of
+    at most (p-1)^2, so none carries before the row is unpacked and reduced
+    once if p + width * (p-1)^2 < 2^64; ValueError for a larger p.
     """
-    size = ((p + width * (p - 1) ** 2).bit_length() + 7) // 8  # bytes per slot
-    bits, mask = 8 * size, (1 << 8 * size) - 1
+    if (p + width * (p - 1) ** 2) >> 64:
+        raise ValueError(f"prime {p} overflows 8-byte slots at width {width}")
     kept: list[tuple[int, int]] = []
-
-    def pack(entries: list[int]) -> int:
-        return int.from_bytes(b"".join(a.to_bytes(size, "little") for a in reversed(entries)), "little")
-
     for row in rows:
-        acc = pack([a % p for a in row])
+        acc = _pack([a % p for a in row])
         for shift, pivot in kept:
-            f = (acc >> shift & mask) % p
+            f = (acc >> shift & _SLOT_MASK) % p
             if f:
                 acc += (p - f) * pivot
-        data = acc.to_bytes(width * size, "little")
-        work = [int.from_bytes(data[j - size : j], "little") % p for j in range(width * size, 0, -size)]
-        lead = next((j for j, a in enumerate(work) if a), None)
+        work = [a % p for a in reversed(array("Q", acc.to_bytes(8 * width, byteorder)))]
+        lead = next(compress(count(), work), None)
         if lead is None:
             yield None, None
             continue
         inv = pow(work[lead], -1, p)
-        work = [a * inv % p for a in work]
-        kept.append(((width - 1 - lead) * bits, pack(work)))
+        tail = [a * inv % p for a in work[lead:]]
+        work[lead:] = tail
+        kept.append((64 * (width - 1 - lead), _pack(tail)))
         yield lead, work
 
 
@@ -188,15 +200,18 @@ def _solve_modular(system: InterpolationSystem) -> list[int] | None:
     The rows, rhs included, are read as ints (hand-built ones scaled to
     integers), those whose diagonal avoids generator 0 first: under general
     position they are the independent anchor-star family (DECISIONS.md).
-    ``_reduce_mod`` reduces them mod 2^61 - 1 until full rank, which holds
-    over Q too, so the kept square block has one solution x. Its residues
-    mod the primes so far, combined by CRT and lifted to symmetric
-    residues, are returned if they satisfy every row exactly. Otherwise
-    the block is reduced mod the next prime, until the product M of the
-    primes exceeds 2H, H the product of the block's row norms: an integral
-    x has |x_i| <= H (Cramer, Hadamard). None when a prime leaves the rank
-    short or a row with only its rhs, when a lift solves the block but not
-    another row (so the system is inconsistent), or when M > 2H.
+    ``_reduce_mod`` reduces them mod the first prime for their width
+    (``_prime``) until full rank, which holds over Q too, so the kept
+    square block B has one solution x. Its residues mod the primes so far,
+    combined by CRT and lifted to symmetric residues, are returned if they
+    satisfy every row exactly. Otherwise the block is reduced mod the next
+    prime, until the product M of the primes exceeds 2H, H the product of
+    the block's row norms: an integral x has |x_i| <= H (Cramer, Hadamard).
+    A later prime that leaves B singular divides det B, which is not zero,
+    so it is skipped; only finitely many are. None when the first prime
+    leaves the rank short or a row with only its rhs, when a lift solves
+    the block but not another row (so the system is inconsistent), or when
+    M > 2H.
     """
     unknowns = system.unknowns
     rows = []
@@ -207,18 +222,20 @@ def _solve_modular(system: InterpolationSystem) -> list[int] | None:
         rows.append(entries)
     block, residues, modulus, bound = range(len(rows)), [0] * unknowns, 1, None
     for i in count():
-        p = _prime(i)
+        p = _prime(i, unknowns + 1)
         kept = []
         for r, (lead, work) in zip(block, _reduce_mod((rows[r] for r in block), unknowns + 1, p)):
             if lead is None:
                 continue
             if lead == unknowns:
-                return None
+                break
             kept.append((r, lead, work))
             if len(kept) == unknowns:
                 break
-        else:
-            return None
+        if len(kept) < unknowns:
+            if i == 0:
+                return None
+            continue  # p divides det of the block, which is nonzero over Q
         block = [r for r, _, _ in kept]
         solution = [0] * unknowns
         for _, lead, work in sorted(kept, key=lambda k: k[1], reverse=True):

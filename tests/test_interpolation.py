@@ -2,7 +2,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import comb, prod
+from math import comb, isqrt, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,7 +38,7 @@ from conefourier.sampling import sample_cone
 
 from conftest import random_cones
 
-P = _PRIMES[0]
+P = _prime(0, 3)  # the first prime of the two-row systems below (3 entries a row)
 
 
 class TestRhsValues:
@@ -217,8 +217,8 @@ class TestModularSolve:
             ((P, 1, P + 1), (1, 0, 1), (1, 1), True),
             # The first row vanishes mod p, so the rank is short there.
             ((P, 0, P), (0, 1, 1), (1, 1), False),
-            # 2^70 lies beyond one prime's symmetric residues; the CRT lift
-            # over two primes recovers it.
+            # 2^70 lies beyond two primes' symmetric residues; the CRT lift
+            # over three recovers it.
             ((1, 0, 2**70), (0, 1, 1), (2**70, 1), True),
             # The solution is not integral, so no lift passes and the exact
             # reduction gives the Fractions.
@@ -232,6 +232,15 @@ class TestModularSolve:
         assert poly.coefficients == solution
         assert details.rank == 2
         assert details.pivots == (((0,), 0), ((1,), 1)) == exact_pivots(system)
+
+    def test_later_prime_dividing_the_block_is_skipped(self):
+        """One unknown, coefficient the second prime q and solution x = 2^40,
+        wider than the first prime: the row vanishes mod q, so q is skipped
+        and the first and third primes lift x on the modular path."""
+        q, x = _prime(1, 2), 2**40
+        system = InterpolationSystem(dimension=1, degree=1, rows=(SystemRow((0,), (q,), q * x),))
+        assert x > _prime(0, 2) and _solve_modular(system) == [x]
+        assert solve_exact(system).coefficients == (x,)
 
     @pytest.mark.parametrize("d, n", [(3, 6), (4, 8)])
     def test_pivots_are_exact_on_sampled_cones(self, d, n):
@@ -304,7 +313,9 @@ def plain_reduce_mod(rows, width, p):
 
 
 class TestPackedReduction:
-    @pytest.mark.parametrize("p", [P, _prime(1), 101])
+    # The first two primes for the widest of these systems (21 entries),
+    # which hold all three in 8-byte slots.
+    @pytest.mark.parametrize("p", [_prime(0, 21), _prime(1, 21), 101])
     @pytest.mark.parametrize("d, n, seed", [(2, 5, 1), (3, 6, 2), (4, 7, 3)])
     def test_matches_plain_reduction_on_sampled_systems(self, d, n, seed, p):
         system = build_system(sample_cone(random.Random(seed), d, n))
@@ -314,19 +325,38 @@ class TestPackedReduction:
         assert list(_reduce_mod(rows, system.unknowns + 1, p)) == expected
         assert expected[-1] == (None, None)
 
-    @pytest.mark.parametrize("unknowns", [2, 5, 126])
+    @pytest.mark.parametrize("unknowns", [2, 3, 5, 56, 126])
     def test_matches_plain_reduction_at_the_slot_bound(self, unknowns):
         """A ladder of p - 1 entries only, whose last row takes ``unknowns``
         updates, and pivots e_k + (p-1) e_rhs, which take the last row's rhs
-        slot to p - 1 + unknowns * (p-1)^2, the most a slot can reach."""
-        p = P
+        slot to p - 1 + unknowns * (p-1)^2, the most a slot can reach; p
+        the largest prime the solve takes at this width."""
         width = unknowns + 1
+        p = _prime(0, width)
         ladder = [[p - 1] * (k + 1) + [0] * (width - k - 1) for k in range(unknowns)]
         spikes = [[int(j == k) + (p - 1) * (j == unknowns) for j in range(width)] for k in range(unknowns)]
         for rows in (ladder + [[p - 1] * width], spikes + [[1] * unknowns + [p - 1]]):
             expected = list(plain_reduce_mod(rows, width, p))
             assert list(_reduce_mod(rows, width, p)) == expected
             assert [lead for lead, _ in expected] == list(range(width))
+
+    def test_primes_beyond_the_slot_bound_are_refused(self):
+        """The largest prime with p + width * (p-1)^2 < 2^64 at 127 entries,
+        above the solve's own, still matches the plain reduction on the
+        ladder; the next prime up is refused before any row is read."""
+        width = 127
+
+        def fits(q):
+            return q + width * (q - 1) ** 2 < 2**64
+
+        top = isqrt(2**64 // width) + 1
+        p = next(q for q in range(top | 1, 2, -2) if fits(q) and _is_prime(q))
+        beyond = next(q for q in range(p + 2, 2 * p, 2) if _is_prime(q))
+        assert p > _prime(0, width) and not fits(beyond)
+        ladder = [[p - 1] * (k + 1) + [0] * (width - k - 1) for k in range(width - 1)] + [[p - 1] * width]
+        assert list(_reduce_mod(ladder, width, p)) == list(plain_reduce_mod(ladder, width, p))
+        with pytest.raises(ValueError):
+            next(_reduce_mod(ladder, width, beyond))
 
     @pytest.mark.parametrize("d, n", [(3, 6), (4, 8), (5, 10)])
     def test_anchor_star_rows_reach_full_rank(self, d, n):
@@ -335,35 +365,50 @@ class TestPackedReduction:
         system = build_system(sample_cone(random.Random(1), d, n))
         anchor = [[*row.coefficients, row.rhs] for row in system.rows if 0 not in row.diagonal]
         assert len(anchor) == comb(n - 1, d - 1) == system.unknowns
-        leads = [lead for lead, _ in _reduce_mod(anchor, system.unknowns + 1, P)]
+        width = system.unknowns + 1
+        leads = [lead for lead, _ in _reduce_mod(anchor, width, _prime(0, width))]
         assert sorted(leads) == list(range(system.unknowns))
 
 
-FIRST_PRIMES = [2**61 - k for k in (1, 31, 45, 229, 259, 283)]
+# The first primes below 2^28, which the solve takes for 64..127 entries a
+# row, as at (5, 10).
+FIRST_PRIMES = [2**28 - k for k in (57, 89, 95, 119, 125, 143)]
 
 
 class TestPrimes:
     def test_first_primes(self):
-        assert [_prime(i) for i in range(6)] == FIRST_PRIMES == _PRIMES[:6]
+        assert [_prime(i, 127) for i in range(6)] == FIRST_PRIMES == _PRIMES[28][:6]
 
     def test_list_grows_once_across_threads(self):
-        saved = _PRIMES[:]
+        saved = {k: primes[:] for k, primes in _PRIMES.items()}
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            del _PRIMES[1:]
-            threads = [threading.Thread(target=lambda: results.append(_prime(5))) for _ in range(6)]
+            del _PRIMES[28][1:]
+            threads = [threading.Thread(target=lambda: results.append(_prime(5, 127))) for _ in range(6)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
-            grown = _PRIMES[:]
+            grown = _PRIMES[28][:]
         finally:
             sys.setswitchinterval(interval)
-            _PRIMES[:] = saved
+            _PRIMES.clear()
+            _PRIMES.update(saved)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [FIRST_PRIMES[5]] * 6 and grown == FIRST_PRIMES
+
+    @pytest.mark.parametrize("width", [1, 2, 57, 127, 4095, 4096, 10**6])
+    def test_primes_fit_eight_byte_slots(self, width):
+        """Each prime is prime by trial division, below its ceiling 2^k, and
+        small enough that p + width * (p-1)^2 < 2^64; the list descends."""
+        k = (64 - width.bit_length()) // 2
+        primes = [_prime(i, width) for i in range(3)]
+        assert 2 ** (k - 1) < primes[2] < primes[1] < primes[0] < 2**k
+        for p in primes:
+            assert all(p % q for q in range(2, isqrt(p) + 1))
+            assert p + width * (p - 1) ** 2 < 2**64
 
     def test_miller_rabin_matches_trial_division(self):
         def trial(n):
