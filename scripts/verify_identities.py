@@ -6,7 +6,7 @@ The minor check counts the families whose zero minor the rank bound
 predicts (see conefourier.vervan) separately from the families on which
 the bound-or-product prediction fails, which are known to occur at d >= 4.
 
-Usage: python scripts/verify_identities.py [--seed N] [--cones K]
+Usage: python scripts/verify_identities.py [--seed N] [--cones K] [--families F]
 """
 
 import argparse

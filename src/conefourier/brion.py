@@ -48,10 +48,6 @@ class Polytope:
     facets: tuple[tuple[int, ...], ...]
     adjacency: tuple[tuple[int, ...], ...]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.vertices[0])
-
 
 @dataclass(frozen=True)
 class PolytopeTransform:

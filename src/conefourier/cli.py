@@ -143,8 +143,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
     return value
 
 

@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)

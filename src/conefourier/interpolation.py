@@ -23,12 +23,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, compress, count
-from math import prod
+from math import isqrt, prod
 from operator import mul
 from sys import byteorder
-from threading import Lock
 from typing import Iterable, Iterator, Sequence
 
 from .cones import Cone, Diagonal, DiagonalKind, classify_pairings
@@ -125,34 +124,20 @@ def build_system(cone: Cone) -> InterpolationSystem:
     return InterpolationSystem(cone.dimension, degree, tuple(rows), tuple(skipped), cone.scale)
 
 
-# One descending list per ceiling 2^k, grown on demand; any primes are sound.
-_PRIMES: dict[int, list[int]] = {}
-_PRIMES_LOCK = Lock()
-
-
-def _is_prime(n: int) -> bool:
-    """Strong probable-prime test to the first 12 prime bases (Miller-Rabin),
-    which is deterministic for odd n with 37 < n < 3.3 * 10^24."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
-    d = (n - 1) >> s
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
-            return False
-    return True
+@cache
+def _prime_below(i: int, k: int) -> int:
+    """The i-th prime down from 2^k, 0-based, by trial division: k <= 31, so
+    at most 23,170 odd divisors a candidate. Threads racing on the cache
+    compute equal values; any primes are sound."""
+    start = _prime_below(i - 1, k) - 2 if i else (1 << k) - 1
+    return next(q for q in range(start, 2, -2) if all(q % f for f in range(3, isqrt(q) + 1, 2)))
 
 
 def _prime(i: int, width: int) -> int:
     """The i-th prime down from 2^k, 0-based, k = (64 - width.bit_length()) // 2,
     so that ``_reduce_mod`` holds rows of ``width`` entries mod it in 8-byte
     slots. Each is found once per process."""
-    k = (64 - width.bit_length()) // 2
-    with _PRIMES_LOCK:
-        primes = _PRIMES.setdefault(k, [])
-        while len(primes) <= i:
-            start = primes[-1] - 2 if primes else (1 << k) - 1
-            primes.append(next(q for q in range(start, 2, -2) if _is_prime(q)))
-        return primes[i]
+    return _prime_below(i, (64 - width.bit_length()) // 2)
 
 
 def _pack(entries: Sequence[int]) -> int:

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from conefourier import interpolation
+from conefourier import brion, interpolation
 from conefourier.cli import main
-from conefourier.errors import MalformedInputError
+from conefourier.errors import MalformedInputError, RankDeficientError
 from conefourier.serialize import family_from_json
 
 SQUARE_CONE = json.dumps(
@@ -240,6 +240,33 @@ def test_brion_eval_singular_point(capsys):
     code, out = run(capsys, "brion-eval", UNIT_SQUARE, "--xi", '["0","1/3"]')
     assert code == 1
     assert json.loads(out)["code"] == "SingularEvaluationPoint"
+
+
+@pytest.mark.parametrize("method", brion.METHODS)
+def test_brion_eval_tags_a_failing_cone_with_its_vertex(capsys, monkeypatch, method):
+    """A cone solve that fails at the third vertex is re-raised with the
+    1-based vertex in its context, and brion-eval prints that context."""
+    pipeline = f"pk_via_{method}"
+    compute = getattr(brion, pipeline)
+    calls = []
+
+    def third_cone_fails(cone):
+        calls.append(cone)
+        if len(calls) == 3:
+            raise RankDeficientError("rank 0 for 1 unknown", rank=0, unknowns=1)
+        return compute(cone)
+
+    monkeypatch.setattr(brion, pipeline, third_cone_fails)
+    square = brion.polytope_combinatorics(json.loads(UNIT_SQUARE)["vertices"])
+    with pytest.raises(RankDeficientError) as info:
+        brion.polytope_transform(square, method=method)
+    assert info.value.context["vertex"] == 3
+    calls.clear()
+    code, out = run(capsys, "brion-eval", UNIT_SQUARE, "--xi", '["1/3","1/5"]', "--method", method)
+    assert code == 1
+    err = json.loads(out)
+    assert err["code"] == "RankDeficient"
+    assert err["context"] == {"rank": 0, "unknowns": 1, "vertex": 3}
 
 
 def test_malformed_json_is_usage_error(capsys, tmp_path):

@@ -25,11 +25,10 @@ from conefourier.cones import is_general_position
 from conefourier.geometry import _reduce_rows, dot, generalized_cross, vec_scale, veronese
 from conefourier.brion import polytope_combinatorics, tangent_cone
 from conefourier.interpolation import (
-    _PRIMES,
     InterpolationSystem,
     SystemRow,
-    _is_prime,
     _prime,
+    _prime_below,
     _reduce_mod,
     _solve_modular,
     solve_with_details,
@@ -349,9 +348,12 @@ class TestPackedReduction:
         def fits(q):
             return q + width * (q - 1) ** 2 < 2**64
 
+        def is_prime(q):
+            return all(q % f for f in range(3, isqrt(q) + 1, 2))
+
         top = isqrt(2**64 // width) + 1
-        p = next(q for q in range(top | 1, 2, -2) if fits(q) and _is_prime(q))
-        beyond = next(q for q in range(p + 2, 2 * p, 2) if _is_prime(q))
+        p = next(q for q in range(top | 1, 2, -2) if fits(q) and is_prime(q))
+        beyond = next(q for q in range(p + 2, 2 * p, 2) if is_prime(q))
         assert p > _prime(0, width) and not fits(beyond)
         ladder = [[p - 1] * (k + 1) + [0] * (width - k - 1) for k in range(width - 1)] + [[p - 1] * width]
         assert list(_reduce_mod(ladder, width, p)) == list(plain_reduce_mod(ladder, width, p))
@@ -377,27 +379,24 @@ FIRST_PRIMES = [2**28 - k for k in (57, 89, 95, 119, 125, 143)]
 
 class TestPrimes:
     def test_first_primes(self):
-        assert [_prime(i, 127) for i in range(6)] == FIRST_PRIMES == _PRIMES[28][:6]
+        assert [_prime(i, 127) for i in range(6)] == FIRST_PRIMES
 
-    def test_list_grows_once_across_threads(self):
-        saved = {k: primes[:] for k, primes in _PRIMES.items()}
+    def test_threads_racing_on_a_cleared_cache_agree(self):
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            del _PRIMES[28][1:]
+            _prime_below.cache_clear()
             threads = [threading.Thread(target=lambda: results.append(_prime(5, 127))) for _ in range(6)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
-            grown = _PRIMES[28][:]
         finally:
             sys.setswitchinterval(interval)
-            _PRIMES.clear()
-            _PRIMES.update(saved)
         assert not any(thread.is_alive() for thread in threads)
-        assert results == [FIRST_PRIMES[5]] * 6 and grown == FIRST_PRIMES
+        assert results == [FIRST_PRIMES[5]] * 6
+        assert [_prime(i, 127) for i in range(6)] == FIRST_PRIMES
 
     @pytest.mark.parametrize("width", [1, 2, 57, 127, 4095, 4096, 10**6])
     def test_primes_fit_eight_byte_slots(self, width):
@@ -409,15 +408,6 @@ class TestPrimes:
         for p in primes:
             assert all(p % q for q in range(2, isqrt(p) + 1))
             assert p + width * (p - 1) ** 2 < 2**64
-
-    def test_miller_rabin_matches_trial_division(self):
-        def trial(n):
-            return all(n % q for q in range(3, int(n**0.5) + 1, 2))
-
-        # 2047, 3277, 4033 and 4681 are strong pseudoprimes to base 2
-        odd = range(39, 5001, 2)
-        assert [n for n in odd if _is_prime(n)] == [n for n in odd if trial(n)]
-        assert not _is_prime(2**61 + 1) and not _is_prime((2**31 - 1) ** 2)
 
 
 class TestBeyondOnePrime:
