@@ -17,7 +17,9 @@ w_j times the lcm m_j of its denominators, the integer vector
 u_j = m_j w_j (``Cone.integer_generators``, ``Cone.scales``). On an integer
 cone u = w. A minor of u is the minor of w times the m_j of its rows, so it
 has the same sign, and the pipelines compute on u in ``int`` and divide
-p_K by ``Cone.scale`` = prod m_j once at the end.
+p_K by ``Cone.scale`` = prod m_j once at the end. The whole table is filled
+on first read by one sweep (``geometry.maximal_minors``), which shares the
+sub-minors between the C(n, d) minors; every reader then indexes it.
 """
 
 from __future__ import annotations
@@ -38,21 +40,21 @@ from .errors import (
     ZeroGeneratorError,
 )
 from .feasibility import conic_combination, interior_witness
-from .geometry import Vector, _clear_denominators, as_vector, determinant, dot, generalized_cross, is_zero_vector
+from .geometry import Vector, _clear_denominators, as_vector, dot, generalized_cross, is_zero_vector, maximal_minors
 
 
 @dataclass(frozen=True)
 class Cone:
     """An apex and n >= d generator rays, all rational. The integer-normal
     form (``integer_generators``, ``scales``), the table of its maximal
-    minors and the basis ``integer_dual`` reads are derived from the
-    generators and left out of equality, hashing and repr."""
+    minors (all of them, by one sweep on first read) and the basis
+    ``integer_dual`` reads are derived from the generators and left out of
+    equality, hashing and repr."""
 
     apex: Vector
     generators: tuple[Vector, ...]
     integer_generators: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     scales: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _minors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "apex", as_vector(self.apex))
@@ -91,18 +93,23 @@ class Cone:
         """prod m_j: the numerator of the integer generators is this times p_K."""
         return prod(self.scales)
 
+    @cached_property
+    def _minors(self) -> dict[tuple[int, ...], int]:
+        """The cone's one table of minors: the determinant of the integer
+        generators at every sorted d-subset, rows in that order, in
+        ``combinations`` order. Filled by one sweep on first read and kept;
+        threads racing on the first read store equal tables."""
+        return maximal_minors(self.integer_generators)
+
     def integer_minor(self, indices: Sequence[int]) -> int:
-        """det of the integer generators at the given indices, rows in that
-        order (callers pass sorted d-subsets): the cone's one table of
-        minors, each computed on first use and kept."""
-        key = tuple(indices)
-        if key not in self._minors:
-            self._minors[key] = determinant([self.integer_generators[i] for i in key])
-        return self._minors[key]
+        """det of the integer generators at the sorted d-subset ``indices``,
+        rows in that order: an entry of the table (KeyError for any other
+        key)."""
+        return self._minors[tuple(indices)]
 
     def maximal_minor(self, indices: Sequence[int]) -> int | Fraction:
-        """det of the generators at the given indices: the integer minor
-        over the scales of its rows, an int when they are all 1."""
+        """det of the generators at the sorted d-subset ``indices``: the
+        integer minor over the scales of its rows, an int when they are all 1."""
         value = self.integer_minor(indices)
         scale = prod(self.scales[i] for i in indices)
         return value if scale == 1 else Fraction(value, scale)
@@ -113,12 +120,13 @@ class Cone:
         times (-1)^#{i in D : i > j}. Each has the sign of the rational
         pairing; their product is the integer numerator at the integer dual."""
         members = tuple(diagonal)
+        minors = self._minors
         values = []
         # _pairing inlined: this loop runs on every diagonal of both pipelines
         for j in range(self.num_generators):
             if j not in members:
                 k = bisect(members, j)
-                value = self.integer_minor(members[:k] + (j,) + members[k:])
+                value = minors[members[:k] + (j,) + members[k:]]
                 values.append(-value if (len(members) - k) % 2 else value)
         return tuple(values)
 
@@ -146,11 +154,8 @@ class Cone:
         order, with a nonzero minor, or None when there is none. duals[k] is
         dual(S - s_k) times the sign of its pairing with u_{s_k}, which is
         +-det u_S. Derived on first use and kept, like the table."""
-        for subset in combinations(range(self.num_generators), self.dimension):
-            minor = self.integer_minor(subset)
-            if minor:
-                break
-        else:
+        subset, minor = next(((s, m) for s, m in self._minors.items() if m), (None, 0))
+        if not minor:
             return None
         duals = []
         for k, s in enumerate(subset):
@@ -165,7 +170,7 @@ class Cone:
         entries at its basis; reading the whole tuple there instead made the
         ``cones-large`` benchmark's op_p50_s about 3% slower (2-core Xeon)."""
         k = bisect(members, j)
-        value = self.integer_minor(members[:k] + (j,) + members[k:])
+        value = self._minors[members[:k] + (j,) + members[k:]]
         return -value if (len(members) - k) % 2 else value
 
 
@@ -208,6 +213,15 @@ def diagonal_for(cone: Cone, indices: Iterable[int]) -> Diagonal:
     """Build the diagonal on the given (d-1) generator indices. Its dual,
     their cross product, is ``Cone.integer_dual`` over the product c_D of
     their scales (the cross product is multilinear): ints when c_D = 1."""
+    idx = _diagonal_indices(cone, indices)
+    dual = cone.integer_dual(idx)
+    scale = prod(cone.scales[i] for i in idx)
+    return Diagonal(idx, dual if scale == 1 else tuple(Fraction(c, scale) for c in dual))
+
+
+def _diagonal_indices(cone: Cone, indices: Iterable[int]) -> tuple[int, ...]:
+    """The given generator indices, sorted, once they are checked to be
+    d-1 distinct indices of the cone's generators."""
     idx = tuple(sorted(indices))
     wire = tuple(i + 1 for i in idx)  # 1-based, as on the wire
     if len(set(idx)) != len(idx):
@@ -218,9 +232,7 @@ def diagonal_for(cone: Cone, indices: Iterable[int]) -> Diagonal:
         )
     if idx and (idx[0] < 0 or idx[-1] >= cone.num_generators):
         raise DimensionError(f"diagonal indices {wire} out of range", diagonal=wire, generators=cone.num_generators)
-    dual = cone.integer_dual(idx)
-    scale = prod(cone.scales[i] for i in idx)
-    return Diagonal(idx, dual if scale == 1 else tuple(Fraction(c, scale) for c in dual))
+    return idx
 
 
 def enumerate_diagonals(cone: Cone) -> tuple[Diagonal, ...]:
@@ -251,11 +263,9 @@ def classify_pairings(pairings: Iterable[Fraction]) -> DiagonalClass:
 
 
 def is_general_position(cone: Cone) -> bool:
-    """True when every d-subset of generators is linearly independent."""
-    return all(
-        cone.integer_minor(idx) != 0
-        for idx in combinations(range(cone.num_generators), cone.dimension)
-    )
+    """True when every d-subset of generators is linearly independent: no
+    entry of the minor table is zero."""
+    return all(cone._minors.values())
 
 
 def validate_cone(cone: Cone) -> ValidationReport:

@@ -2,9 +2,10 @@
 
 Scalars are Python ``int`` or ``fractions.Fraction`` values, so every
 operation in this module is exact; floats are refused. ``determinant``,
-``generalized_cross`` and ``veronese`` keep integer input on ``int``
-arithmetic and return ints for it, which is what the integer-normal form of
-a cone (``Cone.integer_generators``) runs on; other input gives Fractions.
+``maximal_minors``, ``generalized_cross`` and ``veronese`` keep integer
+input on ``int`` arithmetic and return ints for it, which is what the
+integer-normal form of a cone (``Cone.integer_generators``) runs on; other
+input gives Fractions.
 Vectors are plain tuples, matrices are sequences of equal-length row
 vectors, and nothing here mutates its inputs.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -138,6 +140,42 @@ def determinant(rows: Sequence[Sequence]) -> int | Fraction:
         previous = pivot
     result = sign * m[-1][-1] if n else 1
     return result if scale is None else Fraction(result, scale)
+
+
+def maximal_minors(rows: Sequence[Sequence]) -> dict[tuple[int, ...], int | Fraction]:
+    """{S: det of the rows at S, in S's order} for every sorted d-subset S of
+    the rows of an n x d matrix, in ``combinations`` order; ints for int
+    input. Computed level by level by Laplace expansion along column k-1:
+    the minor M_k(R) on the sorted rows R and the first k columns is
+
+        M_k(R) = sum over p of (-1)^(p+k-1) a[R_p][k-1] M_{k-1}(R - R_p),
+
+    so all minors share their sub-minors and the sweep costs
+    sum_k k C(n, k) multiply-adds, where one determinant per minor costs
+    C(n, d) O(d^3). Zero entries and zero sub-minors are skipped. No rows
+    give {(): 1}, the empty minor."""
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise DimensionError(f"maximal minors need rows of one length, got {[len(r) for r in rows]}")
+    previous = {(): 1}
+    for k in range(1, width + 1):
+        plus = [row[k - 1] for row in rows]
+        minus = [-a for a in plus]
+        current = {}
+        for subset in combinations(range(len(rows)), k):
+            # combinations(subset, k - 1) drops subset[k-1], ..., subset[0] in
+            # turn, so the signs (-1)^(p+k-1) alternate from +.
+            total, positive = 0, True
+            for r, rest in zip(reversed(subset), combinations(subset, k - 1)):
+                a = plus[r] if positive else minus[r]
+                positive = not positive
+                if a:
+                    sub = previous[rest]
+                    if sub:
+                        total += a * sub
+            current[subset] = total
+        previous = current
+    return previous
 
 
 def generalized_cross(vectors: Sequence[Sequence], dimension: int | None = None) -> Vector:

@@ -202,7 +202,7 @@ def _solve_modular(system: InterpolationSystem) -> list[int] | None:
     rows = []
     for row in sorted(system.rows, key=lambda r: 0 in r.diagonal):
         entries = [*row.coefficients, row.rhs]
-        if any(type(c) is not int for c in entries):
+        if set(map(type, entries)) != {int}:
             entries, _ = _clear_denominators(entries)
         rows.append(entries)
     block, residues, modulus, bound = range(len(rows)), [0] * unknowns, 1, None

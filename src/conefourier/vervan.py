@@ -2,8 +2,8 @@
 
 The maximal minors of the interpolation matrix factor combinatorially.
 Take a family of N = C(n-1, d-1) diagonals. Its minor, the determinant of
-the Veronese images of their duals (read off the cone's minor table by
-``diagonal_for``), is predicted in two branches.
+the Veronese images of their duals (read off the cone's minor table, in
+``int``, by ``Cone.integer_dual``), is predicted in two branches.
 
 Rank bound (minor 0). Take a set T of at most n-d generators. Every family
 member that meets T has its dual on the union of the hyperplanes w_t^perp,
@@ -38,12 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
-from .cones import Cone, diagonal_for
+from .cones import Cone, _diagonal_indices
 from .errors import DimensionError, VerificationFailureError
-from .geometry import ONE, ZERO, Vector, as_scalar, as_vector, determinant, dot, veronese
+from .geometry import ONE, ZERO, Vector, as_vector, determinant, dot, veronese
 from .triangulation import expand_linear_forms
 
 Family = tuple[tuple[int, ...], ...]
@@ -94,15 +94,20 @@ def vanishing_witness(family: Sequence[Sequence[int]], num_generators: int) -> t
 
 def minor(cone: Cone, family: Sequence[Sequence[int]]) -> Fraction:
     """Determinant of the square matrix of Veronese-expanded duals, one
-    row per family diagonal in lexicographic order; in ``int`` on an
-    integer cone, whose duals (``diagonal_for``) are ints."""
+    row per family diagonal in lexicographic order. It is taken in ``int``
+    on the integer duals (``Cone.integer_dual``), each c_D times the dual
+    of ``diagonal_for``, c_D the product of the diagonal's scales. The
+    Veronese map is homogeneous of degree n - d, so that determinant is the
+    minor times prod c_D^(n-d), and is divided by it once."""
     fam = normalize_family(family)
     n, d = cone.num_generators, cone.dimension
     expected = comb(n - 1, d - 1)
     if len(fam) != expected:
         raise DimensionError(f"family needs {expected} diagonals, got {len(fam)}")
-    rows = [veronese(diagonal_for(cone, idx).dual, n - d) for idx in fam]
-    return as_scalar(determinant(rows))
+    members = [_diagonal_indices(cone, idx) for idx in fam]
+    rows = [veronese(cone.integer_dual(idx), n - d) for idx in members]
+    scale = prod(cone.scales[i] for idx in members for i in idx)
+    return Fraction(determinant(rows), scale ** (n - d))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,17 @@ def random_cones(draw, dims=(2, 3), extras=(0, 1, 2)):
     return sample_cone(random.Random(seed), d, n)
 
 
+def rational_cone(rng, d, n):
+    """A seeded cone with every generator coordinate c moved to c / s + t,
+    s and t drawn, so its generators have denominators."""
+    base = sample_cone(rng, d, n)
+
+    def move(c):
+        return c / rng.randint(1, 5) + Fraction(rng.randint(-2, 2), rng.randint(2, 7))
+
+    return Cone(base.apex, tuple(tuple(map(move, g)) for g in base.generators))
+
+
 @pytest.fixture
 def fan_cone():
     """First quadrant in 2D with a redundant middle ray."""

@@ -359,7 +359,7 @@ def test_bench_gives_each_pipeline_a_fresh_cone(capsys, monkeypatch):
 
     def recording(name, pipeline):
         def run_pipeline(cone):
-            seen.append((name, cone, dict(cone._minors), "_dual_basis" in vars(cone)))
+            seen.append((name, cone, "_minors" in vars(cone), "_dual_basis" in vars(cone)))
             return pipeline(cone)
 
         return run_pipeline
@@ -370,7 +370,7 @@ def test_bench_gives_each_pipeline_a_fresh_cone(capsys, monkeypatch):
     assert code == 0
     assert [pipeline for pipeline, *_ in seen] == ["triangulation", "interpolation"] * 12
     assert len({id(cone) for _, cone, _, _ in seen}) == 24
-    assert all(table == {} and not basis for _, _, table, basis in seen)
+    assert all(not table and not basis for _, _, table, basis in seen)
 
 
 def test_transform_verbose_reports_scale_of_rational_cone(capsys):

@@ -2,7 +2,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -24,11 +24,11 @@ from conefourier.errors import (
     ZeroGeneratorError,
 )
 from conefourier.cones import classify_pairings
-from conefourier.geometry import determinant, dot, generalized_cross, vec_scale
+from conefourier.geometry import determinant, dot, generalized_cross, maximal_minors, vec_scale
 from conefourier.sampling import sample_cone
 from conefourier.triangulation import pk_via_triangulation
 
-from conftest import random_cones
+from conftest import random_cones, rational_cone
 
 
 class TestConstruction:
@@ -214,20 +214,34 @@ class TestMinorTable:
             assert cone.maximal_minor(idx) == determinant(rows) == Fraction(integer, prod(cone.scales[i] for i in idx))
         self.assert_pairings_match_duals(cone)
 
+    def test_rational_box_table_is_the_determinants(self):
+        """The cone over a rational 4-box, whose lifted vertices make a
+        zero-heavy (5, 16) table: every entry, read through the cone, is the
+        determinant of its rows in the sorted subset's order."""
+        sides = (Fraction(2), Fraction(3, 2), Fraction(5), Fraction(7, 3))
+        vertices = [tuple(s if bit else 0 for s, bit in zip(sides, bits)) for bits in product((0, 1), repeat=4)]
+        cone = Cone((0,) * 5, tuple((1, *v) for v in vertices))
+        assert cone.scale > 1
+        for idx in combinations(range(16), 5):
+            integer = determinant([cone.integer_generators[i] for i in idx])
+            assert cone.integer_minor(idx) == integer
+            assert cone.maximal_minor(idx) == determinant([cone.generators[i] for i in idx])
+        assert not is_general_position(cone)
+
     def test_minor_computed_once(self, square_cone, monkeypatch):
         calls = []
 
         def counting(rows):
             calls.append(rows)
-            return determinant(rows)
+            return maximal_minors(rows)
 
-        monkeypatch.setattr("conefourier.cones.determinant", counting)
+        monkeypatch.setattr("conefourier.cones.maximal_minors", counting)
         assert is_general_position(square_cone)
-        assert len(calls) == 4
+        assert len(calls) == 1
         for diagonal in enumerate_diagonals(square_cone):
             classify_diagonal(square_cone, diagonal)
         assert square_cone.maximal_minor([0, 1, 2]) == 2
-        assert len(calls) == 4
+        assert len(calls) == 1
 
     def test_table_leaves_equality_and_hash_alone(self, square_cone):
         fresh = Cone(square_cone.apex, square_cone.generators)
@@ -255,17 +269,6 @@ class TestMinorTable:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * 6
-
-
-def rational_cone(rng, d, n):
-    """A seeded cone with every generator coordinate c moved to c / s + t,
-    s and t drawn, so its generators have denominators."""
-    base = sample_cone(rng, d, n)
-
-    def move(c):
-        return c / rng.randint(1, 5) + Fraction(rng.randint(-2, 2), rng.randint(2, 7))
-
-    return Cone(base.apex, tuple(tuple(map(move, g)) for g in base.generators))
 
 
 class TestDiagonalDual:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
@@ -11,6 +11,7 @@ from conefourier.geometry import (
     determinant,
     dot,
     generalized_cross,
+    maximal_minors,
     monomial_basis,
     vec_scale,
     veronese,
@@ -96,6 +97,64 @@ def test_bareiss_matches_permutation_expansion(kind, d, data):
 )
 def test_determinant_zero_pivots(rows, expected):
     assert determinant(rows) == expected == permutation_determinant(rows)
+
+
+def all_determinants(rows, d):
+    """The oracle for ``maximal_minors``: one Bareiss determinant per sorted
+    d-subset, rows in the subset's order."""
+    return {subset: determinant([rows[i] for i in subset]) for subset in combinations(range(len(rows)), d)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@given(data=st.data())
+def test_maximal_minors_match_determinants(d, data):
+    n = d + data.draw(st.integers(0, 4))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    rows = [[data.draw(entry) for _ in range(d)] for _ in range(n)]
+    if data.draw(st.booleans()):
+        column = data.draw(st.integers(0, d - 1))
+        for row in rows:
+            row[column] = 0
+    if n > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = list(rows[i])
+    if n > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        factor = data.draw(st.integers(-5, 5))
+        rows[j] = [factor * a for a in rows[i]]
+    minors = maximal_minors(rows)
+    assert minors == all_determinants(rows, d)
+    assert list(minors) == list(combinations(range(n), d))
+    assert all(type(value) is int for value in minors.values())
+
+
+def test_maximal_minors_on_the_lifted_unit_cube():
+    """The cone over the unit 4-cube: half of the lifted vertices' entries
+    are 0, and 1,360 of the 4,368 minors, those of coplanar 5-subsets."""
+    rows = [(1, *v) for v in product((0, 1), repeat=4)]
+    minors = maximal_minors(rows)
+    assert minors == all_determinants(rows, 5)
+    assert len(minors) == 4368
+    assert sum(1 for value in minors.values() if not value) == 1360
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([], {(): 1}),
+        ([(1, 2)], {}),
+        ([(0, 1), (1, 0)], {(0, 1): -1}),
+        ([(3,), (0,), (-2,)], {(0,): 3, (1,): 0, (2,): -2}),
+        ([(0, 1), (1, 0), (1, 1)], {(0, 1): -1, (0, 2): -1, (1, 2): 1}),
+    ],
+)
+def test_maximal_minors_keep_the_sorted_row_order(rows, expected):
+    assert maximal_minors(rows) == expected
+
+
+def test_maximal_minors_reject_ragged_rows():
+    with pytest.raises(DimensionError):
+        maximal_minors([(1, 2), (3,)])
 
 
 def test_generalized_cross_2d():

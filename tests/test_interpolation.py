@@ -232,6 +232,18 @@ class TestModularSolve:
         assert details.rank == 2
         assert details.pivots == (((0,), 0), ((1,), 1)) == exact_pivots(system)
 
+    def test_bool_and_fraction_rows_are_scaled_to_ints(self):
+        system = InterpolationSystem(
+            dimension=2,
+            degree=1,
+            rows=(
+                SystemRow((0,), (True, False), 3),
+                SystemRow((1,), (0, Fraction(1, 2)), Fraction(5, 2)),
+            ),
+        )
+        assert _solve_modular(system) == [3, 5]
+        assert solve_exact(system).coefficients == (3, 5)
+
     def test_later_prime_dividing_the_block_is_skipped(self):
         """One unknown, coefficient the second prime q and solution x = 2^40,
         wider than the first prime: the row vanishes mod q, so q is skipped

@@ -24,7 +24,7 @@ from conefourier.triangulation import expand_linear_forms
 from conefourier.cones import Cone
 from conefourier.vervan import normalize_family
 
-from conftest import random_cones, vectors
+from conftest import random_cones, rational_cone, vectors
 
 
 FAM_FILLING = [(0, 1), (1, 2), (2, 3)]
@@ -120,8 +120,8 @@ class TestMinor:
     @pytest.mark.parametrize("rational", [False, True])
     def test_minor_matches_cross_product_rows(self, rational, monkeypatch):
         """The minor off the table equals the Fraction determinant of the
-        Veronese images of the rational generators' cross products; on an
-        integer cone the determinant it takes is all int."""
+        Veronese images of the rational generators' cross products; the
+        determinant it takes is all int, on a rational cone too."""
         rng = random.Random(5)
         cone = sample_cone(rng, 3, 6)
         if rational:
@@ -142,8 +142,26 @@ class TestMinor:
             expected = determinant(rows)
             assert minor(cone, family) == expected and type(minor(cone, family)) is Fraction
             nonzero += expected != 0
-            assert all(type(c) is int for row in taken[-1] for c in row) is not rational
+            assert all(type(c) is int for row in taken[-1] for c in row)
         assert nonzero >= 2
+
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_minor_on_rational_cones_matches_the_fraction_path(self, seed):
+        """On cones whose generators have denominators, the int determinant
+        over prod c_D^(n-d) equals the determinant of the Fraction duals'
+        Veronese rows."""
+        rng = random.Random(seed)
+        cone = rational_cone(rng, 4, 7)
+        assert cone.scale > 1
+        for _ in range(3):
+            family = normalize_family(sample_family(rng, cone))
+            rows = [veronese(diagonal_for(cone, member).dual, 3) for member in family]
+            assert minor(cone, family) == determinant(rows)
+
+    def test_minor_checks_each_diagonal(self, square_cone):
+        with pytest.raises(DimensionError, match="out of range"):
+            minor(square_cone, [(0, 1), (1, 2), (2, 8)])
 
 
 class TestVerify:
