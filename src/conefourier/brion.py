@@ -2,8 +2,9 @@
 
 The transform of a polytope is the sum over its vertices of the transforms
 of the tangent cones there (Brion decomposition). Each tangent cone
-contributes an exact numerator polynomial over its generator linear forms;
-only the final evaluation leaves rational arithmetic.
+contributes an exact numerator polynomial over its generator linear forms.
+Evaluation computes each term's rational part exactly, in ``int`` on the
+term's integer form, and only converts it to floating point at the end.
 
 Evaluation uses the analysis convention with kernel e^{2 pi i <x, xi>}:
 
@@ -19,7 +20,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from .cones import Cone
@@ -31,7 +34,7 @@ from .errors import (
     NotFullDimensionalError,
     SingularEvaluationPointError,
 )
-from .geometry import Vector, as_vector, dot, vec_sub
+from .geometry import Vector, _clear_denominators, as_vector, vec_sub, veronese
 from .interpolation import pk_via_interpolation
 from .triangulation import ConicTransform, pk_via_triangulation
 
@@ -191,15 +194,41 @@ def evaluation_point(xi: Sequence, dimension: int) -> Vector:
 
 def _unscaled_terms(transform: PolytopeTransform, point: Vector):
     """Each term's p_K(xi) e^{2 pi i <v, xi>} / prod(<w, xi>) in vertex
-    order, after checking every term's linear forms for a zero at xi."""
+    order, after checking every term's linear forms for a zero at xi.
+
+    The exact part runs in ``int`` on the terms' integer forms
+    (``ConicTransform.integer_form``). With xi = eta / L, eta integral,
+    u_j = m_j w_j, C = prod m_j and p_K = a / D, and p_K of degree n - d,
+
+        p_K(xi) / prod <w_j, xi> = a(eta) C L^d / (D prod <u_j, eta>).
+
+    Each <u_j, eta> is computed once, for the guard and for the product,
+    and the Veronese image of eta once per numerator degree. The ratio, and
+    the phase <v, xi>, are made Fractions of those ints: the same rationals
+    as in ``Fraction`` arithmetic, so their floats, correctly rounded, are
+    the same doubles.
+    """
+    eta, lcm = _clear_denominators(point)
+    d = len(eta)
+    checked = []
     for term in transform.terms:
-        for w in term.generators:
-            if dot(w, point) == 0:
-                raise SingularEvaluationPointError(
-                    "a generator linear form vanishes at the evaluation point",
-                    vertex=tuple(str(c) for c in term.apex),
-                    generator=tuple(str(c) for c in w),
-                )
-    for term in transform.terms:
-        ratio = term.numerator.evaluate(point) / math.prod(dot(w, point) for w in term.generators)
-        yield float(ratio) * cmath.exp(2j * math.pi * float(dot(term.apex, point)))
+        form = term.integer_form
+        if len(term.apex) != d:
+            raise DimensionError(f"a term in dimension {len(term.apex)} at a point of length {d}")
+        values = [sum(map(mul, u, eta)) for u in form[0]]
+        if not all(values):
+            raise SingularEvaluationPointError(
+                "a generator linear form vanishes at the evaluation point",
+                vertex=tuple(str(c) for c in term.apex),
+                generator=tuple(str(c) for c in term.generators[values.index(0)]),
+            )
+        checked.append((form, math.prod(values)))
+    images = {}
+    for (generators, scale, coefficients, denominator, apex, apex_scale), product in checked:
+        degree = len(generators) - d
+        if degree not in images:
+            images[degree] = veronese(eta, degree)
+        value = sum(map(mul, coefficients, images[degree]))
+        ratio = Fraction(value * scale * lcm**d, denominator * product)
+        phase = Fraction(sum(map(mul, apex, eta)), apex_scale * lcm)
+        yield float(ratio) * cmath.exp(2j * math.pi * float(phase))

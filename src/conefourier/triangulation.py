@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import prod
 from typing import Sequence
 
 from .cones import Cone, DiagonalKind, classify_pairings, is_general_position
 from .errors import DimensionError, NotGenericError, SingularSimplexError
-from .geometry import Vector, _exact, basis_size
+from .geometry import Vector, _clear_denominators, _exact, basis_size
 from .polynomials import HomogeneousPolynomial, _times_linear
 
 
@@ -34,11 +36,36 @@ class Triangulation:
 class ConicTransform:
     """The exact data of a cone's Fourier transform: the numerator
     polynomial over the product of generator linear forms, with the phase
-    factor attached to the apex."""
+    factor attached to the apex. Its integer form (``integer_form``) is
+    derived on first read and left out of equality, hashing and repr."""
 
     apex: Vector
     generators: tuple[Vector, ...]
     numerator: HomogeneousPolynomial
+
+    @cached_property
+    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...], int, tuple[int, ...], int]:
+        """(u, C, a, D, v, m): each generator w_j as u_j = m_j w_j and
+        C = prod m_j (``_clear_denominators``, as ``Cone`` does), the
+        numerator's coefficients as a / D, and the apex as v / m, all ints.
+        A float coordinate is a TypeError, and a numerator whose dimension
+        or degree (n - d) does not fit the generators a DimensionError."""
+        d, n, p = len(self.apex), len(self.generators), self.numerator
+        if (p.dimension, p.degree) != (d, n - d) or any(len(w) != d for w in self.generators):
+            raise DimensionError(
+                f"a degree-{p.degree} numerator in {p.dimension} variables does not fit {n} generators in dimension {d}"
+            )
+        forms = [_clear_denominators(w) for w in self.generators]
+        coefficients, denominator = _clear_denominators(self.numerator.coefficients)
+        apex, apex_scale = _clear_denominators(self.apex)
+        return (
+            tuple(tuple(u) for u, _ in forms),
+            prod(m for _, m in forms),
+            tuple(coefficients),
+            denominator,
+            tuple(apex),
+            apex_scale,
+        )
 
 
 def pulling_triangulation(cone: Cone, anchor: int = 0) -> Triangulation:

@@ -12,7 +12,7 @@ from conefourier import (
     polytope_transform,
     tangent_cone,
 )
-from conefourier.brion import per_term_values
+from conefourier.brion import PolytopeTransform, per_term_values
 from conefourier.errors import (
     ConeFourierError,
     DegenerateVertexError,
@@ -22,7 +22,9 @@ from conefourier.errors import (
     SingularEvaluationPointError,
 )
 from conefourier.geometry import dot, generalized_cross, is_zero_vector, vec_sub
+from conefourier.polynomials import HomogeneousPolynomial
 from conefourier.sampling import sample_nonsingular_point
+from conefourier.triangulation import ConicTransform
 
 
 def box_closed_form(sides, xi):
@@ -173,6 +175,17 @@ class TestFacetSearch:
             outcomes.append(want[0])
         # a rectangle's edges are simplicial; a box's facets are not from d = 3
         assert outcomes[:5] == ["ok", "DegenerateVertex", "ok", "ok", "ok" if d == 2 else "NonSimplicialFacet"]
+
+    def test_rational_4_box(self):
+        """The lifted rational 4-box: a (5, 16) minor table, a third of it
+        zero, read through the pairing table."""
+        sides = (Fraction(2), Fraction(3, 2), Fraction(5), Fraction(7, 3))
+        P = polytope_combinatorics(box_vertices(sides), allow_nonsimplicial=True)
+        assert len(P.facets) == 8 and all(len(facet) == 8 for facet in P.facets)
+        for axis in range(4):
+            for side in (0, sides[axis]):
+                facet = tuple(i for i, v in enumerate(P.vertices) if v[axis] == side)
+                assert facet in P.facets
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_cyclic_polytope_facet_count_d3(self, n):
@@ -332,3 +345,95 @@ class TestEvaluation:
             lhs = evaluate_transform(T, minus)
             rhs = evaluate_transform(T, xi).conjugate()
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
+
+
+def reference_terms(transform, xi):
+    """The Fraction evaluation, written apart from the program: each term's
+    p(xi) / prod <w, xi> as a Fraction, then float, times the phase."""
+    point = tuple(map(Fraction, xi))
+    out = []
+    for term in transform.terms:
+        ratio = term.numerator.evaluate(point) / math.prod(dot(w, point) for w in term.generators)
+        out.append(float(ratio) * cmath.exp(2j * math.pi * float(dot(term.apex, point))))
+    return out
+
+
+def assert_matches_reference(transform, xi):
+    """evaluate_transform and per_term_values give the reference's doubles,
+    signs of zero included."""
+    terms = reference_terms(transform, xi)
+    scale = (-2j * math.pi) ** len(xi)
+    assert repr(evaluate_transform(transform, xi)) == repr(sum(terms, 0j) / scale)
+    assert list(map(repr, per_term_values(transform, xi))) == [repr(value / scale) for value in terms]
+
+
+class TestIntegerEvaluation:
+    """Evaluation runs on the terms' integer forms; every double must be
+    the one the Fraction formula gives."""
+
+    @staticmethod
+    def polytopes(rng):
+        for d in (3, 4):
+            yield moment_curve(sorted(rng.sample(range(-9, 10), d + 3)), d), False
+        yield box_vertices([Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(4)]), True
+        axes = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(3)]
+        yield [tuple(s * a if k == i else 0 for k in range(3)) for i, a in enumerate(axes) for s in (1, -1)], False
+
+    @pytest.mark.parametrize("method", ["triangulation", "interpolation"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equals_the_fraction_formula(self, method, seed):
+        """Points with denominators up to 10^12; a draw on a generator
+        hyperplane is drawn again."""
+        rng = random.Random(seed)
+        for vertices, allow in self.polytopes(rng):
+            T = polytope_transform(polytope_combinatorics(vertices, allow_nonsimplicial=allow), method)
+            gens = [g for term in T.terms for g in term.generators]
+            for exponent in (0, 3, 6, 12):
+                for _ in range(3):
+                    while True:
+                        den = rng.randint(1, 10**exponent)
+                        xi = tuple(Fraction(rng.randint(-9 * den, 9 * den), rng.randint(1, den)) for _ in vertices[0])
+                        if all(dot(g, xi) for g in gens):
+                            break
+                    assert_matches_reference(T, xi)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_unit_cube_near_the_origin(self, k):
+        """The points of the ROADMAP's precision table: their values, poor as
+        they are at large k, are unchanged."""
+        T = polytope_transform(polytope_combinatorics(box_vertices([1, 1, 1]), allow_nonsimplicial=True))
+        assert_matches_reference(T, tuple(Fraction(c, 10**k) for c in (1, 2, 3)))
+
+    def test_singular_point_context(self):
+        sides = [Fraction(3, 2), Fraction(5, 7)]
+        T = polytope_transform(polytope_combinatorics(box_vertices(sides)))
+        for evaluate in (evaluate_transform, per_term_values):
+            with pytest.raises(SingularEvaluationPointError) as err:
+                evaluate(T, (Fraction(1, 3), 0))
+            assert err.value.context == {"vertex": ("0", "0"), "generator": ("0", "5/7")}
+
+    def test_hand_built_term_with_int_generators(self):
+        """The quadrant: degree-0 numerator 1, int generators and apex."""
+        term = ConicTransform((1, 2), ((1, 0), (0, 1)), HomogeneousPolynomial.constant(2, 1))
+        T = PolytopeTransform((term,))
+        xi = (Fraction(1, 3), Fraction(-2, 7))
+        assert_matches_reference(T, xi)
+        expected = cmath.exp(2j * math.pi * (1 / 3 - 4 / 7)) / ((1 / 3) * (-2 / 7)) / (-2j * math.pi) ** 2
+        assert abs(evaluate_transform(T, xi) - expected) <= 1e-12 * abs(expected)
+
+    def test_float_generator_is_refused(self):
+        term = ConicTransform((0, 0), ((1.5, 0), (0, 1)), HomogeneousPolynomial.constant(2, 1))
+        with pytest.raises(TypeError):
+            evaluate_transform(PolytopeTransform((term,)), (Fraction(1, 3), Fraction(1, 5)))
+
+    def test_numerator_must_fit_the_generators(self):
+        term = ConicTransform((0, 0), ((1, 0), (0, 1)), HomogeneousPolynomial(2, 1, (1, 1)))
+        with pytest.raises(DimensionError):
+            evaluate_transform(PolytopeTransform((term,)), (Fraction(1, 3), Fraction(1, 5)))
+
+    def test_integer_form_is_not_a_field(self, octahedron_vertices):
+        P = polytope_combinatorics(octahedron_vertices)
+        T, fresh = polytope_transform(P), polytope_transform(P)
+        evaluate_transform(T, (Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)))
+        assert "integer_form" in vars(T.terms[0]) and "integer_form" not in vars(fresh.terms[0])
+        assert T == fresh and hash(T) == hash(fresh) and repr(T) == repr(fresh)

@@ -6,7 +6,7 @@ from itertools import combinations, product
 from math import prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from conefourier import (
     Cone,
@@ -23,7 +23,7 @@ from conefourier.errors import (
     NotPointedError,
     ZeroGeneratorError,
 )
-from conefourier.cones import classify_pairings
+from conefourier.cones import _pairing_table, classify_pairings
 from conefourier.geometry import determinant, dot, generalized_cross, maximal_minors, vec_scale
 from conefourier.sampling import sample_cone
 from conefourier.triangulation import pk_via_triangulation
@@ -246,7 +246,8 @@ class TestMinorTable:
     def test_table_leaves_equality_and_hash_alone(self, square_cone):
         fresh = Cone(square_cone.apex, square_cone.generators)
         is_general_position(square_cone)
-        assert square_cone == fresh and hash(square_cone) == hash(fresh)
+        square_cone.integer_pairings((0, 1))
+        assert square_cone == fresh and hash(square_cone) == hash(fresh) and repr(square_cone) == repr(fresh)
 
     def test_shared_cone_across_threads(self):
         sampled = sample_cone(random.Random(6), 3, 6)
@@ -269,6 +270,85 @@ class TestMinorTable:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * 6
+
+
+class TestPairingTable:
+    """integer_pairings and _pairing read the one per-shape table of slots
+    and signs (cones._pairing_table)."""
+
+    @staticmethod
+    def assert_pairings_are_determinants(cone):
+        rows = cone.integer_generators
+        for members in combinations(range(cone.num_generators), cone.dimension - 1):
+            expected = tuple(
+                determinant([rows[i] for i in members] + [rows[j]])
+                for j in range(cone.num_generators)
+                if j not in members
+            )
+            assert cone.integer_pairings(members) == expected
+            assert all(type(value) is int for value in expected)
+
+    @given(
+        d=st.integers(min_value=2, max_value=6),
+        extra=st.integers(min_value=0, max_value=5),
+        seed=st.integers(min_value=0, max_value=10**9),
+        rational=st.booleans(),
+    )
+    @settings(max_examples=25)
+    def test_pairings_are_determinants(self, d, extra, seed, rational):
+        make = rational_cone if rational else sample_cone
+        try:
+            cone = make(random.Random(seed), d, d + extra)
+        except (ZeroGeneratorError, DuplicateRayError):  # moved generators can collide
+            reject()
+        self.assert_pairings_are_determinants(cone)
+
+    @pytest.mark.parametrize("d, n", [(2, 5), (3, 6), (4, 8), (5, 9)])
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_one_pairing_is_its_entry(self, d, n, rational):
+        cone = (rational_cone if rational else sample_cone)(random.Random(d * n), d, n)
+        for members in combinations(range(n), d - 1):
+            off = [j for j in range(n) if j not in members]
+            assert [cone._pairing(members, j) for j in off] == list(cone.integer_pairings(members))
+
+    def test_cones_of_one_shape_share_one_table(self):
+        _pairing_table.cache_clear()
+        first, second = (sample_cone(random.Random(seed), 3, 7) for seed in (1, 2))
+        assert first.integer_pairings((0, 1)) != second.integer_pairings((0, 1))
+        for cone in (first, second):
+            for members in combinations(range(7), 2):
+                cone.integer_pairings(members)
+        info = _pairing_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits + info.misses == 2 + 2 * 21
+
+
+class TestBadIndices:
+    """A tuple that is not a sorted subset of the right size is a
+    DimensionError with 1-based context, from each reader of the table."""
+
+    CONE = sample_cone(random.Random(4), 4, 6)
+
+    @pytest.mark.parametrize(
+        "indices", [(1, 0, 2, 3), (0, 0, 1, 2), (0, 1, 2, 9), (-1, 0, 1, 2), (0, 1, 2), (0, 1, 2, 3, 4)]
+    )
+    @pytest.mark.parametrize("method", ["integer_minor", "maximal_minor"])
+    def test_minors(self, method, indices):
+        with pytest.raises(DimensionError) as err:
+            getattr(self.CONE, method)(indices)
+        assert err.value.context == {"indices": tuple(i + 1 for i in indices), "size": 4, "generators": 6}
+
+    @pytest.mark.parametrize("indices", [(2, 0, 1), (0, 0, 1), (0, 1, 9), (-1, 0, 1), (0, 1), (0, 1, 2, 3)])
+    def test_pairings(self, indices):
+        with pytest.raises(DimensionError) as err:
+            self.CONE.integer_pairings(indices)
+        assert err.value.context == {"indices": tuple(i + 1 for i in indices), "size": 3, "generators": 6}
+        wire = tuple(i + 1 for i in indices)
+        assert err.value.message == f"indices {wire} are not a sorted 3-subset of the 6 generators"
+
+    def test_lists_are_read_as_tuples(self):
+        assert self.CONE.integer_minor([0, 1, 2, 3]) == self.CONE.integer_minor((0, 1, 2, 3))
+        assert self.CONE.integer_pairings([0, 1, 2]) == self.CONE.integer_pairings((0, 1, 2))
 
 
 class TestDiagonalDual:
