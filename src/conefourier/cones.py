@@ -17,16 +17,13 @@ w_j times the lcm m_j of its denominators, the integer vector
 u_j = m_j w_j (``Cone.integer_generators``, ``Cone.scales``). On an integer
 cone u = w. A minor of u is the minor of w times the m_j of its rows, so it
 has the same sign, and the pipelines compute on u in ``int`` and divide
-p_K by ``Cone.scale`` = prod m_j once at the end. The whole table is filled
-on first read by one sweep (``geometry.maximal_minors``), which shares the
-sub-minors between the C(n, d) minors; every reader then indexes it.
-
-Which minors a diagonal's pairings read, and their signs, depend only on
-the shape (n, d). ``_pairing_table`` computes them once per shape and
-keeps them for the process, as ``monomial_basis`` keeps its bases, so a
-pairing is a read of the cone's minors at precomputed positions. At
-(16, 5), the cone over a 4-box's vertices, the table holds 1,820 entries
-in about 0.9 MiB.
+p_K by ``Cone.scale`` = prod m_j once at the end. The table, one list in
+``combinations`` order, is filled on first read by one sweep
+(``geometry.maximal_minors``) that shares sub-minors between the C(n, d)
+minors. Where each minor sits in it, and each pairing's sign, depend only
+on the shape (n, d): ``geometry._pairing_table`` keeps them per shape for
+the process, and the sweep scatters by the same tables. A pairing is a
+read at precomputed positions; the minor at S is the last pairing of S[:-1].
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
 from math import prod
 from operator import mul
@@ -48,7 +45,8 @@ from .errors import (
     ZeroGeneratorError,
 )
 from .feasibility import conic_combination, interior_witness
-from .geometry import Vector, _clear_denominators, as_vector, dot, generalized_cross, is_zero_vector, maximal_minors
+from .geometry import Vector, _clear_denominators, _pairing_table, as_vector, dot, generalized_cross
+from .geometry import is_zero_vector, maximal_minors
 
 
 @dataclass(frozen=True)
@@ -102,22 +100,27 @@ class Cone:
         return prod(self.scales)
 
     @cached_property
-    def _minors(self) -> dict[tuple[int, ...], int]:
+    def _minors(self) -> list[int]:
         """The cone's one table of minors: the determinant of the integer
-        generators at every sorted d-subset, rows in that order, in
-        ``combinations`` order. Filled by one sweep on first read and kept;
-        threads racing on the first read store equal tables."""
+        generators at every sorted d-subset, rows in that order, as a list
+        in ``combinations`` order. Filled by one sweep on first read and
+        kept; threads racing on the first read store equal tables."""
         return maximal_minors(self.integer_generators)
 
     def integer_minor(self, indices: Sequence[int]) -> int:
         """det of the integer generators at the sorted d-subset ``indices``,
-        rows in that order: an entry of the table. Any other index tuple is
-        a DimensionError."""
+        rows in that order: an entry of the table, read as the last pairing
+        of its prefix D = indices[:-1]. Any other index tuple is a
+        DimensionError."""
         key = tuple(indices)
-        try:
-            return self._minors[key]
-        except KeyError:
-            raise self._subset_error(key, self.dimension) from None
+        d = self.dimension
+        entry = _pairing_table(self.num_generators, d).get(key[:-1]) if key else None
+        if entry:
+            slots, _, offs = entry
+            slot = key[-1] - (d - 1)  # S is sorted exactly when S[-1] is off D past all of it
+            if 0 <= slot < len(offs) and offs[slot] == key[-1]:
+                return self._minors[slots[slot]]
+        raise self._subset_error(key, d)
 
     def maximal_minor(self, indices: Sequence[int]) -> int | Fraction:
         """det of the generators at the sorted d-subset ``indices``: the
@@ -127,25 +130,19 @@ class Cone:
         scale = prod(self.scales[i] for i in indices)
         return value if scale == 1 else Fraction(value, scale)
 
-    @cached_property
-    def _minor_values(self) -> list[int]:
-        """The table's minors alone, in ``combinations`` order: the list the
-        pairing table's slots index."""
-        return list(self._minors.values())
-
     def integer_pairings(self, diagonal: Sequence[int]) -> tuple[int, ...]:
         """<integer_dual(D), u_j> = det(u_D..., u_j) for each j off the sorted
         diagonal D, in index order: the integer minor at sorted(D + (j,))
-        times (-1)^#{i in D : i > j}, read through ``_pairing_table``. Each
-        has the sign of the rational pairing; their product is the integer
-        numerator at the integer dual. Any other index tuple is a
+        times (-1)^#{i in D : i > j}, read through ``geometry._pairing_table``.
+        Each has the sign of the rational pairing; their product is the
+        integer numerator at the integer dual. Any other index tuple is a
         DimensionError."""
         members = tuple(diagonal)
         try:
-            slots, signs = _pairing_table(self.num_generators, self.dimension)[members]
+            slots, signs, _ = _pairing_table(self.num_generators, self.dimension)[members]
         except KeyError:
             raise self._subset_error(members, self.dimension - 1) from None
-        return tuple(map(mul, signs, map(self._minor_values.__getitem__, slots)))
+        return tuple(map(mul, signs, map(self._minors.__getitem__, slots)))
 
     def _subset_error(self, indices: tuple[int, ...], size: int) -> DimensionError:
         wire = tuple(i + 1 for i in indices)  # 1-based, as on the wire
@@ -163,8 +160,10 @@ class Cone:
         dual(S - s) / <dual(S - s), u_s>, each pairing a signed minor (0 for
         s in D), summed over |det u_S| and divided exactly, since dual(D) is
         integral. A cone of rank below d has no basis, and gets the cross
-        product."""
+        product. Any other index tuple is a DimensionError."""
         members = tuple(diagonal)
+        if members not in _pairing_table(self.num_generators, self.dimension):  # before either path reads them
+            raise self._subset_error(members, self.dimension - 1)
         basis = self._dual_basis
         if basis is None:
             return generalized_cross([self.integer_generators[i] for i in members], self.dimension)
@@ -180,7 +179,8 @@ class Cone:
         order, with a nonzero minor, or None when there is none. duals[k] is
         dual(S - s_k) times the sign of its pairing with u_{s_k}, which is
         +-det u_S. Derived on first use and kept, like the table."""
-        subset, minor = next(((s, m) for s, m in self._minors.items() if m), (None, 0))
+        subsets = combinations(range(self.num_generators), self.dimension)
+        subset, minor = next(((s, m) for s, m in zip(subsets, self._minors) if m), (None, 0))
         if not minor:
             return None
         duals = []
@@ -196,32 +196,9 @@ class Cone:
         table. ``integer_dual`` needs only the entries at its basis; reading
         the whole tuple there instead made the ``cones-large`` benchmark's
         op_p50_s about 3% slower (2-core Xeon)."""
-        slots, signs = _pairing_table(self.num_generators, self.dimension)[members]
+        slots, signs, _ = _pairing_table(self.num_generators, self.dimension)[members]
         slot = j - bisect(members, j)
-        return signs[slot] * self._minor_values[slots[slot]]
-
-
-@cache
-def _pairing_table(n: int, d: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """{D: (slots, signs)} for every sorted (d-1)-subset D of range(n), in
-    ``combinations`` order: for each j off D, in index order, the position
-    of the minor at S = sorted(D + (j,)) among the d-subsets in
-    ``combinations`` order, and the sign (-1)^#{i in D : i > j} that moves
-    row j from its place in S to the last row of det(u_D..., u_j). The one
-    statement of the signed-minor rule; it depends only on the shape, so
-    every cone of that shape shares it."""
-    slots = {members: [] for members in combinations(range(n), d - 1)}
-    signs = {members: [] for members in slots}
-    for position, subset in enumerate(combinations(range(n), d)):
-        # combinations(subset, d - 1) drops subset[d-1], ..., subset[0] in
-        # turn, so the signs alternate from +; and for each D the positions
-        # arrive with j increasing.
-        sign = 1
-        for members in combinations(subset, d - 1):
-            slots[members].append(position)
-            signs[members].append(sign)
-            sign = -sign
-    return {members: (tuple(slots[members]), tuple(signs[members])) for members in slots}
+        return signs[slot] * self._minors[slots[slot]]
 
 
 def _positive_multiples(u: Vector, v: Vector) -> bool:
@@ -315,7 +292,7 @@ def classify_pairings(pairings: Iterable[Fraction]) -> DiagonalClass:
 def is_general_position(cone: Cone) -> bool:
     """True when every d-subset of generators is linearly independent: no
     entry of the minor table is zero."""
-    return all(cone._minors.values())
+    return all(cone._minors)
 
 
 def validate_cone(cone: Cone) -> ValidationReport:

@@ -5,7 +5,8 @@ operation in this module is exact; floats are refused. ``determinant``,
 ``maximal_minors``, ``generalized_cross`` and ``veronese`` keep integer
 input on ``int`` arithmetic and return ints for it, which is what the
 integer-normal form of a cone (``Cone.integer_generators``) runs on; other
-input gives Fractions.
+input gives Fractions. ``maximal_minors`` gives a list in ``combinations``
+order, filled through ``_pairing_table``, which ``cones`` reads it by too.
 Vectors are plain tuples, matrices are sequences of equal-length row
 vectors, and nothing here mutates its inputs.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, cycle
 from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -142,38 +143,53 @@ def determinant(rows: Sequence[Sequence]) -> int | Fraction:
     return result if scale is None else Fraction(result, scale)
 
 
-def maximal_minors(rows: Sequence[Sequence]) -> dict[tuple[int, ...], int | Fraction]:
-    """{S: det of the rows at S, in S's order} for every sorted d-subset S of
-    the rows of an n x d matrix, in ``combinations`` order; ints for int
-    input. Computed level by level by Laplace expansion along column k-1:
-    the minor M_k(R) on the sorted rows R and the first k columns is
+@lru_cache(maxsize=None)
+def _pairing_table(n: int, k: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """{D: (slots, signs, offs)} for every sorted (k-1)-subset D of range(n),
+    in ``combinations`` order: for each j off D, in offs in index order, the
+    position of S = sorted(D + (j,)) among the k-subsets in ``combinations``
+    order and (-1)^#{i in D : i > j}, so that det(a_D..., a_j) = sign * det a_S.
+    The one statement of that sign rule, also the Laplace sign of
+    ``maximal_minors``; it depends only on the shape, so it is kept."""
+    table = {members: ([], [], []) for members in combinations(range(n), k - 1)}
+    for position, subset in enumerate(combinations(range(n), k)):
+        # combinations(subset, k - 1) drops subset[k-1], ..., subset[0] in
+        # turn, so the signs alternate from +; and for each D the positions
+        # arrive with j increasing.
+        for sign, j, members in zip(cycle((1, -1)), reversed(subset), combinations(subset, k - 1)):
+            slots, signs, offs = table[members]
+            slots.append(position)
+            signs.append(sign)
+            offs.append(j)
+    return {members: tuple(map(tuple, entry)) for members, entry in table.items()}
 
-        M_k(R) = sum over p of (-1)^(p+k-1) a[R_p][k-1] M_{k-1}(R - R_p),
 
-    so all minors share their sub-minors and the sweep costs
-    sum_k k C(n, k) multiply-adds, where one determinant per minor costs
-    C(n, d) O(d^3). Zero entries and zero sub-minors are skipped. No rows
-    give {(): 1}, the empty minor."""
+def maximal_minors(rows: Sequence[Sequence]) -> list[int | Fraction]:
+    """The det of the rows at each sorted d-subset S, rows in S's order, of
+    an n x d matrix: a list in ``combinations`` order, ints for int input.
+    Computed level by level by Laplace expansion along column k-1: the minor
+    M_k(S) on the rows S and the first k columns is
+
+        M_k(S) = sum over p of (-1)^(p+k-1) a[S_p][k-1] M_{k-1}(S - S_p).
+
+    With D = S - S_p and j = S_p, p + #{i in D : i > j} = k - 1, so the sign
+    is the one ``_pairing_table(n, k)`` holds, and each M_{k-1}(D) is scattered
+    into the M_k(D + (j,)) it adds to: sum_k k C(n, k) multiply-adds at most,
+    zero entries and sub-minors skipped. No rows give [1]."""
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise DimensionError(f"maximal minors need rows of one length, got {[len(r) for r in rows]}")
-    previous = {(): 1}
+    n = len(rows)
+    previous = [1]
     for k in range(1, width + 1):
-        plus = [row[k - 1] for row in rows]
-        minus = [-a for a in plus]
-        current = {}
-        for subset in combinations(range(len(rows)), k):
-            # combinations(subset, k - 1) drops subset[k-1], ..., subset[0] in
-            # turn, so the signs (-1)^(p+k-1) alternate from +.
-            total, positive = 0, True
-            for r, rest in zip(reversed(subset), combinations(subset, k - 1)):
-                a = plus[r] if positive else minus[r]
-                positive = not positive
-                if a:
-                    sub = previous[rest]
-                    if sub:
-                        total += a * sub
-            current[subset] = total
+        column = [row[k - 1] for row in rows]
+        current = [0] * comb(n, k)
+        for sub, (slots, signs, offs) in zip(previous, _pairing_table(n, k).values()):
+            if sub:
+                for slot, sign, j in zip(slots, signs, offs):
+                    a = column[j]
+                    if a:
+                        current[slot] += sign * a * sub
         previous = current
     return previous
 

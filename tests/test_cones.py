@@ -23,8 +23,8 @@ from conefourier.errors import (
     NotPointedError,
     ZeroGeneratorError,
 )
-from conefourier.cones import _pairing_table, classify_pairings
-from conefourier.geometry import determinant, dot, generalized_cross, maximal_minors, vec_scale
+from conefourier.cones import classify_pairings
+from conefourier.geometry import _pairing_table, determinant, dot, generalized_cross, maximal_minors, vec_scale
 from conefourier.sampling import sample_cone
 from conefourier.triangulation import pk_via_triangulation
 
@@ -274,7 +274,7 @@ class TestMinorTable:
 
 class TestPairingTable:
     """integer_pairings and _pairing read the one per-shape table of slots
-    and signs (cones._pairing_table)."""
+    and signs (geometry._pairing_table), the table the sweep scatters by."""
 
     @staticmethod
     def assert_pairings_are_determinants(cone):
@@ -312,15 +312,18 @@ class TestPairingTable:
             assert [cone._pairing(members, j) for j in off] == list(cone.integer_pairings(members))
 
     def test_cones_of_one_shape_share_one_table(self):
+        """One build per level (7, 1), (7, 2), (7, 3): the first cone's sweep
+        and pairings build them, the second cone's only read them."""
+        sampled = [sample_cone(random.Random(seed), 3, 7) for seed in (1, 2)]
         _pairing_table.cache_clear()
-        first, second = (sample_cone(random.Random(seed), 3, 7) for seed in (1, 2))
+        first, second = (Cone(cone.apex, cone.generators) for cone in sampled)
         assert first.integer_pairings((0, 1)) != second.integer_pairings((0, 1))
         for cone in (first, second):
             for members in combinations(range(7), 2):
                 cone.integer_pairings(members)
         info = _pairing_table.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        assert info.hits + info.misses == 2 + 2 * 21
+        assert (info.misses, info.currsize) == (3, 3)
+        assert info.hits + info.misses == 2 * (1 + 3) + 2 * 21
 
 
 class TestBadIndices:
@@ -330,7 +333,17 @@ class TestBadIndices:
     CONE = sample_cone(random.Random(4), 4, 6)
 
     @pytest.mark.parametrize(
-        "indices", [(1, 0, 2, 3), (0, 0, 1, 2), (0, 1, 2, 9), (-1, 0, 1, 2), (0, 1, 2), (0, 1, 2, 3, 4)]
+        "indices",
+        [
+            (1, 0, 2, 3),
+            (0, 0, 1, 2),
+            (0, 1, 2, 9),
+            (-1, 0, 1, 2),
+            (0, 1, 2),
+            (0, 1, 2, 3, 4),
+            (0, 1, 3, 2),  # unsorted only in the last place
+            (0, 1, 2, 6),  # last index = n
+        ],
     )
     @pytest.mark.parametrize("method", ["integer_minor", "maximal_minor"])
     def test_minors(self, method, indices):
@@ -345,6 +358,31 @@ class TestBadIndices:
         assert err.value.context == {"indices": tuple(i + 1 for i in indices), "size": 3, "generators": 6}
         wire = tuple(i + 1 for i in indices)
         assert err.value.message == f"indices {wire} are not a sorted 3-subset of the 6 generators"
+
+    @pytest.mark.parametrize("indices", [(2, 0, 1), (0, 0, 1), (0, 1, 9), (-1, 0, 1), (0, 1), (0, 1, 2, 3)])
+    def test_duals(self, indices):
+        with pytest.raises(DimensionError) as err:
+            self.CONE.integer_dual(indices)
+        assert err.value.context == {"indices": tuple(i + 1 for i in indices), "size": 3, "generators": 6}
+
+    def test_duals_of_a_cone_of_lower_rank(self):
+        """Checked before the cross-product fallback, which would take any
+        rows it is given."""
+        cone = TestMinorTable.DEGENERATE[1]
+        with pytest.raises(DimensionError) as err:
+            cone.integer_dual((1, 0))
+        assert err.value.context == {"indices": (2, 1), "size": 2, "generators": 4}
+
+    def test_dimension_one(self):
+        """d = 1: each minor is a generator's integer value, read from the
+        table entry of the empty prefix."""
+        cone = Cone((0,), ((Fraction(3, 2),), (-5,)))
+        assert [cone.integer_minor((j,)) for j in range(2)] == [3, -5]
+        assert cone.maximal_minor((0,)) == Fraction(3, 2)
+        for indices in [(2,), (-1,), ()]:
+            with pytest.raises(DimensionError) as err:
+                cone.integer_minor(indices)
+            assert err.value.context == {"indices": tuple(i + 1 for i in indices), "size": 1, "generators": 2}
 
     def test_lists_are_read_as_tuples(self):
         assert self.CONE.integer_minor([0, 1, 2, 3]) == self.CONE.integer_minor((0, 1, 2, 3))
