@@ -45,7 +45,7 @@ from .errors import (
     ZeroGeneratorError,
 )
 from .feasibility import conic_combination, interior_witness
-from .geometry import Vector, _clear_denominators, _pairing_table, as_vector, dot, generalized_cross
+from .geometry import Vector, _clear_denominators, _pairing_table, _primitive, as_vector, generalized_cross
 from .geometry import is_zero_vector, maximal_minors
 
 
@@ -77,12 +77,11 @@ class Cone:
             raise DimensionError(
                 f"cone in dimension {d} needs at least {d} generators, got {len(self.generators)}"
             )
-        for i, j in combinations(range(len(self.generators)), 2):
-            if _positive_multiples(self.generators[i], self.generators[j]):
-                raise DuplicateRayError(
-                    f"generators {i + 1} and {j + 1} span the same ray", indices=(i + 1, j + 1)
-                )
         normal = [_clear_denominators(g) for g in self.generators]
+        duplicate = _first_duplicate_ray(u for u, _ in normal)
+        if duplicate:
+            i, j = duplicate
+            raise DuplicateRayError(f"generators {i + 1} and {j + 1} span the same ray", indices=(i + 1, j + 1))
         object.__setattr__(self, "integer_generators", tuple(tuple(u) for u, _ in normal))
         object.__setattr__(self, "scales", tuple(m for _, m in normal))
 
@@ -201,11 +200,20 @@ class Cone:
         return signs[slot] * self._minors[slots[slot]]
 
 
-def _positive_multiples(u: Vector, v: Vector) -> bool:
-    for i, j in combinations(range(len(u)), 2):
-        if u[i] * v[j] != u[j] * v[i]:
-            return False
-    return dot(u, v) > 0
+def _first_duplicate_ray(integer_generators: Iterable[Sequence[int]]) -> tuple[int, int] | None:
+    """The first pair (i, j), in ``combinations`` order, of nonzero integer
+    vectors on the same ray, or None: two vectors span the same ray exactly
+    when their primitive forms (``geometry._primitive``) are equal. One pass keeps the
+    first index of each primitive form; a later index j with a seen form
+    pairs with its first index i, and the least such i wins, since the
+    first repeat of a form has its least j."""
+    first: dict[tuple[int, ...], int] = {}
+    found = None
+    for j, u in enumerate(integer_generators):
+        i = first.setdefault(_primitive(u), j)
+        if i != j and (found is None or i < found[0]):
+            found = (i, j)
+    return found
 
 
 class DiagonalKind(Enum):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, cycle
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError
@@ -52,6 +52,13 @@ def _clear_denominators(row: Iterable) -> tuple[list[int], int]:
     return [a.numerator * (scale // a.denominator) for a in entries], scale
 
 
+def _primitive(vector: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero integer vector divided by the gcd of its entries: the one
+    integer vector on its ray whose entries have no common factor."""
+    g = gcd(*vector)
+    return tuple(c // g for c in vector)
+
+
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise DimensionError(f"dot product of lengths {len(u)} and {len(v)}")
@@ -75,7 +82,9 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
 
 def _reduce_rows(rows: Iterable[Sequence[Fraction]], width: int) -> Iterator[tuple[int | None, Fraction, list | None]]:
     """The one exact elimination over Q, behind the exact interpolation
-    solve. Callers check that every row has ``width`` entries.
+    solve and the facet search's choice of independent points
+    (``brion._greedy_basis``). Callers check that every row has ``width``
+    entries.
 
     Reduces each row, in the order given, against the rows kept before it
     and yields ``(lead, value, kept)``: the column and value of the reduced

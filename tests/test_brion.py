@@ -7,6 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from conefourier import (
+    Cone,
     evaluate_transform,
     polytope_combinatorics,
     polytope_transform,
@@ -92,12 +93,64 @@ class TestCombinatorics:
         assert all(len(facet) == 4 for facet in P.facets)
         assert all(len(neighbors) == 3 for neighbors in P.adjacency)
 
+    @pytest.mark.parametrize(
+        "points, index",
+        [
+            ([(0, 0), (2, 0), (2, 2), (0, 2), (1, 0)], 5),  # a square's mid-edge point
+            ([(0, 0), (0, 1), (0, 2), (1, 2), (2, 0)], 2),
+            (box_vertices([2, 2, 2]) + [(1, 1, 0)], 9),  # a cube's face centre
+            ([(1, 1, 2)] + box_vertices([2, 2, 2]), 1),
+        ],
+    )
+    def test_boundary_point_that_is_not_a_vertex(self, points, index):
+        with pytest.raises(DegenerateVertexError) as err:
+            polytope_combinatorics(points, allow_nonsimplicial=True)
+        assert err.value.context == {"index": index}
+        assert err.value.message.startswith(f"point {index} is not a vertex of the hull")
+        with pytest.raises(NonSimplicialFacetError):
+            polytope_combinatorics(points)
+
+    def test_square_times_octahedron_adjacency(self, unit_square_vertices, octahedron_vertices):
+        """d = 5: opposite corners of a square factor share the 4 facets
+        square x (octahedron facet) through their octahedron vertex, d - 1 of
+        them, but their smallest common face is the whole square. Vertex
+        (s, o) is adjacent to (s', o) for the 2 neighbours s' of s and to
+        (s, o') for the 4 neighbours o' of o."""
+        square, octahedron = unit_square_vertices, octahedron_vertices
+        P = polytope_combinatorics([s + o for s in square for o in octahedron], allow_nonsimplicial=True)
+        assert len(P.facets) == 4 + 8
+        assert all(len(neighbors) == 6 for neighbors in P.adjacency)
+        for i in range(len(octahedron)):  # corners 0 and 2 of the square are opposite
+            assert 12 + i not in P.adjacency[i] and i not in P.adjacency[12 + i]
+        for a, (s, o) in enumerate(product(range(4), range(6))):
+            square_side = {((s + 1) % 4, o), ((s - 1) % 4, o)}
+            octahedron_side = {(s, p) for p in range(6) if p // 2 != o // 2}
+            assert P.adjacency[a] == tuple(sorted(6 * t + p for t, p in square_side | octahedron_side))
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_cube(self, d):
+        P = polytope_combinatorics(box_vertices([1] * d), allow_nonsimplicial=True)
+        assert len(P.facets) == 2 * d and all(len(facet) == 2 ** (d - 1) for facet in P.facets)
+        for i, neighbors in enumerate(P.adjacency):
+            assert neighbors == tuple(j for j in range(2**d) if (i ^ j).bit_count() == 1)
+
+    def test_builds_no_cone(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a Cone was built")
+
+        monkeypatch.setattr(Cone, "__post_init__", refuse)
+        P = polytope_combinatorics(box_vertices([2, Fraction(3, 2), 5, Fraction(7, 3)]), allow_nonsimplicial=True)
+        assert len(P.facets) == 8
+
 
 def reference_combinatorics(points, allow_nonsimplicial):
     """Independent oracle for the facet search: each d-subset's hyperplane
     normal as the generalized cross product of vertex differences, and each
-    other point's side as a dot product with it. Returns ("ok", facets,
-    adjacency) or the error code and context the search should raise."""
+    other point's side as a dot product with it. A point is a vertex when
+    no other point lies on every facet through it, and two vertices are
+    adjacent when no third point lies on every facet through both. Returns
+    ("ok", facets, adjacency) or the error code and context the search
+    should raise."""
     d = len(points[0])
     facets = set()
     for subset in combinations(range(len(points)), d):
@@ -113,15 +166,20 @@ def reference_combinatorics(points, allow_nonsimplicial):
             return "NonSimplicialFacet", {"facet": tuple(i + 1 for i in facet)}
         facets.add(facet)
     facets = sorted(facets)
+
+    def smallest_face(members):
+        """The points on every facet through all of ``members``."""
+        face = set(range(len(points)))
+        for facet in facets:
+            if set(members) <= set(facet):
+                face &= set(facet)
+        return face
+
     for i in range(len(points)):
-        if not any(i in facet for facet in facets):
+        if not any(i in facet for facet in facets) or smallest_face([i]) != {i}:
             return "DegenerateVertex", {"index": i + 1}
     adjacency = tuple(
-        tuple(
-            j
-            for j in range(len(points))
-            if j != i and sum(i in facet and j in facet for facet in facets) >= d - 1
-        )
+        tuple(j for j in range(len(points)) if j != i and smallest_face([i, j]) == {i, j})
         for i in range(len(points))
     )
     return "ok", tuple(facets), adjacency
@@ -176,9 +234,39 @@ class TestFacetSearch:
         # a rectangle's edges are simplicial; a box's facets are not from d = 3
         assert outcomes[:5] == ["ok", "DegenerateVertex", "ok", "ok", "ok" if d == 2 else "NonSimplicialFacet"]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_oracle_in_dimensions_1_to_5(self, d, seed):
+        """Rational points with interior points and boundary points that are
+        not vertices, with and without the flag. A mid-edge point, inserted
+        at a random position, is a DegenerateVertex with the flag and makes a
+        facet non-simplicial without it."""
+        rng = random.Random(10 * d + seed)
+        rational = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 2))  # noqa: E731
+        scattered = list(dict.fromkeys(tuple(rational() for _ in range(d)) for _ in range(d + 5)))
+        grid = sorted({tuple(Fraction(rng.randint(0, 2)) for _ in range(d)) for _ in range(d + 4)})
+        hull = sphere_points(rng, d, d + 3) if d > 1 else [(rational(),), (rational() + 7,)]
+        centroid = tuple(sum(c) / len(hull) for c in zip(*hull))
+        _, _, adjacency = reference_combinatorics(hull, True)
+        i = rng.randrange(len(hull))
+        j = rng.choice(adjacency[i])
+        mid_edge = list(hull)
+        mid_edge.insert(rng.randint(0, len(hull)), tuple((a + b) / 2 for a, b in zip(hull[i], hull[j])))
+        cases = [scattered, grid, hull, hull + [centroid], mid_edge]
+        if d <= 4:
+            cases.append(box_vertices([rational() + 4 for _ in range(d)]))
+        outcomes = []
+        for points in cases:
+            for allow in (False, True):
+                want = reference_combinatorics(points, allow)
+                assert combinatorics_outcome(points, allow) == want
+                outcomes.append(want[0])
+        assert outcomes[4:8] == ["ok", "ok", "DegenerateVertex", "DegenerateVertex"]
+        assert outcomes[8:10] == (["DegenerateVertex"] * 2 if d == 1 else ["NonSimplicialFacet", "DegenerateVertex"])
+
     def test_rational_4_box(self):
-        """The lifted rational 4-box: a (5, 16) minor table, a third of it
-        zero, read through the pairing table."""
+        """The rational 4-box: 8 facets of 8 vertices each, every one the
+        vertices with one coordinate at 0 or at its side."""
         sides = (Fraction(2), Fraction(3, 2), Fraction(5), Fraction(7, 3))
         P = polytope_combinatorics(box_vertices(sides), allow_nonsimplicial=True)
         assert len(P.facets) == 8 and all(len(facet) == 8 for facet in P.facets)
@@ -302,6 +390,16 @@ class TestEvaluation:
             got = evaluate_transform(T, xi)
             want = box_closed_form(sides, xi)
             assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_5_cube_closed_form(self):
+        """The product of five interval transforms, written out here apart
+        from ``box_closed_form``."""
+        T = polytope_transform(polytope_combinatorics(box_vertices([1] * 5), allow_nonsimplicial=True))
+        rng = random.Random(6)
+        for _ in range(5):
+            xi = sample_box_point(rng, [1] * 5)
+            want = math.prod((cmath.exp(2j * math.pi * float(x)) - 1) / (2j * math.pi * float(x)) for x in xi)
+            assert abs(evaluate_transform(T, xi) - want) <= 1e-9 * abs(want)
 
     def test_per_term_values_rejects_singular_point_alike(self, unit_square_vertices):
         T = polytope_transform(polytope_combinatorics(unit_square_vertices))

@@ -40,6 +40,21 @@ class TestConstruction:
         with pytest.raises(DuplicateRayError):
             Cone((0, 0), ((1, 2), (2, 4)))
 
+    @pytest.mark.parametrize(
+        "generators, pair",
+        [
+            # a, b, c, 2b, 3a: a scan that stops at the first repeat finds (2, 4)
+            (((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 0), (3, 0, 0)), (1, 5)),
+            (((1, 2, 3), (Fraction(1, 3), Fraction(2, 3), 1), (1, 1, 1)), (1, 2)),
+            (((0, 0, 1), (1, 1, 1), (2, 2, 2), (0, 0, 5)), (1, 4)),
+        ],
+    )
+    def test_duplicate_ray_names_the_first_pair(self, generators, pair):
+        with pytest.raises(DuplicateRayError) as err:
+            Cone((0, 0, 0), generators)
+        assert err.value.context == {"indices": pair}
+        assert err.value.message == f"generators {pair[0]} and {pair[1]} span the same ray"
+
     def test_opposite_rays_are_not_duplicates(self):
         cone = Cone((0, 0), ((1, 0), (-1, 0)))
         assert cone.num_generators == 2
