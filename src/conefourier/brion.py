@@ -21,11 +21,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from operator import mul
 from typing import Sequence
 
-from .cones import Cone
+from .cones import Cone, _facets, _greedy_basis, _meet
 from .errors import (
     DegenerateVertexError,
     DimensionError,
@@ -34,7 +33,7 @@ from .errors import (
     NotFullDimensionalError,
     SingularEvaluationPointError,
 )
-from .geometry import Vector, _clear_denominators, _primitive, _reduce_rows, as_vector, generalized_cross, vec_sub, veronese
+from .geometry import Vector, _clear_denominators, as_vector, vec_sub, veronese
 from .interpolation import pk_via_interpolation
 from .triangulation import ConicTransform, pk_via_triangulation
 
@@ -63,11 +62,11 @@ def polytope_combinatorics(vertices: Sequence[Sequence], allow_nonsimplicial: bo
     incremental double description in ``int``.
 
     The facets of the polytope are those of the cone over the lifted
-    points (m, m v), m the lcm of v's denominators (``_facet_masks``). Each
-    facet is the set of points on its hyperplane, and the facets are sorted.
-    A point is a vertex exactly when no other point lies on every facet
-    through it, and two vertices are adjacent exactly when no third point
-    lies on every facet through both.
+    points (m, m v), m the lcm of v's denominators (``cones._facets``),
+    sorted, each the set of points on its hyperplane. A point is a vertex
+    exactly when no other point lies on every facet through it
+    (``cones._meet``), and two vertices are adjacent exactly when no third
+    point lies on every facet through both.
 
     Every input point must be a vertex of the hull, else DegenerateVertex
     names the first that is not, and the hull must be full-dimensional.
@@ -89,15 +88,14 @@ def polytope_combinatorics(vertices: Sequence[Sequence], allow_nonsimplicial: bo
     if len(set(points)) != len(points):
         raise DegenerateVertexError("duplicate vertex in input")
     rows = [(m, *u) for u, m in map(_clear_denominators, points)]
-    basis = _greedy_basis(rows, range(len(rows)), d + 1)
+    basis, facets = _facets(rows)
     if len(basis) <= d:
         raise NotFullDimensionalError(f"vertices span less than dimension {d}")
 
-    facets = sorted((tuple(i for i in range(len(rows)) if mask >> i & 1), mask) for mask in _facet_masks(rows, basis))
     if not allow_nonsimplicial:
         wide = [facet for facet, _ in facets if len(facet) > d]
         if wide:
-            facet = min(wide, key=lambda f: _greedy_basis(rows, f, d))
+            facet = min(wide, key=lambda f: _greedy_basis(rows, f, d)[0])
             raise NonSimplicialFacetError(
                 f"supporting hyperplane contains {len(facet)} > {d} vertices",
                 facet=tuple(i + 1 for i in facet),
@@ -106,82 +104,16 @@ def polytope_combinatorics(vertices: Sequence[Sequence], allow_nonsimplicial: bo
     everything = (1 << len(rows)) - 1
     adjacency = []
     for i in range(len(rows)):
-        through = [(facet, mask) for facet, mask in facets if mask >> i & 1]
-        if not through:
-            raise DegenerateVertexError(
-                f"point {i + 1} lies on no facet; it is not a vertex of the hull", index=i + 1
-            )
-        meet = [everything] * len(rows)  # meet[j]: the points on every facet through i and j
-        for facet, mask in through:
-            for j in facet:
-                meet[j] &= mask
+        meet = _meet(facets, len(rows), i)
         if meet[i] != 1 << i:
             other = meet[i] & ~(1 << i)
-            j = (other & -other).bit_length() - 1
-            raise DegenerateVertexError(
-                f"point {i + 1} is not a vertex of the hull: point {j + 1} lies on every facet through it",
-                index=i + 1,
-            )
+            j = (other & -other).bit_length()  # 1-based
+            why = f"is not a vertex of the hull: point {j} lies on every facet through it"
+            if meet[i] == everything:
+                why = "lies on no facet; it is not a vertex of the hull"
+            raise DegenerateVertexError(f"point {i + 1} {why}", index=i + 1)
         adjacency.append(tuple(j for j in range(len(rows)) if j != i and meet[j] == 1 << i | 1 << j))
     return Polytope(points, tuple(facet for facet, _ in facets), tuple(adjacency))
-
-
-def _greedy_basis(rows: Sequence[Sequence[int]], indices: Sequence[int], size: int) -> list[int]:
-    """The first ``size`` of ``indices``, in order, whose rows are each
-    linearly independent of the rows taken before them, which are the rows
-    ``_reduce_rows`` keeps: fewer when the rows have lower rank."""
-    reduced = _reduce_rows((rows[i] for i in indices), len(rows[0]))
-    return list(islice((i for i, (lead, _, _) in zip(indices, reduced) if lead is not None), size))
-
-
-def _facet_masks(rows: Sequence[Sequence[int]], basis: Sequence[int]) -> list[int]:
-    """The facets of the cone over the integer rows, each as the bit mask of
-    the rows on it, by the double description method (Motzkin, Raiffa,
-    Thompson & Thrall 1953) on the extreme rays of the dual cone.
-
-    It starts from the simplicial cone over the full-rank ``basis``, whose
-    facet normals are the cross products of all basis rows but one, and
-    adds the other rows in index order. Each facet is a primitive integer
-    normal h plus its incidence mask Z(h). Adding row a keeps the facets
-    with h.a >= 0 and makes one new facet, tight on a, from each pair of
-    facets with h.a > 0 and h'.a < 0 that are adjacent: when no third
-    facet is tight on all of Z(h) & Z(h') (the combinatorial test of Fukuda
-    & Prodon 1996). Adjacent facets share at least width - 2 rows, so a
-    pair that shares fewer is skipped before the test."""
-    width = len(rows[0])
-    facets = []
-    for b in basis:
-        normal = generalized_cross([rows[i] for i in basis if i != b], width)
-        if sum(map(mul, normal, rows[b])) < 0:
-            normal = tuple(-c for c in normal)
-        facets.append((_primitive(normal), sum(1 << i for i in basis if i != b)))
-    taken = set(basis)
-    for i in range(len(rows)):
-        if i in taken:
-            continue
-        row, bit = rows[i], 1 << i
-        plus, minus, kept = [], [], []
-        for normal, mask in facets:
-            value = sum(map(mul, normal, row))
-            if value > 0:
-                plus.append((normal, mask, value))
-                kept.append((normal, mask))
-            elif value < 0:
-                minus.append((normal, mask, value))
-            else:
-                kept.append((normal, mask | bit))
-        incidences = [mask for _, mask in facets]
-        for normal, mask, value in plus:
-            for other, other_mask, other_value in minus:
-                common = mask & other_mask
-                if common.bit_count() < width - 2:
-                    continue
-                if sum(1 for z in incidences if z & common == common) > 2:
-                    continue
-                joined = [value * b - other_value * a for a, b in zip(normal, other)]
-                kept.append((_primitive(joined), common | bit))
-        facets = kept
-    return [mask for _, mask in facets]
 
 
 def tangent_cone(polytope: Polytope, vertex: int) -> Cone:

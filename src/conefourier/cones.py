@@ -24,6 +24,9 @@ minors. Where each minor sits in it, and each pairing's sign, depend only
 on the shape (n, d): ``geometry._pairing_table`` keeps them per shape for
 the process, and the sweep scatters by the same tables. A pairing is a
 read at precomputed positions; the minor at S is the last pairing of S[:-1].
+
+``_facets`` (a double description) and ``_meet`` (the extreme-ray test)
+serve both ``validate_cone`` and ``brion.polytope_combinatorics``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -44,9 +47,9 @@ from .errors import (
     NotPointedError,
     ZeroGeneratorError,
 )
-from .feasibility import conic_combination, interior_witness
-from .geometry import Vector, _clear_denominators, _pairing_table, _primitive, as_vector, generalized_cross
-from .geometry import is_zero_vector, maximal_minors
+from .feasibility import interior_witness
+from .geometry import Vector, _clear_denominators, _pairing_table, _primitive, _reduce_rows, as_vector
+from .geometry import generalized_cross, is_zero_vector, maximal_minors
 
 
 @dataclass(frozen=True)
@@ -303,13 +306,91 @@ def is_general_position(cone: Cone) -> bool:
     return all(cone._minors)
 
 
+def _greedy_basis(rows: Sequence[Sequence[int]], indices: Sequence[int], size: int) -> tuple[list[int], list[int]]:
+    """The first ``size`` of ``indices``, in order, whose rows are each
+    linearly independent of the rows taken before them, which are the rows
+    ``_reduce_rows`` keeps, and the lead column of each kept row: fewer
+    when the rows have lower rank."""
+    reduced = _reduce_rows((rows[i] for i in indices), len(rows[0]))
+    picked = list(islice(((i, lead) for i, (lead, _, _) in zip(indices, reduced) if lead is not None), size))
+    return [i for i, _ in picked], [lead for _, lead in picked]
+
+
+def _facets(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[tuple[int, ...], int]]]:
+    """The greedy basis of the nonzero integer rows, of their rank r, and
+    the facets of the cone over them as (rows on it, their bit mask), in
+    sorted order, by the double description method (Motzkin, Raiffa,
+    Thompson & Thrall 1953).
+
+    The rows are projected onto the basis's lead columns, where the reduced
+    basis rows form a unit triangular block: one-to-one on the span, so
+    every face is kept. It starts from the simplicial cone over the basis,
+    each facet normal the cross product of all basis rows but one, and adds
+    the other rows in index order. A facet is a primitive normal h and its
+    mask Z(h). Adding row a keeps the facets with h.a >= 0, and joins each
+    pair with h.a > 0 > h'.a that is adjacent (no third facet is tight on
+    all of Z(h) & Z(h'): Fukuda & Prodon 1996) into a facet tight on a. An
+    adjacent pair shares at least r - 2 rows, so a pair sharing fewer is
+    skipped before the test."""
+    basis, leads = _greedy_basis(rows, range(len(rows)), len(rows[0]))
+    rows = [[row[c] for c in leads] for row in rows]
+    width = len(leads)
+    facets = []
+    for b in basis:
+        normal = generalized_cross([rows[i] for i in basis if i != b], width)
+        if sum(map(mul, normal, rows[b])) < 0:
+            normal = tuple(-c for c in normal)
+        facets.append((_primitive(normal), sum(1 << i for i in basis if i != b)))
+    taken = set(basis)
+    for i in range(len(rows)):
+        if i in taken:
+            continue
+        row, bit = rows[i], 1 << i
+        plus, minus, kept = [], [], []
+        for normal, mask in facets:
+            value = sum(map(mul, normal, row))
+            if value > 0:
+                plus.append((normal, mask, value))
+                kept.append((normal, mask))
+            elif value < 0:
+                minus.append((normal, mask, value))
+            else:
+                kept.append((normal, mask | bit))
+        incidences = [mask for _, mask in facets]
+        for normal, mask, value in plus:
+            for other, other_mask, other_value in minus:
+                common = mask & other_mask
+                if common.bit_count() < width - 2:
+                    continue
+                if sum(1 for z in incidences if z & common == common) > 2:
+                    continue
+                joined = [value * b - other_value * a for a, b in zip(normal, other)]
+                kept.append((_primitive(joined), common | bit))
+        facets = kept
+    return basis, sorted((tuple(i for i in range(len(rows)) if mask >> i & 1), mask) for _, mask in facets)
+
+
+def _meet(facets: Iterable[tuple[tuple[int, ...], int]], count: int, i: int) -> list[int]:
+    """meet[j]: the bit mask of the rows on every facet through rows i and
+    j (all rows when none is), the smallest face holding both. The one
+    extreme-ray test: with no two rows on one ray, row i is extreme exactly
+    when no other row lies on every facet through it, meet[i] == 1 << i."""
+    meet = [(1 << count) - 1] * count
+    for facet, mask in facets:
+        if mask >> i & 1:
+            for j in facet:
+                meet[j] &= mask
+    return meet
+
+
 def validate_cone(cone: Cone) -> ValidationReport:
     """Check pointedness and report the cone's degeneracies.
 
     Pointedness is certified by an explicit rational functional that is
     positive on every generator, found by exact feasibility. Generators
     that are nonnegative combinations of the others are permitted but
-    reported as redundant.
+    reported as redundant: the generators that are not extreme rays, by the
+    test of ``_meet`` on the facets of the integer generators (``_facets``).
     """
     witness = interior_witness(cone.generators)
     if witness is None:
@@ -317,14 +398,11 @@ def validate_cone(cone: Cone) -> ValidationReport:
             "generators admit a nontrivial nonnegative combination equal to zero; "
             "the cone contains a line"
         )
-    redundant = []
-    for i in range(cone.num_generators):
-        others = [g for j, g in enumerate(cone.generators) if j != i]
-        if conic_combination(others, cone.generators[i]) is not None:
-            redundant.append(i)
+    n = cone.num_generators
+    _, facets = _facets(cone.integer_generators)
     return ValidationReport(
         pointed=True,
         witness=witness,
         general_position=is_general_position(cone),
-        redundant_generators=tuple(redundant),
+        redundant_generators=tuple(i for i in range(n) if _meet(facets, n, i)[i] != 1 << i),
     )

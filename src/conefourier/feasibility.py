@@ -2,7 +2,8 @@
 
 All arithmetic stays in ``Fraction`` and pivoting follows Bland's rule, so
 answers are exact and every run is deterministic and finite. This is the
-engine behind the pointedness witness and the redundant-ray check.
+engine behind the pointedness witness of ``cones.validate_cone``; the
+redundant generators there are read off the double description instead.
 """
 
 from __future__ import annotations
@@ -97,12 +98,3 @@ def interior_witness(generators: Sequence[Sequence]) -> Vector | None:
         return None
     return tuple(solution[k] - solution[d + k] for k in range(d))
 
-
-def conic_combination(vectors: Sequence[Sequence], target: Sequence) -> tuple[Fraction, ...] | None:
-    """Coefficients t >= 0 with sum(t_i * v_i) == target, or None."""
-    vs = [as_vector(v) for v in vectors]
-    goal = as_vector(target)
-    if not vs:
-        return () if all(c == 0 for c in goal) else None
-    rows = [[v[k] for v in vs] for k in range(len(goal))]
-    return solve_nonnegative(rows, goal)

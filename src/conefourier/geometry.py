@@ -82,8 +82,8 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
 
 def _reduce_rows(rows: Iterable[Sequence[Fraction]], width: int) -> Iterator[tuple[int | None, Fraction, list | None]]:
     """The one exact elimination over Q, behind the exact interpolation
-    solve and the facet search's choice of independent points
-    (``brion._greedy_basis``). Callers check that every row has ``width``
+    solve and the double description's choice of independent rows
+    (``cones._greedy_basis``). Callers check that every row has ``width``
     entries.
 
     Reduces each row, in the order given, against the rows kept before it

@@ -83,24 +83,27 @@ class SolveDetails:
         return tuple((diagonal, lead) for diagonal, lead, _ in _eliminate(self.system))
 
 
-def rhs_value(cone: Cone, diagonal: Diagonal) -> Fraction:
-    """The exact value of p_K at the diagonal's dual vector.
-
-    Extremal diagonals give sign * prod(<dual, w_j>, j off the diagonal),
-    the sign being the common sign of those determinants; interior
-    diagonals give zero. Degenerate diagonals have no defined value. The
-    integer pairings' product is the rational one times C * c_D^(n-d), C
-    the cone's scale and c_D the product of the diagonal's scales.
-    """
-    pairings = cone.integer_pairings(diagonal.indices)
+def _row_value(pairings: Sequence[int]) -> int | None:
+    """The row-value rule, from a diagonal's pairings: None when degenerate
+    (no defined value), 0 when interior, and when extremal their common
+    sign times their product."""
     cls = classify_pairings(pairings)
     if cls.kind is DiagonalKind.DEGENERATE:
+        return None
+    return 0 if cls.kind is DiagonalKind.INTERIOR else cls.sign * prod(pairings)
+
+
+def rhs_value(cone: Cone, diagonal: Diagonal) -> Fraction:
+    """The exact value of p_K at the diagonal's dual vector (``_row_value``);
+    DegenerateDiagonalError for a degenerate diagonal. The integer
+    pairings' product is the rational one times C * c_D^(n-d), C the cone's
+    scale and c_D the product of the diagonal's scales."""
+    value = _row_value(cone.integer_pairings(diagonal.indices))
+    if value is None:
         wire = tuple(i + 1 for i in diagonal.indices)
         raise DegenerateDiagonalError(f"diagonal {wire} is degenerate", diagonal=wire)
-    if cls.kind is DiagonalKind.INTERIOR:
-        return ZERO
     c_d = prod(cone.scales[i] for i in diagonal.indices)
-    return Fraction(cls.sign * prod(pairings), cone.scale * c_d ** (cone.num_generators - cone.dimension))
+    return Fraction(value, cone.scale * c_d ** (cone.num_generators - cone.dimension))
 
 
 def build_system(cone: Cone) -> InterpolationSystem:
@@ -113,14 +116,11 @@ def build_system(cone: Cone) -> InterpolationSystem:
     rows = []
     skipped = []
     for indices in combinations(range(cone.num_generators), cone.dimension - 1):
-        pairings = cone.integer_pairings(indices)
-        cls = classify_pairings(pairings)
-        if cls.kind is DiagonalKind.DEGENERATE:
+        rhs = _row_value(cone.integer_pairings(indices))
+        if rhs is None:
             skipped.append(indices)
             continue
-        dual = cone.integer_dual(indices)
-        rhs = 0 if cls.kind is DiagonalKind.INTERIOR else cls.sign * prod(pairings)
-        rows.append(SystemRow(diagonal=indices, coefficients=veronese(dual, degree), rhs=rhs))
+        rows.append(SystemRow(diagonal=indices, coefficients=veronese(cone.integer_dual(indices), degree), rhs=rhs))
     return InterpolationSystem(cone.dimension, degree, tuple(rows), tuple(skipped), cone.scale)
 
 

@@ -9,7 +9,6 @@ instances.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -18,7 +17,7 @@ from typing import Sequence
 
 from .cones import Cone, is_general_position
 from .errors import DimensionError
-from .geometry import Vector, as_vector, dot
+from .geometry import Vector, _primitive, as_vector, dot
 
 # Sampling ranges; every seeded stream, and so every golden output, depends on them.
 RADIUS = 6
@@ -68,11 +67,6 @@ def sample_cone(rng: random.Random, dimension: int, num_generators: int) -> Cone
             return cone
     message = f"no cone in general position in {MAX_DRAWS} draws of {n} rays"
     raise DimensionError(message, dimension=d, generators=n, draws=MAX_DRAWS)
-
-
-def _primitive(ray: tuple[int, ...]) -> tuple[int, ...]:
-    g = math.gcd(*ray)
-    return tuple(c // g for c in ray)
 
 
 def sample_family(rng: random.Random, cone: Cone) -> tuple[tuple[int, ...], ...]:

@@ -34,6 +34,16 @@ def test_validate_reports_fan_redundancy(capsys):
     assert report["redundant_generators"] == [2]
 
 
+def test_validate_reports_redundancy_in_a_rational_plane(capsys):
+    # rank 2 in d = 3: (1, 1, 0) and (1/2, 1/3, 0) lie inside the quadrant of the first two
+    cone = json.dumps({"apex": [0, 0, 0], "generators": [[1, 0, 0], [0, 1, 0], [1, 1, 0], ["1/2", "1/3", 0]]})
+    code, out = run(capsys, "validate", cone)
+    assert code == 0
+    report = json.loads(out)
+    assert report["general_position"] is False
+    assert report["redundant_generators"] == [3, 4]
+
+
 def test_validate_sample_beyond_shell_is_domain_error():
     # d = 2 has 20 distinct primitive rays in the sampler's shell
     result = subprocess.run(

@@ -24,11 +24,50 @@ from conefourier.errors import (
     ZeroGeneratorError,
 )
 from conefourier.cones import classify_pairings
-from conefourier.geometry import _pairing_table, determinant, dot, generalized_cross, maximal_minors, vec_scale
+from conefourier.feasibility import interior_witness, solve_nonnegative
+from conefourier.geometry import _clear_denominators, _pairing_table, _primitive, determinant, dot, generalized_cross
+from conefourier.geometry import maximal_minors, vec_scale
 from conefourier.sampling import sample_cone
 from conefourier.triangulation import pk_via_triangulation
 
 from conftest import random_cones, rational_cone
+
+
+def lp_redundant(generators):
+    """The indices of the generators in the cone of the others, each found
+    by one exact LP (``solve_nonnegative``), apart from the double
+    description that ``validate_cone`` reads."""
+    redundant = []
+    for i, g in enumerate(generators):
+        others = [w for j, w in enumerate(generators) if j != i]
+        columns = [[w[k] for w in others] for k in range(len(g))]
+        if others and solve_nonnegative(columns, g) is not None:
+            redundant.append(i)
+    return tuple(redundant)
+
+
+@st.composite
+def pointed_generators(draw):
+    """Generators in d = 1..4 of a drawn rank r <= d (r >= 2 from d = 2, as
+    n >= d distinct rays on one line are not pointed): combinations of r
+    drawn integer vectors with a positive first coefficient, so the cone is
+    pointed when those are independent, and small coefficients, so that
+    interior and coplanar generators are common; each is divided by a drawn
+    denominator. Zero vectors and repeated rays are dropped."""
+    d = draw(st.integers(1, 4))
+    r = draw(st.integers(min(d, 2), d))
+    basis = [draw(st.tuples(*[st.integers(-3, 3)] * d)) for _ in range(r)]
+    generators, rays = [], set()
+    for _ in range(draw(st.integers(d, d + 4))):
+        c = [draw(st.integers(1, 3)), *(draw(st.integers(-2, 2)) for _ in range(r - 1))]
+        denominator = draw(st.integers(1, 3))
+        g = tuple(Fraction(sum(ck * b[k] for ck, b in zip(c, basis)), denominator) for k in range(d))
+        if any(g):
+            ray = _primitive(_clear_denominators(g)[0])
+            if ray not in rays:
+                rays.add(ray)
+                generators.append(g)
+    return d, generators
 
 
 class TestConstruction:
@@ -91,6 +130,38 @@ class TestValidation:
         # generator 2 = generator 1 + generator 3
         assert report.redundant_generators == (1,)
         assert report.general_position
+
+    @pytest.mark.parametrize(
+        "generators, redundant",
+        [
+            ([(3,)], ()),  # d = 1
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], (2,)),  # rank 2 in d = 3
+            ([(1, 0, 0), (0, 1, 0), (-1, 2, 0)], (1,)),  # the third cuts a facet of the first two
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (Fraction(1, 2), Fraction(1, 3), 0)], (2, 3)),
+            ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)], (4,)),  # apex ray of a square pyramid
+            ([(1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)], ()),
+            ([(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (1, 1, 0, 2), (0, 0, 1, 1)], (4,)),
+        ],
+    )
+    def test_redundant_generators_by_hand(self, generators, redundant):
+        assert lp_redundant(generators) == redundant
+        assert validate_cone(Cone((0,) * len(generators[0]), generators)).redundant_generators == redundant
+
+    @settings(max_examples=150)
+    @given(pointed_generators())
+    def test_redundant_generators_match_the_lp(self, drawn):
+        d, generators = drawn
+        if len(generators) < d or interior_witness(generators) is None:
+            reject()
+        cone = Cone((0,) * d, generators)
+        assert validate_cone(cone).redundant_generators == lp_redundant(cone.generators)
+
+    @pytest.mark.parametrize("d, n", [(2, 5), (3, 6), (4, 7), (4, 9), (5, 8)])
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_redundant_generators_match_the_lp_on_seeded_cones(self, d, n, rational):
+        rng = random.Random(d * 100 + n)
+        cone = (rational_cone if rational else sample_cone)(rng, d, n)
+        assert validate_cone(cone).redundant_generators == lp_redundant(cone.generators)
 
 
 class TestGeneralPosition:

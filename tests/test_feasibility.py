@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from conefourier.feasibility import conic_combination, interior_witness, solve_nonnegative
+from conefourier.feasibility import interior_witness, solve_nonnegative
 from conefourier.geometry import dot
 
 from conftest import vectors
@@ -28,20 +28,6 @@ def test_witness_halfplane_boundary_case():
     gens = [(1, 0), (1, 1), (1, -1)]
     xi = interior_witness(gens)
     assert xi is not None and all(dot(w, xi) >= 1 for w in gens)
-
-
-def test_conic_combination_found():
-    t = conic_combination([(1, 0), (0, 1)], (3, 4))
-    assert t == (3, 4)
-
-
-def test_conic_combination_infeasible():
-    assert conic_combination([(1, 0), (0, 1)], (-1, 0)) is None
-
-
-def test_conic_combination_redundant_middle_ray():
-    t = conic_combination([(1, 0), (0, 1)], (1, 1))
-    assert t is not None and all(c >= 0 for c in t)
 
 
 def test_solve_nonnegative_equalities():
