@@ -29,6 +29,7 @@ from .errors import (
     DegenerateVertexError,
     DimensionError,
     ConeFourierError,
+    FloatOverflowError,
     NonSimplicialFacetError,
     NotFullDimensionalError,
     SingularEvaluationPointError,
@@ -93,7 +94,7 @@ def polytope_combinatorics(vertices: Sequence[Sequence], allow_nonsimplicial: bo
         raise NotFullDimensionalError(f"vertices span less than dimension {d}")
 
     if not allow_nonsimplicial:
-        wide = [facet for facet, _ in facets if len(facet) > d]
+        wide = [facet for facet, _, _ in facets if len(facet) > d]
         if wide:
             facet = min(wide, key=lambda f: _greedy_basis(rows, f, d)[0])
             raise NonSimplicialFacetError(
@@ -113,7 +114,7 @@ def polytope_combinatorics(vertices: Sequence[Sequence], allow_nonsimplicial: bo
                 why = "lies on no facet; it is not a vertex of the hull"
             raise DegenerateVertexError(f"point {i + 1} {why}", index=i + 1)
         adjacency.append(tuple(j for j in range(len(rows)) if j != i and meet[j] == 1 << i | 1 << j))
-    return Polytope(points, tuple(facet for facet, _ in facets), tuple(adjacency))
+    return Polytope(points, tuple(facet for facet, _, _ in facets), tuple(adjacency))
 
 
 def tangent_cone(polytope: Polytope, vertex: int) -> Cone:
@@ -193,7 +194,8 @@ def _unscaled_terms(transform: PolytopeTransform, point: Vector):
     and the Veronese image of eta once per numerator degree. The ratio, and
     the phase <v, xi>, are made Fractions of those ints: the same rationals
     as in ``Fraction`` arithmetic, so their floats, correctly rounded, are
-    the same doubles.
+    the same doubles. A ratio or phase too large for a float is a
+    FloatOverflowError naming the term's vertex.
     """
     eta, lcm = _clear_denominators(point)
     d = len(eta)
@@ -209,13 +211,18 @@ def _unscaled_terms(transform: PolytopeTransform, point: Vector):
                 vertex=tuple(str(c) for c in term.apex),
                 generator=tuple(str(c) for c in term.generators[values.index(0)]),
             )
-        checked.append((form, math.prod(values)))
+        checked.append((term.apex, form, math.prod(values)))
     images = {}
-    for (generators, scale, coefficients, denominator, apex, apex_scale), product in checked:
+    for vertex, (generators, scale, coefficients, denominator, apex, apex_scale), product in checked:
         degree = len(generators) - d
         if degree not in images:
             images[degree] = veronese(eta, degree)
         value = sum(map(mul, coefficients, images[degree]))
         ratio = Fraction(value * scale * lcm**d, denominator * product)
         phase = Fraction(sum(map(mul, apex, eta)), apex_scale * lcm)
-        yield float(ratio) * cmath.exp(2j * math.pi * float(phase))
+        try:
+            factor, turns = float(ratio), float(phase)
+        except OverflowError:
+            vertex = tuple(str(c) for c in vertex)
+            raise FloatOverflowError("a term's ratio or phase is too large for a float", vertex=vertex) from None
+        yield factor * cmath.exp(2j * math.pi * turns)

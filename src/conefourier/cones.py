@@ -26,7 +26,8 @@ the process, and the sweep scatters by the same tables. A pairing is a
 read at precomputed positions; the minor at S is the last pairing of S[:-1].
 
 ``_facets`` (a double description) and ``_meet`` (the extreme-ray test)
-serve both ``validate_cone`` and ``brion.polytope_combinatorics``.
+serve both ``validate_cone`` and ``brion.polytope_combinatorics``;
+``validate_cone`` reads pointedness and its witness off the same facets.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .errors import (
     NotPointedError,
     ZeroGeneratorError,
 )
-from .feasibility import interior_witness
 from .geometry import Vector, _clear_denominators, _pairing_table, _primitive, _reduce_rows, as_vector
 from .geometry import generalized_cross, is_zero_vector, maximal_minors
 
@@ -316,30 +316,33 @@ def _greedy_basis(rows: Sequence[Sequence[int]], indices: Sequence[int], size: i
     return [i for i, _ in picked], [lead for _, lead in picked]
 
 
-def _facets(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[tuple[int, ...], int]]]:
+def _facets(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[tuple[int, ...], int, tuple[int, ...]]]]:
     """The greedy basis of the nonzero integer rows, of their rank r, and
-    the facets of the cone over them as (rows on it, their bit mask), in
-    sorted order, by the double description method (Motzkin, Raiffa,
-    Thompson & Thrall 1953).
+    the facets of the cone over them as (rows on it, their bit mask, its
+    primitive normal), in sorted order, by the double description method
+    (Motzkin, Raiffa, Thompson & Thrall 1953).
 
-    The rows are projected onto the basis's lead columns, where the reduced
-    basis rows form a unit triangular block: one-to-one on the span, so
-    every face is kept. It starts from the simplicial cone over the basis,
-    each facet normal the cross product of all basis rows but one, and adds
-    the other rows in index order. A facet is a primitive normal h and its
-    mask Z(h). Adding row a keeps the facets with h.a >= 0, and joins each
-    pair with h.a > 0 > h'.a that is adjacent (no third facet is tight on
-    all of Z(h) & Z(h'): Fukuda & Prodon 1996) into a facet tight on a. An
-    adjacent pair shares at least r - 2 rows, so a pair sharing fewer is
-    skipped before the test."""
+    It starts from the simplicial cone over the basis, each facet normal
+    the cross product of all basis rows but one, taken on the basis's lead
+    columns (where the reduced basis rows form a unit triangular block, so
+    the projection is one-to-one on the span and keeps every face) and 0
+    elsewhere. It adds the other rows in index order. A facet is a
+    primitive normal h and its mask Z(h). Adding row a keeps the facets
+    with h.a >= 0, and joins each pair with h.a > 0 > h'.a that is adjacent
+    (no third facet is tight on all of Z(h) & Z(h'): Fukuda & Prodon 1996)
+    into a facet tight on a, a positive combination of the two. An adjacent
+    pair shares at least r - 2 rows, so a pair sharing fewer is skipped
+    before the test. Every normal is nonnegative on every row, pointed cone
+    or not; on a pointed cone the facets are exact (DECISIONS.md)."""
     basis, leads = _greedy_basis(rows, range(len(rows)), len(rows[0]))
-    rows = [[row[c] for c in leads] for row in rows]
     width = len(leads)
     facets = []
     for b in basis:
-        normal = generalized_cross([rows[i] for i in basis if i != b], width)
+        cross = generalized_cross([[rows[i][c] for c in leads] for i in basis if i != b], width)
+        at_lead = dict(zip(leads, cross))
+        normal = [at_lead.get(c, 0) for c in range(len(rows[0]))]
         if sum(map(mul, normal, rows[b])) < 0:
-            normal = tuple(-c for c in normal)
+            normal = [-c for c in normal]
         facets.append((_primitive(normal), sum(1 << i for i in basis if i != b)))
     taken = set(basis)
     for i in range(len(rows)):
@@ -367,16 +370,16 @@ def _facets(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[tuple[
                 joined = [value * b - other_value * a for a, b in zip(normal, other)]
                 kept.append((_primitive(joined), common | bit))
         facets = kept
-    return basis, sorted((tuple(i for i in range(len(rows)) if mask >> i & 1), mask) for _, mask in facets)
+    return basis, sorted((tuple(i for i in range(len(rows)) if mask >> i & 1), mask, h) for h, mask in facets)
 
 
-def _meet(facets: Iterable[tuple[tuple[int, ...], int]], count: int, i: int) -> list[int]:
+def _meet(facets: Iterable[tuple[tuple[int, ...], int, tuple[int, ...]]], count: int, i: int) -> list[int]:
     """meet[j]: the bit mask of the rows on every facet through rows i and
     j (all rows when none is), the smallest face holding both. The one
     extreme-ray test: with no two rows on one ray, row i is extreme exactly
     when no other row lies on every facet through it, meet[i] == 1 << i."""
     meet = [(1 << count) - 1] * count
-    for facet, mask in facets:
+    for facet, mask, _ in facets:
         if mask >> i & 1:
             for j in facet:
                 meet[j] &= mask
@@ -384,25 +387,26 @@ def _meet(facets: Iterable[tuple[tuple[int, ...], int]], count: int, i: int) -> 
 
 
 def validate_cone(cone: Cone) -> ValidationReport:
-    """Check pointedness and report the cone's degeneracies.
-
-    Pointedness is certified by an explicit rational functional that is
-    positive on every generator, found by exact feasibility. Generators
-    that are nonnegative combinations of the others are permitted but
-    reported as redundant: the generators that are not extreme rays, by the
-    test of ``_meet`` on the facets of the integer generators (``_facets``).
+    """Check pointedness and report the cone's degeneracies, all from one
+    double description of the integer generators (``_facets``). With s the
+    sum of the facet normals, the cone is pointed exactly when least =
+    min_j <w_j, s> > 0 (DECISIONS.md), and s / least, whose least value on
+    a generator is 1, certifies it. Generators that are nonnegative
+    combinations of the others are permitted but reported as redundant:
+    those that are not extreme rays, by the test of ``_meet``.
     """
-    witness = interior_witness(cone.generators)
-    if witness is None:
+    _, facets = _facets(cone.integer_generators)
+    total = [sum(column) for column in zip(*(normal for _, _, normal in facets))] or [0] * cone.dimension
+    least = min(Fraction(sum(map(mul, u, total)), m) for u, m in zip(cone.integer_generators, cone.scales))
+    if least <= 0:
         raise NotPointedError(
             "generators admit a nontrivial nonnegative combination equal to zero; "
             "the cone contains a line"
         )
     n = cone.num_generators
-    _, facets = _facets(cone.integer_generators)
     return ValidationReport(
         pointed=True,
-        witness=witness,
+        witness=tuple(c / least for c in total),
         general_position=is_general_position(cone),
         redundant_generators=tuple(i for i in range(n) if _meet(facets, n, i)[i] != 1 << i),
     )

@@ -80,3 +80,7 @@ class DegenerateVertexError(ConeFourierError):
 
 class SingularEvaluationPointError(ConeFourierError):
     """Some generator linear form vanishes at the evaluation point."""
+
+
+class FloatOverflowError(ConeFourierError):
+    """An exact ratio or phase at the evaluation point is too large for a float."""

@@ -1,9 +1,10 @@
 """Exact linear feasibility through a small phase-one simplex method.
 
 All arithmetic stays in ``Fraction`` and pivoting follows Bland's rule, so
-answers are exact and every run is deterministic and finite. This is the
-engine behind the pointedness witness of ``cones.validate_cone``; the
-redundant generators there are read off the double description instead.
+answers are exact and every run is deterministic and finite. No module of
+the package calls it: ``cones.validate_cone`` reads pointedness, its
+witness and the redundant generators off one double description. It is
+kept as the reference LP that the tests check those answers against.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import ONE, ZERO, Vector, as_scalar, as_vector
+from .geometry import ONE, ZERO, as_scalar
 
 
 def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
@@ -74,27 +75,3 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction
         if var < n:
             x[var] = tableau[i][last]
     return tuple(x)
-
-
-def interior_witness(generators: Sequence[Sequence]) -> Vector | None:
-    """A rational xi with <w, xi> >= 1 for every generator w, or None.
-
-    Such a functional exists exactly when the cone spanned by the
-    generators is pointed.
-    """
-    gens = [as_vector(w) for w in generators]
-    if not gens:
-        return None
-    d = len(gens[0])
-    n = len(gens)
-    rows = []
-    for i, w in enumerate(gens):
-        slack = [ZERO] * n
-        slack[i] = -ONE
-        # xi is free: split into positive and negative parts.
-        rows.append(list(w) + [-a for a in w] + slack)
-    solution = solve_nonnegative(rows, [ONE] * n)
-    if solution is None:
-        return None
-    return tuple(solution[k] - solution[d + k] for k in range(d))
-

@@ -16,8 +16,8 @@ from math import comb
 from typing import Sequence
 
 from .cones import Cone, is_general_position
-from .errors import DimensionError
-from .geometry import Vector, _primitive, as_vector, dot
+from .errors import DimensionError, ZeroGeneratorError
+from .geometry import Vector, _primitive, as_vector, dot, is_zero_vector
 
 # Sampling ranges; every seeded stream, and so every golden output, depends on them.
 RADIUS = 6
@@ -88,8 +88,12 @@ def sample_rational_vector(rng: random.Random, dimension: int) -> Vector:
 
 
 def sample_nonsingular_point(rng: random.Random, generators: Sequence[Sequence], dimension: int) -> Vector:
-    """A random rational point at which no given linear form vanishes."""
+    """A random rational point at which no given linear form vanishes. A
+    zero generator vanishes everywhere, so it is a ZeroGeneratorError."""
     gens = [as_vector(g) for g in generators]
+    for i, g in enumerate(gens):
+        if is_zero_vector(g):
+            raise ZeroGeneratorError(f"generator {i + 1} is the zero vector", index=i + 1)
     while True:
         xi = sample_rational_vector(rng, dimension)
         if all(dot(g, xi) != 0 for g in gens):

@@ -18,9 +18,11 @@ from conefourier.errors import (
     ConeFourierError,
     DegenerateVertexError,
     DimensionError,
+    FloatOverflowError,
     NonSimplicialFacetError,
     NotFullDimensionalError,
     SingularEvaluationPointError,
+    ZeroGeneratorError,
 )
 from conefourier.geometry import dot, generalized_cross, is_zero_vector, vec_sub
 from conefourier.polynomials import HomogeneousPolynomial
@@ -433,6 +435,13 @@ class TestEvaluation:
             # absolute bound at the transform's zeros, relative elsewhere
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
 
+    def test_nonsingular_point_refuses_a_zero_generator(self):
+        """Every point is singular for a zero generator, so the sampler
+        raises before drawing, where it would never return."""
+        with pytest.raises(ZeroGeneratorError) as err:
+            sample_nonsingular_point(random.Random(1), [(1, 1), (0, 0)], 2)
+        assert err.value.context == {"index": 2}
+
     def test_conjugate_symmetry(self, octahedron_vertices):
         T = polytope_transform(polytope_combinatorics(octahedron_vertices))
         rng = random.Random(5)
@@ -509,6 +518,21 @@ class TestIntegerEvaluation:
             with pytest.raises(SingularEvaluationPointError) as err:
                 evaluate(T, (Fraction(1, 3), 0))
             assert err.value.context == {"vertex": ("0", "0"), "generator": ("0", "5/7")}
+
+    @pytest.mark.parametrize(
+        "xi, vertex",
+        [
+            ((Fraction(1, 10**200), Fraction(2, 10**200)), ("0", "0")),  # the first ratio is about 10^400
+            ((10**400, 3), ("1", "0")),  # the ratios underflow to 0, the phase <v, xi> at (1, 0) overflows
+        ],
+    )
+    def test_float_overflow_names_the_vertex(self, unit_square_vertices, xi, vertex):
+        T = polytope_transform(polytope_combinatorics(unit_square_vertices))
+        for evaluate in (evaluate_transform, per_term_values):
+            with pytest.raises(FloatOverflowError) as err:
+                evaluate(T, xi)
+            assert err.value.code == "FloatOverflow"
+            assert err.value.context == {"vertex": vertex}
 
     def test_hand_built_term_with_int_generators(self):
         """The quadrant: degree-0 numerator 1, int generators and apex."""

@@ -58,6 +58,20 @@ def test_validate_sample_beyond_shell_is_domain_error():
     assert err["context"] == {"dimension": 2, "generators": 30, "rays_found": 20}
 
 
+def test_validate_leaves_the_simplex_unimported():
+    """validate reads pointedness off the double description: the
+    feasibility simplex module is never imported on the way."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import conefourier.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = conefourier.cli.main(['validate', '--sample', '3', '6', '--seed', '1'])\n"
+        "print(code, 'conefourier.feasibility' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.split() == ["0", "False"]
+
+
 def test_validate_sample_never_in_general_position_is_domain_error():
     # 20 rays drawn from the d = 3 shell all but never avoid three in one
     # plane; the sampler used to redraw them without end
@@ -244,6 +258,21 @@ def test_brion_eval_point_checked_before_the_facet_search(capsys, monkeypatch, a
     code, out = run(capsys, "brion-eval", *argv)
     assert (code, out) == (1, WRONG_LENGTH % (length, length))
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "xi, vertex",
+    [
+        (["1/1" + "0" * 200, "2/1" + "0" * 200], ["0", "0"]),
+        (["1" + "0" * 400, "3"], ["1", "0"]),
+    ],
+)
+def test_brion_eval_float_overflow_is_a_domain_error(capsys, xi, vertex):
+    code, out = run(capsys, "brion-eval", UNIT_SQUARE, "--xi", json.dumps(xi))
+    assert code == 1
+    err = json.loads(out)
+    assert err["code"] == "FloatOverflow"
+    assert err["context"] == {"vertex": vertex}
 
 
 def test_brion_eval_singular_point(capsys):

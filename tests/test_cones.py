@@ -24,7 +24,7 @@ from conefourier.errors import (
     ZeroGeneratorError,
 )
 from conefourier.cones import classify_pairings
-from conefourier.feasibility import interior_witness, solve_nonnegative
+from conefourier.feasibility import solve_nonnegative
 from conefourier.geometry import _clear_denominators, _pairing_table, _primitive, determinant, dot, generalized_cross
 from conefourier.geometry import maximal_minors, vec_scale
 from conefourier.sampling import sample_cone
@@ -46,22 +46,38 @@ def lp_redundant(generators):
     return tuple(redundant)
 
 
+def contains_line(generators):
+    """Gordan's alternative, by one exact LP (``solve_nonnegative``) apart
+    from the double description: the cone contains a line exactly when
+    some lambda >= 0 with sum lambda_j = 1 has sum lambda_j w_j = 0."""
+    d = len(generators[0])
+    rows = [[w[k] for w in generators] for k in range(d)] + [[1] * len(generators)]
+    return solve_nonnegative(rows, [0] * d + [1]) is not None
+
+
 @st.composite
-def pointed_generators(draw):
+def drawn_generators(draw, lines=False):
     """Generators in d = 1..4 of a drawn rank r <= d (r >= 2 from d = 2, as
     n >= d distinct rays on one line are not pointed): combinations of r
     drawn integer vectors with a positive first coefficient, so the cone is
     pointed when those are independent, and small coefficients, so that
     interior and coplanar generators are common; each is divided by a drawn
-    denominator. Zero vectors and repeated rays are dropped."""
+    denominator. With ``lines``, the first coefficient may take either sign
+    and the negative of the first generator may be added, so cones with a
+    line are common too. Zero vectors and repeated rays are dropped."""
     d = draw(st.integers(1, 4))
     r = draw(st.integers(min(d, 2), d))
     basis = [draw(st.tuples(*[st.integers(-3, 3)] * d)) for _ in range(r)]
-    generators, rays = [], set()
+    low = -2 if lines and draw(st.booleans()) else 1
+    drawn = []
     for _ in range(draw(st.integers(d, d + 4))):
-        c = [draw(st.integers(1, 3)), *(draw(st.integers(-2, 2)) for _ in range(r - 1))]
+        c = [draw(st.integers(low, 3)), *(draw(st.integers(-2, 2)) for _ in range(r - 1))]
         denominator = draw(st.integers(1, 3))
-        g = tuple(Fraction(sum(ck * b[k] for ck, b in zip(c, basis)), denominator) for k in range(d))
+        drawn.append(tuple(Fraction(sum(ck * b[k] for ck, b in zip(c, basis)), denominator) for k in range(d)))
+    if lines and draw(st.booleans()):
+        drawn.append(tuple(-c for c in drawn[0]))
+    generators, rays = [], set()
+    for g in drawn:
         if any(g):
             ray = _primitive(_clear_denominators(g)[0])
             if ray not in rays:
@@ -147,11 +163,25 @@ class TestValidation:
         assert lp_redundant(generators) == redundant
         assert validate_cone(Cone((0,) * len(generators[0]), generators)).redundant_generators == redundant
 
+    @settings(max_examples=200)
+    @given(drawn_generators(lines=True))
+    def test_not_pointed_exactly_when_the_lp_finds_a_line(self, drawn):
+        d, generators = drawn
+        if len(generators) < d:
+            reject()
+        cone = Cone((0,) * d, generators)
+        if contains_line(cone.generators):
+            with pytest.raises(NotPointedError):
+                validate_cone(cone)
+        else:
+            witness = validate_cone(cone).witness
+            assert min(dot(w, witness) for w in cone.generators) == 1
+
     @settings(max_examples=150)
-    @given(pointed_generators())
+    @given(drawn_generators())
     def test_redundant_generators_match_the_lp(self, drawn):
         d, generators = drawn
-        if len(generators) < d or interior_witness(generators) is None:
+        if len(generators) < d or contains_line(generators):
             reject()
         cone = Cone((0,) * d, generators)
         assert validate_cone(cone).redundant_generators == lp_redundant(cone.generators)

@@ -1,33 +1,44 @@
+"""The pointedness witness of ``validate_cone``, on the inputs that once
+tested the feasibility simplex's witness LP, and ``solve_nonnegative``,
+kept as the reference LP the tests check the double description against."""
+
+import pytest
 from hypothesis import given, strategies as st
 
-from conefourier.feasibility import interior_witness, solve_nonnegative
-from conefourier.geometry import dot
+from conefourier import Cone, validate_cone
+from conefourier.errors import NotPointedError
+from conefourier.feasibility import solve_nonnegative
+from conefourier.geometry import _clear_denominators, _primitive, dot
 
 from conftest import vectors
 
 
+def witness(generators):
+    """validate_cone's witness on the cone at the origin, after checking
+    that its least value on a generator is exactly 1."""
+    xi = validate_cone(Cone((0,) * len(generators[0]), generators)).witness
+    assert min(dot(w, xi) for w in generators) == 1
+    return xi
+
+
 def test_witness_first_quadrant():
-    xi = interior_witness([(1, 0), (0, 1)])
-    assert xi is not None
-    assert all(dot(w, xi) >= 1 for w in [(1, 0), (0, 1)])
+    witness([(1, 0), (0, 1)])
 
 
 def test_witness_rejects_line():
-    assert interior_witness([(1, 0), (-1, 0)]) is None
+    with pytest.raises(NotPointedError) as err:
+        validate_cone(Cone((0, 0), ((1, 0), (-1, 0))))
+    assert err.value.context == {}
 
 
 def test_witness_square_cone():
-    gens = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
-    xi = interior_witness(gens)
-    assert xi is not None
-    assert all(dot(w, xi) >= 1 for w in gens)
+    witness([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
 
 
 def test_witness_halfplane_boundary_case():
     # Pointed, but only barely: the witness must tilt toward (1, 0).
-    gens = [(1, 0), (1, 1), (1, -1)]
-    xi = interior_witness(gens)
-    assert xi is not None and all(dot(w, xi) >= 1 for w in gens)
+    xi = witness([(1, 0), (1, 1), (1, -1)])
+    assert xi[0] > abs(xi[1])
 
 
 def test_solve_nonnegative_equalities():
@@ -41,16 +52,19 @@ def test_solve_nonnegative_infeasible_sign():
 
 @given(data=st.data())
 def test_witness_certifies_whenever_found(data):
-    gens = [data.draw(vectors(2)) for _ in range(data.draw(st.integers(1, 4)))]
-    gens = [g for g in gens if any(c != 0 for c in g)]
-    if not gens:
+    gens, rays = [], set()
+    for g in (data.draw(vectors(2)) for _ in range(data.draw(st.integers(1, 4)))):
+        ray = _primitive(_clear_denominators(g)[0]) if any(g) else None
+        if ray is not None and ray not in rays:
+            rays.add(ray)
+            gens.append(g)
+    if len(gens) < 2:
         return
-    xi = interior_witness(gens)
-    if xi is not None:
-        assert all(dot(w, xi) >= 1 for w in gens)
-    else:
+    try:
+        witness(gens)
+    except NotPointedError:
         # A family entirely on one strict side of a hyperplane is always
-        # feasible, so infeasible answers must not look like that.
+        # pointed, so a rejected one must not look like that.
         assert not all(g[0] > 0 for g in gens)
         assert not all(g[0] < 0 for g in gens)
         assert not all(g[1] > 0 for g in gens)
