@@ -10,12 +10,13 @@ is ``Cone.scale`` times p_K and has integer coefficients, so rows, values
 and solution are ints and the solve divides by the scale once at the end.
 Values and duals are both read off the cone's minor table, each dual by
 Cramer's rule on one basis of generators (``Cone.integer_dual``), so a
-build makes at most d cross products. The system is solved by elimination
-modulo primes on rows packed in 8-byte slots, the primes sized to the row
-width so that no slot overflows; anchor-star rows come first, and as many
-primes, combined by CRT, as the coefficients need. The candidate is
-accepted only when it satisfies every row exactly. Otherwise, and for the
-pivots, exact rational elimination decides.
+build makes at most d cross products. The system is solved by one
+elimination modulo a prime on rows packed in 8-byte slots, the prime sized
+to the row width so that no slot overflows and the anchor-star rows first,
+and then by Dixon's p-adic lifting, one O(N^2) pass per further base-p
+digit of the coefficients. The candidate is accepted only when it
+satisfies every row exactly. Otherwise, and for the pivots, exact rational
+elimination decides.
 """
 
 from __future__ import annotations
@@ -125,19 +126,14 @@ def build_system(cone: Cone) -> InterpolationSystem:
 
 
 @cache
-def _prime_below(i: int, k: int) -> int:
-    """The i-th prime down from 2^k, 0-based, by trial division: k <= 31, so
-    at most 23,170 odd divisors a candidate. Threads racing on the cache
-    compute equal values; any primes are sound."""
-    start = _prime_below(i - 1, k) - 2 if i else (1 << k) - 1
-    return next(q for q in range(start, 2, -2) if all(q % f for f in range(3, isqrt(q) + 1, 2)))
-
-
-def _prime(i: int, width: int) -> int:
-    """The i-th prime down from 2^k, 0-based, k = (64 - width.bit_length()) // 2,
-    so that ``_reduce_mod`` holds rows of ``width`` entries mod it in 8-byte
-    slots. Each is found once per process."""
-    return _prime_below(i, (64 - width.bit_length()) // 2)
+def _prime(width: int) -> int:
+    """The largest prime below 2^k, k = (64 - width.bit_length()) // 2, so
+    that ``_reduce_mod`` holds rows of ``width`` entries mod it in 8-byte
+    slots. Found by trial division, once per width and process: k <= 31,
+    so at most 23,170 odd divisors a candidate. Threads racing on the cache
+    compute equal values."""
+    k = (64 - width.bit_length()) // 2
+    return next(q for q in range((1 << k) - 1, 2, -2) if all(q % f for f in range(3, isqrt(q) + 1, 2)))
 
 
 def _pack(entries: Sequence[int]) -> int:
@@ -145,10 +141,18 @@ def _pack(entries: Sequence[int]) -> int:
     return int.from_bytes(array("Q", entries[::-1]).tobytes(), byteorder)
 
 
-def _reduce_mod(rows: Iterable[Sequence[int]], width: int, p: int) -> Iterator[tuple[int | None, list[int] | None]]:
+def _reduce_mod(
+    rows: Iterable[Sequence[int]], width: int, p: int
+) -> Iterator[tuple[int, list[int], list[int], int] | tuple[None, None, None, None]]:
     """``_reduce_rows`` mod the prime p on int rows of ``width`` entries:
-    yields ``(lead, kept)`` per row, kept the reduced row over its lead
-    entry, in [0, p), or ``(None, None)`` for a row that vanishes mod p.
+    yields ``(lead, kept, factors, inv)`` per row, kept the reduced row over
+    its lead entry, in [0, p), or ``(None, None, None, None)`` for a row
+    that vanishes mod p. ``factors[k]`` is the row's entry mod p at the
+    lead of the k-th pivot kept before it, when that pivot came up (0 if
+    it was not applied), and inv the inverse of the row's lead entry, so
+    ``(r - sum(factors[k] * s[k])) * inv`` mod p replays the reduction on a
+    new last column: r the row's entry there, s[k] the reduced entries of
+    the kept rows before it.
 
     A row is one int of 64-bit slots, last entry lowest, packed from and
     unpacked to an ``array("Q")``, so a pivot (zero left of its lead l) is
@@ -162,41 +166,45 @@ def _reduce_mod(rows: Iterable[Sequence[int]], width: int, p: int) -> Iterator[t
     kept: list[tuple[int, int]] = []
     for row in rows:
         acc = _pack([a % p for a in row])
+        factors = []
         for shift, pivot in kept:
             f = (acc >> shift & _SLOT_MASK) % p
+            factors.append(f)
             if f:
                 acc += (p - f) * pivot
         work = [a % p for a in reversed(array("Q", acc.to_bytes(8 * width, byteorder)))]
         lead = next(compress(count(), work), None)
         if lead is None:
-            yield None, None
+            yield None, None, None, None
             continue
         inv = pow(work[lead], -1, p)
         tail = [a * inv % p for a in work[lead:]]
         work[lead:] = tail
         kept.append((64 * (width - 1 - lead), _pack(tail)))
-        yield lead, work
+        yield lead, work, factors, inv
 
 
 def _solve_modular(system: InterpolationSystem) -> list[int] | None:
-    """The system's integer solution, found modulo primes and checked
-    exactly, or None.
+    """The system's integer solution, lifted p-adically from one reduction
+    modulo a prime and checked exactly, or None.
 
     The rows, rhs included, are read as ints (hand-built ones scaled to
     integers), those whose diagonal avoids generator 0 first: under general
     position they are the independent anchor-star family (DECISIONS.md).
-    ``_reduce_mod`` reduces them mod the first prime for their width
+    ``_reduce_mod`` reduces them mod the prime p for their width
     (``_prime``) until full rank, which holds over Q too, so the kept
-    square block B has one solution x. Its residues mod the primes so far,
-    combined by CRT and lifted to symmetric residues, are returned if they
-    satisfy every row exactly. Otherwise the block is reduced mod the next
-    prime, until the product M of the primes exceeds 2H, H the product of
-    the block's row norms: an integral x has |x_i| <= H (Cramer, Hadamard).
-    A later prime that leaves B singular divides det B, which is not zero,
-    so it is skipped; only finitely many are. None when the first prime
-    leaves the rank short or a row with only its rhs, when a lift solves
-    the block but not another row (so the system is inconsistent), or when
-    M > 2H.
+    square block B with rhs b has one solution x. Dixon's lifting finds
+    its balanced base-p digits: the first, y, by back-substitution on the
+    reduced rhs; then, while r = (b - B (y_0 + ... + y_i p^i)) / p^(i+1) is
+    not zero, the next by replaying the reduction's factors on r mod p and
+    back-substituting, all O(N^2). r = 0 means the digits so far solve B
+    exactly; they are returned if every other row holds in int. An
+    integral x has |x_i| <= H, H the product of the block's row norms
+    (Cramer, Hadamard), so it has at most k digits once p^k > 2H. None
+    when the rank falls short mod p or a row leaves only its rhs, when the
+    lift solves the block but not another row (so the system is
+    inconsistent), or when r is still not zero once p^k > 2H (so x is not
+    integral).
     """
     unknowns = system.unknowns
     rows = []
@@ -205,41 +213,50 @@ def _solve_modular(system: InterpolationSystem) -> list[int] | None:
         if set(map(type, entries)) != {int}:
             entries, _ = _clear_denominators(entries)
         rows.append(entries)
-    block, residues, modulus, bound = range(len(rows)), [0] * unknowns, 1, None
-    for i in count():
-        p = _prime(i, unknowns + 1)
-        kept = []
-        for r, (lead, work) in zip(block, _reduce_mod((rows[r] for r in block), unknowns + 1, p)):
-            if lead is None:
-                continue
-            if lead == unknowns:
-                break
-            kept.append((r, lead, work))
-            if len(kept) == unknowns:
-                break
-        if len(kept) < unknowns:
-            if i == 0:
-                return None
-            continue  # p divides det of the block, which is nonzero over Q
-        block = [r for r, _, _ in kept]
-        solution = [0] * unknowns
-        for _, lead, work in sorted(kept, key=lambda k: k[1], reverse=True):
-            solution[lead] = (work[unknowns] - sum(map(mul, work[lead + 1 : unknowns], solution[lead + 1 :]))) % p
-        inv = pow(modulus, -1, p)
-        residues = [x + modulus * ((s - x) * inv % p) for x, s in zip(residues, solution)]
-        modulus *= p
-        lift = [x - modulus if x > modulus // 2 else x for x in residues]
+    p = _prime(unknowns + 1)
+    kept = []
+    for r, (lead, work, factors, inv) in enumerate(_reduce_mod(rows, unknowns + 1, p)):
+        if lead is None:
+            continue
+        if lead == unknowns:
+            return None
+        kept.append((r, lead, work, factors, inv))
+        if len(kept) == unknowns:
+            break
+    if len(kept) < unknowns:
+        return None
+    half = p // 2
+    stairs = sorted(
+        ((lead, work[lead + 1 : unknowns], k) for k, (_, lead, work, _, _) in enumerate(kept)), reverse=True
+    )
 
-        def holds(row: list[int]) -> bool:
-            return sum(map(mul, row, lift)) == row[unknowns]
+    def digit(reduced: list[int]) -> list[int]:
+        """The balanced solution mod p of B y = r, from r's reduced entries."""
+        y = [0] * unknowns
+        for lead, tail, k in stairs:
+            s = (reduced[k] - sum(map(mul, tail, y[lead + 1 :]))) % p
+            y[lead] = s - p if s > half else s
+        return y
 
-        if all(holds(rows[r]) for r in block):
-            others = set(range(len(rows))).difference(block)
-            return lift if all(holds(rows[r]) for r in others) else None
+    block = [rows[r] for r, _, _, _, _ in kept]
+    solution = digit([work[unknowns] for _, _, work, _, _ in kept])
+    residual = [row[unknowns] - sum(map(mul, row, solution)) for row in block]  # p * r
+    modulus, bound = p, None
+    while any(residual):
         if bound is None:
-            bound = 4 * prod(sum(a * a for a in rows[r]) for r in block)
+            bound = 4 * prod(sum(map(mul, row, row)) for row in block)
         if modulus * modulus > bound:
             return None
+        residual = [t // p for t in residual]
+        reduced: list[int] = []
+        for t, (_, _, _, factors, inv) in zip(residual, kept):
+            reduced.append((t - sum(map(mul, factors, reduced))) * inv % p)
+        y = digit(reduced)
+        residual = [t - sum(map(mul, row, y)) for t, row in zip(residual, block)]
+        solution = [x + modulus * c for x, c in zip(solution, y)]
+        modulus *= p
+    others = set(range(len(rows))).difference(r for r, _, _, _, _ in kept)
+    return solution if all(sum(map(mul, rows[r], solution)) == rows[r][unknowns] for r in others) else None
 
 
 def _eliminate(system: InterpolationSystem) -> list[tuple[tuple[int, ...], int, list[Fraction]]]:

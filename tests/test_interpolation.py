@@ -3,14 +3,16 @@ import sys
 import threading
 from fractions import Fraction
 from math import comb, isqrt, prod
+from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conefourier import (
     Cone,
     build_system,
     diagonal_for,
+    interpolation,
     pk_via_interpolation,
     pk_via_triangulation,
     rhs_value,
@@ -22,13 +24,13 @@ from conefourier.errors import (
     RankDeficientError,
 )
 from conefourier.cones import is_general_position
-from conefourier.geometry import _reduce_rows, dot, generalized_cross, vec_scale, veronese
+from conefourier.geometry import _reduce_rows, determinant, dot, generalized_cross, vec_scale, veronese
 from conefourier.brion import polytope_combinatorics, tangent_cone
 from conefourier.interpolation import (
     InterpolationSystem,
     SystemRow,
+    _eliminate,
     _prime,
-    _prime_below,
     _reduce_mod,
     _solve_modular,
     solve_with_details,
@@ -37,7 +39,7 @@ from conefourier.sampling import sample_cone
 
 from conftest import random_cones
 
-P = _prime(0, 3)  # the first prime of the two-row systems below (3 entries a row)
+P = _prime(3)  # the prime of the two-row systems below (3 entries a row)
 
 
 class TestRhsValues:
@@ -216,11 +218,12 @@ class TestModularSolve:
             ((P, 1, P + 1), (1, 0, 1), (1, 1), True),
             # The first row vanishes mod p, so the rank is short there.
             ((P, 0, P), (0, 1, 1), (1, 1), False),
-            # 2^70 lies beyond two primes' symmetric residues; the CRT lift
-            # over three recovers it.
+            # 2^70 takes three balanced digits of the 31-bit prime, all
+            # lifted from the one reduction.
             ((1, 0, 2**70), (0, 1, 1), (2**70, 1), True),
-            # The solution is not integral, so no lift passes and the exact
-            # reduction gives the Fractions.
+            # The solution is not integral, so the lift never clears the
+            # residual, the digit cap ends it and the exact reduction gives
+            # the Fractions.
             ((2, 0, 1), (0, 3, 1), (Fraction(1, 2), Fraction(1, 3)), False),
         ],
     )
@@ -244,14 +247,49 @@ class TestModularSolve:
         assert _solve_modular(system) == [3, 5]
         assert solve_exact(system).coefficients == (3, 5)
 
-    def test_later_prime_dividing_the_block_is_skipped(self):
-        """One unknown, coefficient the second prime q and solution x = 2^40,
-        wider than the first prime: the row vanishes mod q, so q is skipped
-        and the first and third primes lift x on the modular path."""
-        q, x = _prime(1, 2), 2**40
-        system = InterpolationSystem(dimension=1, degree=1, rows=(SystemRow((0,), (q,), q * x),))
-        assert x > _prime(0, 2) and _solve_modular(system) == [x]
-        assert solve_exact(system).coefficients == (x,)
+    def test_solution_wider_than_the_prime_is_lifted(self):
+        """One unknown and solution x = 2^40, two balanced digits of the
+        31-bit prime p: the lift recovers it. With p itself as coefficient
+        the row vanishes mod p, the rank is short there, and the exact
+        reduction solves the system."""
+        p, x = _prime(2), 2**40
+        assert p < x < p * p // 2
+        for coefficient, lifted in ((3, [x]), (p, None)):
+            system = InterpolationSystem(dimension=1, degree=1, rows=(SystemRow((0,), (coefficient,), coefficient * x),))
+            assert _solve_modular(system) == lifted
+            assert solve_exact(system).coefficients == (x,)
+
+    @pytest.mark.parametrize("kind", ["integral", "fractional", "inconsistent"])
+    @given(data=st.data())
+    def test_lift_matches_exact_back_substitution(self, kind, data):
+        """Random square integer systems B x = b, x drawn to need 1-4
+        balanced digits of the prime. |det B| < p, so B is nonsingular mod p
+        whenever it is over Q. An integral x is lifted exactly; B scaled by
+        q = 2 or 3 makes x / q the solution, which is not integral, and a
+        copy of a row with rhs + 1 after full rank makes the system
+        inconsistent: both give None."""
+        unknowns = data.draw(st.integers(1, 4), label="unknowns")
+        p = _prime(unknowns + 1)
+        top = (p ** data.draw(st.integers(1, 4), label="digits") - 1) // 2
+        x = data.draw(st.lists(st.integers(-top, top), min_size=unknowns, max_size=unknowns), label="x")
+        entries = st.lists(st.integers(-15, 15), min_size=unknowns, max_size=unknowns)
+        matrix = data.draw(st.lists(entries, min_size=unknowns, max_size=unknowns), label="B")
+        assume(determinant(matrix) != 0)
+        rhs = [sum(map(mul, row, x)) for row in matrix]
+        q = data.draw(st.sampled_from([2, 3]), label="q") if kind == "fractional" else 1
+        assume(any(c % q for c in x) or q == 1)
+        rows = [SystemRow((i + 1,), tuple(q * a for a in row), b) for i, (row, b) in enumerate(zip(matrix, rhs))]
+        if kind == "inconsistent":
+            rows.append(SystemRow((unknowns + 1,), rows[0].coefficients, rows[0].rhs + 1))
+        system = InterpolationSystem(dimension=2, degree=unknowns - 1, rows=tuple(rows))
+        if kind == "inconsistent":
+            assert _solve_modular(system) is None
+            with pytest.raises(InconsistentError):
+                _eliminate(system)
+            return
+        exact = exact_solution(system)
+        assert exact == [Fraction(c, q) for c in x]
+        assert _solve_modular(system) == (x if q == 1 else None)
 
     @pytest.mark.parametrize("d, n", [(3, 6), (4, 8)])
     def test_pivots_are_exact_on_sampled_cones(self, d, n):
@@ -276,7 +314,7 @@ class TestModularSolve:
                 accepted.append(_solve_modular(build_system(cone)) is not None)
                 assert pk_via_interpolation(cone) == pk_via_triangulation(cone)
         # Every cone takes the modular path: rational ones through their
-        # integer form, large ones with as many primes as their
+        # integer form, large ones with as many digits as their
         # coefficients need.
         assert accepted == [True] * 10
 
@@ -303,6 +341,19 @@ class TestModularSolve:
         assert results == [expected] * 6
 
 
+def exact_solution(system):
+    """Back-substitution over Q on the rows ``_eliminate`` keeps."""
+    solution = [Fraction(0)] * system.unknowns
+    for _, lead, work in sorted(_eliminate(system), key=lambda k: k[1], reverse=True):
+        solution[lead] = work[-1] - sum(work[j] * solution[j] for j in range(lead + 1, system.unknowns))
+    return solution
+
+
+def leads_and_rows(rows, width, p):
+    """``_reduce_mod``'s (lead, kept) pairs, the part ``plain_reduce_mod`` gives."""
+    return [(lead, work) for lead, work, _, _ in _reduce_mod(rows, width, p)]
+
+
 def plain_reduce_mod(rows, width, p):
     """The reference for ``_reduce_mod``: the lead-column rule of
     ``_reduce_rows`` mod p, one reduced entry at a time."""
@@ -324,16 +375,16 @@ def plain_reduce_mod(rows, width, p):
 
 
 class TestPackedReduction:
-    # The first two primes for the widest of these systems (21 entries),
-    # which hold all three in 8-byte slots.
-    @pytest.mark.parametrize("p", [_prime(0, 21), _prime(1, 21), 101])
+    # The prime for the widest of these systems (21 entries) and a smaller
+    # one, for a million entries; both hold all three in 8-byte slots.
+    @pytest.mark.parametrize("p", [_prime(21), _prime(10**6), 101])
     @pytest.mark.parametrize("d, n, seed", [(2, 5, 1), (3, 6, 2), (4, 7, 3)])
     def test_matches_plain_reduction_on_sampled_systems(self, d, n, seed, p):
         system = build_system(sample_cone(random.Random(seed), d, n))
         rows = [[*row.coefficients, row.rhs] for row in system.rows]
         rows.append(rows[0])  # a row that vanishes
         expected = list(plain_reduce_mod(rows, system.unknowns + 1, p))
-        assert list(_reduce_mod(rows, system.unknowns + 1, p)) == expected
+        assert leads_and_rows(rows, system.unknowns + 1, p) == expected
         assert expected[-1] == (None, None)
 
     @pytest.mark.parametrize("unknowns", [2, 3, 5, 56, 126])
@@ -343,12 +394,12 @@ class TestPackedReduction:
         slot to p - 1 + unknowns * (p-1)^2, the most a slot can reach; p
         the largest prime the solve takes at this width."""
         width = unknowns + 1
-        p = _prime(0, width)
+        p = _prime(width)
         ladder = [[p - 1] * (k + 1) + [0] * (width - k - 1) for k in range(unknowns)]
         spikes = [[int(j == k) + (p - 1) * (j == unknowns) for j in range(width)] for k in range(unknowns)]
         for rows in (ladder + [[p - 1] * width], spikes + [[1] * unknowns + [p - 1]]):
             expected = list(plain_reduce_mod(rows, width, p))
-            assert list(_reduce_mod(rows, width, p)) == expected
+            assert leads_and_rows(rows, width, p) == expected
             assert [lead for lead, _ in expected] == list(range(width))
 
     def test_primes_beyond_the_slot_bound_are_refused(self):
@@ -360,15 +411,12 @@ class TestPackedReduction:
         def fits(q):
             return q + width * (q - 1) ** 2 < 2**64
 
-        def is_prime(q):
-            return all(q % f for f in range(3, isqrt(q) + 1, 2))
-
         top = isqrt(2**64 // width) + 1
         p = next(q for q in range(top | 1, 2, -2) if fits(q) and is_prime(q))
         beyond = next(q for q in range(p + 2, 2 * p, 2) if is_prime(q))
-        assert p > _prime(0, width) and not fits(beyond)
+        assert p > _prime(width) and not fits(beyond)
         ladder = [[p - 1] * (k + 1) + [0] * (width - k - 1) for k in range(width - 1)] + [[p - 1] * width]
-        assert list(_reduce_mod(ladder, width, p)) == list(plain_reduce_mod(ladder, width, p))
+        assert leads_and_rows(ladder, width, p) == list(plain_reduce_mod(ladder, width, p))
         with pytest.raises(ValueError):
             next(_reduce_mod(ladder, width, beyond))
 
@@ -380,26 +428,48 @@ class TestPackedReduction:
         anchor = [[*row.coefficients, row.rhs] for row in system.rows if 0 not in row.diagonal]
         assert len(anchor) == comb(n - 1, d - 1) == system.unknowns
         width = system.unknowns + 1
-        leads = [lead for lead, _ in _reduce_mod(anchor, width, _prime(0, width))]
+        leads = [lead for lead, _, _, _ in _reduce_mod(anchor, width, _prime(width))]
         assert sorted(leads) == list(range(system.unknowns))
 
+    @pytest.mark.parametrize("d, n", [(3, 6), (4, 8)])
+    def test_factors_replay_the_reduction_on_a_new_column(self, d, n):
+        """Replaying each kept row's factors and lead inverse on any last
+        column gives what reducing the rows with that column gives there:
+        on the rhs, the kept rows' own last entries."""
+        system = build_system(sample_cone(random.Random(2), d, n))
+        anchor = [[*row.coefficients, row.rhs] for row in system.rows if 0 not in row.diagonal]
+        width, p = system.unknowns + 1, _prime(system.unknowns + 1)
+        rng = random.Random(3)
+        column = [rng.randint(-(10**30), 10**30) for _ in anchor]
+        moved = [[*row[:-1], c] for row, c in zip(anchor, column)]
+        reduction = list(_reduce_mod(anchor, width, p))
+        for rhs, rows in ((column, moved), ([row[-1] for row in anchor], anchor)):
+            reduced = []
+            for (_, _, factors, inv), r in zip(reduction, rhs):
+                reduced.append((r - sum(map(mul, factors, reduced))) * inv % p)
+            assert reduced == [work[-1] for _, work in plain_reduce_mod(rows, width, p)]
 
-# The first primes below 2^28, which the solve takes for 64..127 entries a
-# row, as at (5, 10).
-FIRST_PRIMES = [2**28 - k for k in (57, 89, 95, 119, 125, 143)]
+
+# The prime the solve takes at the last width of each class up to the 127
+# entries of a (5, 10) row: the largest below 2^31, 2^30, 2^29 and 2^28.
+PRIMES = {3: 2**31 - 1, 15: 2**30 - 35, 63: 2**29 - 3, 127: 2**28 - 57}
+
+
+def is_prime(q):
+    return q > 1 and all(q % f for f in range(2, isqrt(q) + 1))
 
 
 class TestPrimes:
     def test_first_primes(self):
-        assert [_prime(i, 127) for i in range(6)] == FIRST_PRIMES
+        assert {width: _prime(width) for width in PRIMES} == PRIMES
 
     def test_threads_racing_on_a_cleared_cache_agree(self):
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _prime_below.cache_clear()
-            threads = [threading.Thread(target=lambda: results.append(_prime(5, 127))) for _ in range(6)]
+            _prime.cache_clear()
+            threads = [threading.Thread(target=lambda: results.append(_prime(127))) for _ in range(6)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -407,32 +477,37 @@ class TestPrimes:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert results == [FIRST_PRIMES[5]] * 6
-        assert [_prime(i, 127) for i in range(6)] == FIRST_PRIMES
+        assert results == [PRIMES[127]] * 6
+        assert {width: _prime(width) for width in PRIMES} == PRIMES
 
     @pytest.mark.parametrize("width", [1, 2, 57, 127, 4095, 4096, 10**6])
     def test_primes_fit_eight_byte_slots(self, width):
-        """Each prime is prime by trial division, below its ceiling 2^k, and
-        small enough that p + width * (p-1)^2 < 2^64; the list descends."""
+        """The prime is the largest below its ceiling 2^k, by trial
+        division, and small enough that p + width * (p-1)^2 < 2^64."""
         k = (64 - width.bit_length()) // 2
-        primes = [_prime(i, width) for i in range(3)]
-        assert 2 ** (k - 1) < primes[2] < primes[1] < primes[0] < 2**k
-        for p in primes:
-            assert all(p % q for q in range(2, isqrt(p) + 1))
-            assert p + width * (p - 1) ** 2 < 2**64
+        p = _prime(width)
+        assert 2 ** (k - 1) < p < 2**k and is_prime(p)
+        assert not any(map(is_prime, range(p + 1, 2**k)))
+        assert p + width * (p - 1) ** 2 < 2**64
 
 
 class TestBeyondOnePrime:
-    def test_cyclic_vertex_cone(self):
+    def test_cyclic_vertex_cone(self, monkeypatch):
         """A vertex cone of the d = 3 cyclic polytope with 12 vertices, as
         the polytopes benchmark draws it: 11 generators, and coefficients
-        of C * p_K beyond one prime."""
+        of C * p_K that take three balanced digits of the prime, all lifted
+        from one reduction."""
         rng = random.Random(1)
         ts = sorted(rng.sample(range(-7, 8), 12))
         cone = tangent_cone(polytope_combinatorics([(t, t * t, t**3) for t in ts]), 0)
         system = build_system(cone)
+        passes = []
+        reduce_mod = interpolation._reduce_mod
+        monkeypatch.setattr(interpolation, "_reduce_mod", lambda *args: passes.append(args) or reduce_mod(*args))
         solution = _solve_modular(system)
-        assert cone.num_generators == 11 and max(abs(c) for c in solution).bit_length() > 61
+        p = _prime(system.unknowns + 1)
+        assert len(passes) == 1 and passes[0][2] == p
+        assert cone.num_generators == 11 and max(abs(c) for c in solution) > p * p // 2
         assert pk_via_interpolation(cone) == pk_via_triangulation(cone)
         assert solve_exact(system).coefficients == tuple(Fraction(c, system.scale) for c in solution)
 
