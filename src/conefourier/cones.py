@@ -8,9 +8,11 @@ generators strictly on one side), interior (generators on both sides), or
 degenerate (some generator exactly on the hyperplane, or a zero dual).
 Each pairing of a dual with a generator off its diagonal is a signed
 maximal minor, read from the cone's one table of them. The pairings also
-determine the dual: ``Cone.integer_dual`` reads it off the table by
-Cramer's rule on one basis of generators, so only the d duals of that
-basis are cross products, and ``diagonal_for`` divides it by the scales.
+determine the dual: ``Cone._dual_columns`` reads a batch of duals off the
+table by Cramer's rule on one basis of generators, through the adjugate of
+that basis from one fraction-free elimination, so no dual of a cone of
+full rank is a cross product. ``Cone.integer_dual`` is its one-diagonal
+case, and ``diagonal_for`` divides that by the scales.
 
 The table holds the minors of the cone's integer-normal form: generator
 w_j times the lcm m_j of its denominators, the integer vector
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from math import prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -48,7 +50,7 @@ from .errors import (
     NotPointedError,
     ZeroGeneratorError,
 )
-from .geometry import Vector, _clear_denominators, _pairing_table, _primitive, _reduce_rows, as_vector
+from .geometry import Vector, _adjugate, _clear_denominators, _pairing_table, _primitive, _reduce_rows, as_vector
 from .geometry import generalized_cross, is_zero_vector, maximal_minors
 
 
@@ -56,9 +58,9 @@ from .geometry import generalized_cross, is_zero_vector, maximal_minors
 class Cone:
     """An apex and n >= d generator rays, all rational. The integer-normal
     form (``integer_generators``, ``scales``), the table of its maximal
-    minors (all of them, by one sweep on first read) and the basis
-    ``integer_dual`` reads are derived from the generators and left out of
-    equality, hashing and repr."""
+    minors (all of them, by one sweep on first read) and the basis the
+    duals are read by (``_dual_basis``) are derived from the generators and
+    left out of equality, hashing and repr."""
 
     apex: Vector
     generators: tuple[Vector, ...]
@@ -157,50 +159,51 @@ class Cone:
 
     def integer_dual(self, diagonal: Sequence[int]) -> tuple[int, ...]:
         """``generalized_cross`` of the integer generators on the sorted
-        diagonal D, read off the minor table by Cramer's rule on the basis
-        S (``_dual_basis``): dual(D) = sum over s in S of <dual(D), u_s>
-        dual(S - s) / <dual(S - s), u_s>, each pairing a signed minor (0 for
-        s in D), summed over |det u_S| and divided exactly, since dual(D) is
-        integral. A cone of rank below d has no basis, and gets the cross
-        product. Any other index tuple is a DimensionError."""
+        diagonal D: the one-diagonal case of ``_dual_columns``. Any other
+        index tuple is a DimensionError."""
         members = tuple(diagonal)
-        if members not in _pairing_table(self.num_generators, self.dimension):  # before either path reads them
-            raise self._subset_error(members, self.dimension - 1)
+        pairings = self.integer_pairings(members)  # checks the indices before the cross-product fallback
+        return tuple(column[0] for column in self._dual_columns([members], [pairings]))
+
+    def _dual_columns(self, diagonals: Sequence[tuple[int, ...]], pairings: Sequence[Sequence[int]]) -> list[list[int]]:
+        """The integer duals of the sorted diagonals, ``pairings`` their
+        ``integer_pairings``, as d coordinate columns: dual(D) = adj(U_S) w_D
+        / det U_S by Cramer's rule, U_S the rows u_s of the basis S
+        (``_dual_basis``) and w_D the pairings <dual(D), u_s> = det(u_D..., u_s),
+        each read off D's pairings (``_basis_pairings``). Divided exactly,
+        since dual(D) is integral. A cone of rank below d has no basis, and
+        gets one cross product a diagonal."""
         basis = self._dual_basis
         if basis is None:
-            return generalized_cross([self.integer_generators[i] for i in members], self.dimension)
-        subset, denominator, duals = basis
-        weighted = [
-            (self._pairing(members, s), dual) for s, dual in zip(subset, duals) if s not in members
-        ]
-        return tuple(sum(w * dual[i] for w, dual in weighted) // denominator for i in range(self.dimension))
+            u = self.integer_generators
+            duals = [generalized_cross([u[i] for i in members], self.dimension) for members in diagonals]
+            return [list(column) for column in zip(*duals)]
+        subset, denominator, adjugate = basis
+        weights = list(map(_basis_pairings, diagonals, pairings, repeat(subset)))
+        return [[sum(map(mul, row, w)) // denominator for w in weights] for row in adjugate]
 
     @cached_property
-    def _dual_basis(self) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]] | None:
-        """(S, |det u_S|, duals) for the first d-subset S, in combinations
-        order, with a nonzero minor, or None when there is none. duals[k] is
-        dual(S - s_k) times the sign of its pairing with u_{s_k}, which is
-        +-det u_S. Derived on first use and kept, like the table."""
+    def _dual_basis(self) -> tuple[tuple[int, ...], int, list[list[int]]] | None:
+        """(S, |det U_S|, rows) for the first d-subset S, in combinations
+        order, with a nonzero minor, or None when there is none: rows is the
+        adjugate of U_S (``geometry._adjugate``) times the sign of det U_S,
+        so that rows over |det U_S| is U_S^-1. Derived on first use and
+        kept, like the table."""
         subsets = combinations(range(self.num_generators), self.dimension)
-        subset, minor = next(((s, m) for s, m in zip(subsets, self._minors) if m), (None, 0))
-        if not minor:
+        subset = next((s for s, m in zip(subsets, self._minors) if m), None)
+        if subset is None:
             return None
-        duals = []
-        for k, s in enumerate(subset):
-            others = subset[:k] + subset[k + 1 :]
-            dual = generalized_cross([self.integer_generators[i] for i in others], self.dimension)
-            duals.append(dual if self._pairing(others, s) > 0 else tuple(-c for c in dual))
-        return subset, abs(minor), tuple(duals)
+        det, adjugate = _adjugate([self.integer_generators[i] for i in subset])
+        if det < 0:
+            adjugate = [[-a for a in row] for row in adjugate]
+        return subset, abs(det), adjugate
 
-    def _pairing(self, members: tuple[int, ...], j: int) -> int:
-        """One entry of ``integer_pairings``: det(u_D..., u_j) for the
-        sorted diagonal D and j off it, at slot j - #{i in D : i < j} of the
-        table. ``integer_dual`` needs only the entries at its basis; reading
-        the whole tuple there instead made the ``cones-large`` benchmark's
-        op_p50_s about 3% slower (2-core Xeon)."""
-        slots, signs, _ = _pairing_table(self.num_generators, self.dimension)[members]
-        slot = j - bisect(members, j)
-        return signs[slot] * self._minors[slots[slot]]
+
+def _basis_pairings(members: tuple[int, ...], pairings: Sequence[int], subset: Sequence[int]) -> list[int]:
+    """det(u_D..., u_s) for each s in ``subset``, from the sorted diagonal
+    D's ``integer_pairings``: the entry at slot s - #{i in D : i < s} for s
+    off D, and 0 for s in D."""
+    return [0 if s in members else pairings[s - bisect(members, s)] for s in subset]
 
 
 def _first_duplicate_ray(integer_generators: Iterable[Sequence[int]]) -> tuple[int, int] | None:

@@ -7,6 +7,8 @@ input on ``int`` arithmetic and return ints for it, which is what the
 integer-normal form of a cone (``Cone.integer_generators``) runs on; other
 input gives Fractions. ``maximal_minors`` gives a list in ``combinations``
 order, filled through ``_pairing_table``, which ``cones`` reads it by too.
+``veronese`` maps one point and ``veronese_columns`` a batch of points
+given as coordinate columns, both by one level recursion.
 Vectors are plain tuples, matrices are sequences of equal-length row
 vectors, and nothing here mutates its inputs.
 """
@@ -17,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, cycle
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError
@@ -152,6 +155,35 @@ def determinant(rows: Sequence[Sequence]) -> int | Fraction:
     return result if scale is None else Fraction(result, scale)
 
 
+def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det A, adj A) of a nonsingular square int matrix A, by one
+    fraction-free Gauss-Jordan elimination of [A | I] (Bareiss 1968): step
+    k updates every row but the pivot row k to (p_k a - a_k t) / p_(k-1),
+    t the pivot row, p_k its entry in column k and a_k the row's. Every
+    entry so made is a minor of the row-swapped [A | I] (Sylvester's
+    identity), so each division is exact; at the end [A | I] has become
+    [p I | p A^-1], p = +-det A the last pivot, the sign that of the row
+    swaps. O(d^3) products. ValueError for a singular A."""
+    n = len(rows)
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    sign, previous = 1, 1
+    for k in range(n):
+        swap = next((i for i in range(k, n) if m[i][k]), None)
+        if swap is None:
+            raise ValueError("the adjugate is taken here of nonsingular matrices only")
+        if swap != k:
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top = m[k]
+        pivot = top[k]
+        for i, row in enumerate(m):
+            if i != k:
+                factor = row[k]
+                m[i] = [(pivot * a - factor * b) // previous for a, b in zip(row, top)]
+        previous = pivot
+    return sign * previous, [[sign * a for a in row[n:]] for row in m]
+
+
 @lru_cache(maxsize=None)
 def _pairing_table(n: int, k: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """{D: (slots, signs, offs)} for every sorted (k-1)-subset D of range(n),
@@ -260,19 +292,44 @@ def basis_size(dimension: int, degree: int) -> int:
     return comb(dimension + degree - 1, dimension - 1)
 
 
+def _veronese_level(first: list, degree: int, times) -> list:
+    """The degree-``degree`` monomials, degree >= 1, of the d entries of
+    ``first`` in basis order, ``times`` the product of two entries. In the
+    lexicographically descending basis, degree k + 1 is entry 0 times all
+    of degree k, then entry i times the suffix of degree k where e_0 = ...
+    = e_(i-1) = 0, its last basis_size(d - i, k) monomials."""
+    d = len(first)
+    level = first
+    for k in range(1, degree):
+        size = len(level)
+        level = [times(x, m) for i, x in enumerate(first) for m in level[size - basis_size(d - i, k) :]]
+    return level
+
+
+def _column_product(a: list, b: list) -> list:
+    return list(map(mul, a, b))
+
+
 def veronese(v: Sequence, degree: int) -> Vector:
     """Evaluate every monomial of the given degree at v, in basis order.
-    An all-int v gives ints."""
-    coords = [_exact(c) for c in v]
+    An all-int v gives ints, any other v Fractions."""
+    coords = list(v)
     if not coords or degree < 0:
         raise DimensionError(f"invalid monomial basis ({len(coords)}, {degree})")
-    # tails[t] is the degree-t image of the coordinates taken so far, last
-    # first; in basis order the first coordinate's exponent descends. The
-    # first coordinate, taken last, is expanded into the degree-``degree``
-    # tail alone, the one returned.
-    tails = [[coords[-1] ** t] for t in range(degree + 1)]
-    for i in range(len(coords) - 2, -1, -1):
-        powers = [coords[i] ** e for e in range(degree + 1)]
-        low = degree if i == 0 else 0
-        tails[low:] = [[powers[e] * x for e in range(t, -1, -1) for x in tails[t - e]] for t in range(low, degree + 1)]
-    return tuple(tails[degree])
+    if any(type(c) is not int for c in coords):
+        coords = [as_scalar(c) for c in coords]
+    if degree == 0:
+        return (coords[0] ** 0,)
+    return tuple(_veronese_level(coords, degree, mul))
+
+
+def veronese_columns(columns: Sequence[list], degree: int) -> list[list]:
+    """``veronese`` of a batch of points given as d coordinate columns of
+    ints or Fractions: one column per monomial, in basis order, each made
+    by one ``map`` of products over the batch. The rows of the result,
+    ``zip(*columns)``, are the points' images."""
+    if not columns or degree < 0:
+        raise DimensionError(f"invalid monomial basis ({len(columns)}, {degree})")
+    if degree == 0:
+        return [[c**0 for c in columns[0]]]
+    return _veronese_level(list(columns), degree, _column_product)

@@ -8,9 +8,12 @@ linear system for the coefficients of p_K. The system is built on the
 cone's integer-normal form (``Cone.integer_generators``), whose numerator
 is ``Cone.scale`` times p_K and has integer coefficients, so rows, values
 and solution are ints and the solve divides by the scale once at the end.
-Values and duals are both read off the cone's minor table, each dual by
-Cramer's rule on one basis of generators (``Cone.integer_dual``), so a
-build makes at most d cross products. The system is solved by one
+Values and duals are both read off the cone's minor table, one read of
+each diagonal's pairings serving both. The system is built a block of
+diagonals at a time, column by column: the block's duals as d coordinate
+columns, by Cramer's rule through one adjugate (``Cone._dual_columns``),
+and then one column per monomial (``geometry.veronese_columns``), turned
+into rows at the end of the block. The system is solved by one
 elimination modulo a prime on rows packed in 8-byte slots, the prime sized
 to the row width so that no slot overflows and the anchor-star rows first,
 and then by Dixon's p-adic lifting, one O(N^2) pass per further base-p
@@ -25,7 +28,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, compress, count
+from itertools import combinations, compress, count, islice
 from math import isqrt, prod
 from operator import mul
 from sys import byteorder
@@ -38,10 +41,11 @@ from .errors import (
     InconsistentError,
     RankDeficientError,
 )
-from .geometry import ZERO, _clear_denominators, _reduce_rows, basis_size, veronese
+from .geometry import ZERO, _clear_denominators, _reduce_rows, basis_size, veronese_columns
 from .polynomials import HomogeneousPolynomial
 
 _SLOT_MASK = (1 << 64) - 1
+_BLOCK = 128  # diagonals a block of build_system
 
 
 @dataclass(frozen=True)
@@ -109,19 +113,30 @@ def rhs_value(cone: Cone, diagonal: Diagonal) -> Fraction:
 
 def build_system(cone: Cone) -> InterpolationSystem:
     """One row per non-degenerate diagonal, on the integer generators u: the
-    Veronese expansion of the dual of u_D (``Cone.integer_dual``) against
+    Veronese expansion of the dual of u_D (``Cone._dual_columns``) against
     the value there of the numerator of u, all ints. Degenerate diagonals
     are recorded in ``skipped`` instead of contributing a row, and
-    ``scale`` is the cone's, so that the system's solution over it is p_K."""
+    ``scale`` is the cone's, so that the system's solution over it is p_K.
+    The rows are made ``_BLOCK`` diagonals at a time, so that the columns
+    of a block, not of the whole system, sit beside the finished rows."""
     degree = cone.num_generators - cone.dimension
-    rows = []
+    rows: list[SystemRow] = []
     skipped = []
-    for indices in combinations(range(cone.num_generators), cone.dimension - 1):
-        rhs = _row_value(cone.integer_pairings(indices))
-        if rhs is None:
-            skipped.append(indices)
-            continue
-        rows.append(SystemRow(diagonal=indices, coefficients=veronese(cone.integer_dual(indices), degree), rhs=rhs))
+    diagonals = combinations(range(cone.num_generators), cone.dimension - 1)
+    while block := list(islice(diagonals, _BLOCK)):
+        kept, pairings, values = [], [], []
+        for indices in block:
+            read = cone.integer_pairings(indices)
+            rhs = _row_value(read)
+            if rhs is None:
+                skipped.append(indices)
+                continue
+            kept.append(indices)
+            pairings.append(read)
+            values.append(rhs)
+        if kept:
+            columns = veronese_columns(cone._dual_columns(kept, pairings), degree)
+            rows.extend(map(SystemRow, kept, zip(*columns), values))
     return InterpolationSystem(cone.dimension, degree, tuple(rows), tuple(skipped), cone.scale)
 
 

@@ -3,7 +3,7 @@
 The maximal minors of the interpolation matrix factor combinatorially.
 Take a family of N = C(n-1, d-1) diagonals. Its minor, the determinant of
 the Veronese images of their duals (read off the cone's minor table, in
-``int``, by ``Cone.integer_dual``), is predicted in two branches.
+``int``, by ``Cone._dual_columns``), is predicted in two branches.
 
 Rank bound (minor 0). Take a set T of at most n-d generators. Every family
 member that meets T has its dual on the union of the hyperplanes w_t^perp,
@@ -43,7 +43,7 @@ from typing import Sequence
 
 from .cones import Cone, _diagonal_indices
 from .errors import DimensionError, VerificationFailureError
-from .geometry import ONE, ZERO, Vector, as_vector, determinant, dot, veronese
+from .geometry import ONE, ZERO, Vector, as_vector, determinant, dot, veronese, veronese_columns
 from .triangulation import expand_linear_forms
 
 Family = tuple[tuple[int, ...], ...]
@@ -95,7 +95,8 @@ def vanishing_witness(family: Sequence[Sequence[int]], num_generators: int) -> t
 def minor(cone: Cone, family: Sequence[Sequence[int]]) -> Fraction:
     """Determinant of the square matrix of Veronese-expanded duals, one
     row per family diagonal in lexicographic order. It is taken in ``int``
-    on the integer duals (``Cone.integer_dual``), each c_D times the dual
+    on the integer duals (``Cone._dual_columns``, all at once, expanded a
+    column per monomial by ``veronese_columns``), each c_D times the dual
     of ``diagonal_for``, c_D the product of the diagonal's scales. The
     Veronese map is homogeneous of degree n - d, so that determinant is the
     minor times prod c_D^(n-d), and is divided by it once."""
@@ -105,7 +106,8 @@ def minor(cone: Cone, family: Sequence[Sequence[int]]) -> Fraction:
     if len(fam) != expected:
         raise DimensionError(f"family needs {expected} diagonals, got {len(fam)}")
     members = [_diagonal_indices(cone, idx) for idx in fam]
-    rows = [veronese(cone.integer_dual(idx), n - d) for idx in members]
+    duals = cone._dual_columns(members, [cone.integer_pairings(idx) for idx in members])
+    rows = list(zip(*veronese_columns(duals, n - d)))
     scale = prod(cone.scales[i] for idx in members for i in idx)
     return Fraction(determinant(rows), scale ** (n - d))
 

@@ -23,7 +23,7 @@ from conefourier.errors import (
     NotPointedError,
     ZeroGeneratorError,
 )
-from conefourier.cones import classify_pairings
+from conefourier.cones import _basis_pairings, classify_pairings
 from conefourier.feasibility import solve_nonnegative
 from conefourier.geometry import _clear_denominators, _pairing_table, _primitive, determinant, dot, generalized_cross
 from conefourier.geometry import maximal_minors, vec_scale
@@ -389,8 +389,9 @@ class TestMinorTable:
 
 
 class TestPairingTable:
-    """integer_pairings and _pairing read the one per-shape table of slots
-    and signs (geometry._pairing_table), the table the sweep scatters by."""
+    """integer_pairings reads the one per-shape table of slots and signs
+    (geometry._pairing_table), the table the sweep scatters by, and the
+    duals read single entries off its tuples (_basis_pairings)."""
 
     @staticmethod
     def assert_pairings_are_determinants(cone):
@@ -422,10 +423,13 @@ class TestPairingTable:
     @pytest.mark.parametrize("d, n", [(2, 5), (3, 6), (4, 8), (5, 9)])
     @pytest.mark.parametrize("rational", [False, True])
     def test_one_pairing_is_its_entry(self, d, n, rational):
+        """The duals read one pairing per basis member off the tuple: the
+        entry det(u_D..., u_j) for j off D, and 0 for j in D."""
         cone = (rational_cone if rational else sample_cone)(random.Random(d * n), d, n)
+        rows = cone.integer_generators
         for members in combinations(range(n), d - 1):
-            off = [j for j in range(n) if j not in members]
-            assert [cone._pairing(members, j) for j in off] == list(cone.integer_pairings(members))
+            expected = [determinant([rows[i] for i in members] + [rows[j]]) for j in range(n)]
+            assert _basis_pairings(members, cone.integer_pairings(members), range(n)) == expected
 
     def test_cones_of_one_shape_share_one_table(self):
         """One build per level (7, 1), (7, 2), (7, 3): the first cone's sweep

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from conefourier.errors import DimensionError
 from conefourier.geometry import (
+    _adjugate,
     _reduce_rows,
     determinant,
     dot,
@@ -15,6 +16,7 @@ from conefourier.geometry import (
     monomial_basis,
     vec_scale,
     veronese,
+    veronese_columns,
 )
 
 from conftest import nonzero_rationals, rationals, vectors
@@ -263,6 +265,80 @@ def test_veronese_homogeneity(d, s, data):
     v = data.draw(vectors(d))
     lam = data.draw(nonzero_rationals)
     assert veronese(vec_scale(lam, v), s) == tuple(lam**s * c for c in veronese(v, s))
+
+
+def monomial_values(v, s):
+    """Every monomial of degree s at v, one power at a time."""
+    return tuple(prod(c**e for c, e in zip(v, exponents)) for exponents in monomial_basis(len(v), s))
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 4])
+def test_veronese_types_on_fraction_input(s):
+    """Any Fraction coordinate makes every monomial a Fraction, also those
+    it has exponent 0 in, and the degree-0 one; all ints give ints."""
+    for v in [(Fraction(1, 2), Fraction(-3, 5), Fraction(7)), (Fraction(1, 2), 3, -2), (3, -2, Fraction(5, 3)), (3, -2, 5)]:
+        image = veronese(v, s)
+        assert image == monomial_values(v, s)
+        fractions = any(type(c) is Fraction for c in v)
+        assert {type(c) for c in image} == {Fraction if fractions else int}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 6])
+def test_veronese_columns_are_the_rows_of_veronese(d, s):
+    points = [tuple(range(k - d, k)) for k in range(7)] + [tuple(Fraction(k, j + 2) for j in range(d)) for k in range(3)]
+    for batch in (points[:7], points[7:]):
+        columns = veronese_columns([list(column) for column in zip(*batch)], s)
+        assert len(columns) == len(monomial_basis(d, s))
+        assert list(zip(*columns)) == [veronese(v, s) for v in batch]
+        assert [type(c) for row in zip(*columns) for c in row] == [type(c) for v in batch for c in veronese(v, s)]
+
+
+def test_veronese_columns_rejects_no_coordinates():
+    with pytest.raises(DimensionError):
+        veronese_columns([], 2)
+
+
+def check_adjugate(rows):
+    det, adj = _adjugate(rows)
+    n = len(rows)
+    assert det == determinant(rows)
+    assert all(type(a) is int for row in adj for a in row)
+    for i in range(n):
+        for j in range(n):
+            assert sum(adj[i][k] * rows[k][j] for k in range(n)) == (det if i == j else 0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[5]],
+        [[0, 1], [1, 0]],
+        [[0, 2, 1], [3, 0, 0], [1, 1, 0]],
+        # nonzero pivot at step 0, but row 1 loses its entry in column 1
+        [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+    ],
+)
+def test_adjugate_with_row_swaps(rows):
+    check_adjugate(rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@given(data=st.data())
+def test_adjugate_is_det_times_inverse(d, data):
+    entries = st.integers(min_value=-2**70, max_value=2**70) | st.integers(min_value=-3, max_value=3)
+    rows = [[data.draw(entries) for _ in range(d)] for _ in range(d)]
+    if determinant(rows) == 0:
+        with pytest.raises(ValueError):
+            _adjugate(rows)
+    else:
+        check_adjugate(rows)
+
+
+def test_adjugate_of_a_singular_matrix():
+    with pytest.raises(ValueError):
+        _adjugate([[1, 2], [2, 4]])
 
 
 def kept_rows(rows, width):

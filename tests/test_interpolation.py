@@ -2,11 +2,12 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from itertools import combinations
 from math import comb, isqrt, prod
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, reject, strategies as st
 
 from conefourier import (
     Cone,
@@ -20,11 +21,13 @@ from conefourier import (
 )
 from conefourier.errors import (
     DegenerateDiagonalError,
+    DuplicateRayError,
     InconsistentError,
     RankDeficientError,
+    ZeroGeneratorError,
 )
 from conefourier.cones import is_general_position
-from conefourier.geometry import _reduce_rows, determinant, dot, generalized_cross, vec_scale, veronese
+from conefourier.geometry import _reduce_rows, determinant, dot, generalized_cross, monomial_basis, vec_scale, veronese
 from conefourier.brion import polytope_combinatorics, tangent_cone
 from conefourier.interpolation import (
     InterpolationSystem,
@@ -37,7 +40,7 @@ from conefourier.interpolation import (
 )
 from conefourier.sampling import sample_cone
 
-from conftest import random_cones
+from conftest import random_cones, rational_cone
 
 P = _prime(3)  # the prime of the two-row systems below (3 entries a row)
 
@@ -97,8 +100,9 @@ class TestBuildSystem:
         ids=["4-9", "5-10", "non-generic", "rank-2"],
     )
     def test_at_most_d_cross_products(self, cone, monkeypatch):
-        """The duals come from the minor table; only the d duals of its
-        basis are cross products."""
+        """The duals come from the minor table through one adjugate, so no
+        dual is a cross product: the rank-2 cone, which has no basis, has
+        only degenerate diagonals, whose duals are never asked for."""
         calls = []
 
         def counting(vectors, dimension=None):
@@ -110,8 +114,118 @@ class TestBuildSystem:
                 monkeypatch.setattr(module, "generalized_cross", counting)
         fresh = Cone(cone.apex, cone.generators)
         system = build_system(fresh)
-        assert len(calls) <= cone.dimension
+        assert calls == []
         assert system == build_system(cone)
+
+
+def reference_system(cone):
+    """build_system made one diagonal at a time and apart from the minor
+    table: each dual the cross product of the integer generators on the
+    diagonal, its row the value there of each monomial of the basis, and
+    its rhs the row-value rule on its dot products with the others."""
+    d, n = cone.dimension, cone.num_generators
+    u = cone.integer_generators
+    exponents = monomial_basis(d, n - d)
+    rows, skipped = [], []
+    for indices in combinations(range(n), d - 1):
+        dual = generalized_cross([u[i] for i in indices], d)
+        pairings = [sum(map(mul, dual, u[j])) for j in range(n) if j not in indices]
+        if 0 in pairings:
+            skipped.append(indices)
+            continue
+        rhs = 0 if min(pairings) < 0 < max(pairings) else (1 if pairings[0] > 0 else -1) * prod(pairings)
+        coefficients = tuple(prod(c**e for c, e in zip(dual, monomial)) for monomial in exponents)
+        rows.append(SystemRow(indices, coefficients, rhs))
+    return InterpolationSystem(d, n - d, tuple(rows), tuple(skipped), cone.scale)
+
+
+def assert_builds_the_reference(cone):
+    system = build_system(cone)
+    assert system == reference_system(cone)
+    assert all(type(c) is int for row in system.rows for c in (*row.coefficients, row.rhs))
+    return system
+
+
+small_integer_cones = st.integers(min_value=2, max_value=5).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.integers(min_value=-6, max_value=6)] * d),
+        min_size=d,
+        max_size=d + 3,
+        unique=True,
+    )
+)
+
+
+class TestColumnBuild:
+    """build_system makes its rows a block of diagonals at a time, column
+    by column: duals from one adjugate, then one column per monomial. Row
+    for row it must equal the per-diagonal reference."""
+
+    @given(generators=small_integer_cones)
+    def test_integer_cones(self, generators):
+        try:
+            cone = Cone((0,) * len(generators[0]), generators)
+        except (ZeroGeneratorError, DuplicateRayError):
+            reject()
+        assert_builds_the_reference(cone)
+
+    @pytest.mark.parametrize("d, n", [(2, 5), (3, 6), (4, 7), (5, 8)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rational_cones(self, d, n, seed):
+        cone = rational_cone(random.Random(seed), d, n)
+        assert cone.scale > 1
+        assert_builds_the_reference(cone)
+
+    @pytest.mark.parametrize("d, n", [(5, 10), (6, 10)])
+    def test_seeded_cones_of_more_than_one_block(self, d, n):
+        cone = sample_cone(random.Random(1), d, n)
+        assert comb(n, d - 1) > interpolation._BLOCK
+        assert_builds_the_reference(cone)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 128])
+    def test_block_size_does_not_matter(self, block, monkeypatch):
+        cone = sample_cone(random.Random(2), 4, 8)
+        monkeypatch.setattr(interpolation, "_BLOCK", block)
+        assert_builds_the_reference(Cone(cone.apex, cone.generators))
+
+    def test_basis_with_leading_zero(self):
+        """u_0 starts with 0, so the elimination of U_S swaps rows."""
+        cone = Cone((0, 0, 0), ((0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1), (2, -1, 1), (-1, 3, 2)))
+        assert cone._dual_basis[0] == (0, 1, 2)
+        assert_builds_the_reference(cone)
+
+    def test_zero_minors(self):
+        cone = Cone((0, 0, 0), ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, -1, 0), (1, 2, 3)))
+        system = assert_builds_the_reference(cone)
+        assert system.skipped and system.rows
+        assert cone._dual_basis[0] == (0, 1, 3)
+
+    def test_rank_below_d(self):
+        cone = Cone((0, 0, 0), ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)))
+        system = assert_builds_the_reference(cone)
+        assert system.rows == () and len(system.skipped) == 6
+        assert cone._dual_basis is None
+        diagonals = list(combinations(range(4), 2))
+        columns = cone._dual_columns(diagonals, [cone.integer_pairings(m) for m in diagonals])
+        expected = [generalized_cross([cone.integer_generators[i] for i in m], 3) for m in diagonals]
+        assert list(zip(*columns)) == expected
+
+    @pytest.mark.parametrize(
+        "cone",
+        [Cone((0,), ((Fraction(-3, 2),),)), *(sample_cone(random.Random(d), d, d) for d in (2, 3, 5))],
+        ids=["1", "2", "3", "5"],
+    )
+    def test_degree_zero(self, cone):
+        system = assert_builds_the_reference(cone)
+        assert all(row.coefficients == (1,) for row in system.rows)
+
+    @pytest.mark.parametrize("d, n", [(3, 6), (4, 7)])
+    def test_coordinates_near_2_to_the_70(self, d, n):
+        rng = random.Random(d)
+        base = sample_cone(rng, d, n)
+        cone = Cone(base.apex, tuple(tuple(2**70 * c + rng.randint(-9, 9) for c in g) for g in base.generators))
+        assert max(abs(c) for g in cone.integer_generators for c in g).bit_length() > 70
+        assert_builds_the_reference(cone)
 
 
 class TestSolver:
