@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 for domain errors (reported as a structured
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -24,6 +25,7 @@ from .serialize import (
     cone_from_json,
     cone_to_json,
     family_from_json,
+    format_rational,
     format_vector,
     parse_vector,
     polynomial_to_json,
@@ -37,6 +39,9 @@ from .vervan import verify_vervan
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line, on every call. Each subcommand
+    stores its name in ``command``, and ``main`` runs ``cmd_<command>``
+    (dashes read as underscores), so the parser holds no handler."""
     parser = argparse.ArgumentParser(
         prog="conefourier",
         description="Exact Fourier transforms of pointed polyhedral cones and polytopes.",
@@ -58,17 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check pointedness and report cone degeneracies")
     add_cone_input(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("transform", help="compute the numerator polynomial of the cone transform")
     add_cone_input(p)
     p.add_argument("--method", choices=METHODS, default="interpolation")
     p.add_argument("--verbose", action="store_true", help="add the system (exact, costly pivots) or triangulation dump")
-    p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("compare", help="run both pipelines and check they agree")
     add_cone_input(p)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("vervan", help="verify minor identities for diagonal families")
     add_cone_input(p)
@@ -79,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit family as a JSON array of 1-based index arrays; repeatable",
     )
     p.add_argument("--random", type=int, metavar="K", help="verify K random families instead")
-    p.set_defaults(func=cmd_vervan)
 
     p = sub.add_parser("brion-eval", help="evaluate a polytope Fourier transform at a point")
     p.add_argument("input", nargs="?", help="polytope JSON with a \"vertices\" key")
@@ -88,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-nonsimplicial", action="store_true", help="accept facets with more than d vertices")
     p.add_argument("--verbose", action="store_true", help="include the per-vertex breakdown")
     p.add_argument("--output", metavar="PATH")
-    p.set_defaults(func=cmd_brion_eval)
 
     p = sub.add_parser("bench", help="time both pipelines on random cones")
     p.add_argument("--seed", type=int, default=0)
@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1, help="cones per size (default 1)")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     p.add_argument("--output", metavar="PATH")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -105,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_json_text(raw: str):
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an int past the digit limit
         raise MalformedInputError(f"invalid JSON: {err}") from None
 
 
@@ -138,7 +137,7 @@ def _load_cone(args):
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return str(value)
+        return format_rational(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -297,14 +296,22 @@ def cmd_bench(args) -> tuple[str, int]:
     return json.dumps(records, indent=2) + "\n", status
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code. It may be called any
+    number of times in one process: every call parses with one parser, built
+    on the first call, and looks its handler up in this module when it runs,
+    so a handler replaced after that call is the one that runs."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exit_:  # argparse already printed usage
         return 0 if exit_.code in (0, None) else 2
     try:
-        result = args.func(args)
+        result = globals()["cmd_" + args.command.replace("-", "_")](args)
         text, status = result if isinstance(result, tuple) else (result, 0)
         _write(text, args.output)
     except MalformedInputError as err:

@@ -7,6 +7,7 @@ indices in wire data are 1-based.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,7 +37,14 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(value)
+    """The exact "p/q" (or "p") at any size. ``str`` refuses an int past
+    Python's int-to-string digit limit (4300 digits by default); ``Decimal``
+    converts an int exactly and prints it with no limit."""
+    try:
+        return str(value)
+    except ValueError:
+        numerator = str(Decimal(value.numerator))
+        return numerator if value.denominator == 1 else numerator + "/" + str(Decimal(value.denominator))
 
 
 def parse_vector(values) -> Vector:

@@ -2,13 +2,16 @@ import io
 import json
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from test_golden import COMMANDS, GOLDEN
 
-from conefourier import brion, interpolation
+from conefourier import brion, cli, interpolation, pk_via_triangulation
 from conefourier.cli import main
 from conefourier.errors import MalformedInputError, RankDeficientError
-from conefourier.serialize import family_from_json
+from conefourier.serialize import cone_from_json, family_from_json, format_rational
 
 SQUARE_CONE = json.dumps(
     {
@@ -461,3 +464,101 @@ def test_transform_eliminates_exactly_only_under_verbose(capsys, monkeypatch, me
     dump = "system" if method == "interpolation" else "triangulation"
     assert set(json.loads(verbose)) == {"cone", "polynomial", dump}
 
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    assert run(capsys, "validate", FAN_CONE)[0] == 0
+    assert run(capsys, "transform", SQUARE_CONE)[0] == 0
+    assert len(builds) == 1
+    assert build() is not build()
+
+
+def test_import_builds_no_parser():
+    script = "import conefourier.cli as cli; print(cli._parser.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.split() == ["0"]
+
+
+def test_appended_families_do_not_cross_calls(capsys):
+    code, out = run(capsys, "vervan", SQUARE_CONE, "--family", "[[1,2],[1,3],[1,4]]", "--family", "[[2,3],[2,4],[3,4]]")
+    assert code == 0 and len(out.splitlines()) == 2
+    code, out = run(capsys, "vervan", SQUARE_CONE, "--family", "[[1,2],[2,3],[3,4]]")
+    assert code == 0
+    assert [json.loads(line)["family"] for line in out.splitlines()] == [[[1, 2], [2, 3], [3, 4]]]
+
+
+def test_options_do_not_cross_calls(capsys, monkeypatch):
+    code, out = run(capsys, "transform", SQUARE_CONE, "--method", "triangulation", "--verbose")
+    assert code == 0 and "triangulation" in json.loads(out)
+    calls, interpolate = [], cli.pk_via_interpolation
+    monkeypatch.setattr(cli, "pk_via_interpolation", lambda cone: calls.append(cone) or interpolate(cone))
+    code, out = run(capsys, "transform", SQUARE_CONE)
+    assert code == 0 and len(calls) == 1
+    assert set(json.loads(out)) == {"dimension", "degree", "terms"}
+
+
+def test_usage_error_and_version_leave_the_parser_usable(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["transform", "--method", "nope"])
+    usage = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in usage
+    for _ in range(2):
+        assert main(["transform", "--method", "nope"]) == 2
+        assert capsys.readouterr() == ("", usage)
+    code, out = run(capsys, "--version")
+    assert (code, out) == (0, f"conefourier {cli.__version__}\n")
+    for commands in (COMMANDS, COMMANDS[::-1]):
+        for name, argv, status in commands:
+            assert run(capsys, *argv) == (status, (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")), name
+
+
+def test_handlers_are_looked_up_at_call_time(capsys, monkeypatch):
+    assert run(capsys, "validate", FAN_CONE)[0] == 0
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: f"patched {args.input}\n")
+    assert run(capsys, "validate", FAN_CONE) == (0, f"patched {FAN_CONE}\n")
+
+
+def test_json_integer_past_the_digit_limit_is_usage_error(capsys):
+    cone = '{"apex":[0,0],"generators":[[1,0],[1%s,1]]}' % ("0" * 5000)
+    code, out = run(capsys, "validate", cone)
+    assert code == 2
+    err = json.loads(out)
+    assert err["code"] == "MalformedInput" and "4300 digits" in err["message"]
+
+
+def parse_exact(text: str) -> Fraction:
+    numerator, _, denominator = text.partition("/")
+    return Fraction(int(Decimal(numerator)), int(Decimal(denominator or "1")))
+
+
+@pytest.mark.parametrize("method", brion.METHODS)
+def test_transform_prints_results_past_the_digit_limit(capsys, method):
+    """3001-digit generators, within the input limit, give coefficients of
+    6001 digits, printed exactly."""
+    big = json.dumps({"apex": ["0", "0"], "generators": [["1", str(10**3000)], [str(3 * 10**3000), "1"], ["1", "1"]]})
+    code, out = run(capsys, "transform", big, "--method", method)
+    assert code == 0
+    terms = json.loads(out)["terms"]
+    assert max(len(t["coefficient"]) for t in terms) > 4300
+    expected = pk_via_triangulation(cone_from_json(json.loads(big)))
+    assert [parse_exact(t["coefficient"]) for t in terms] == [c for _, c in expected.terms()]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(-(10**5000) - 7, 3), Fraction(7, 10**4400 + 1), -(10**4400), Fraction(5, 8)],
+    ids=["numerator", "denominator", "int", "small"],
+)
+def test_format_rational_is_exact_at_any_size(value):
+    text = format_rational(value)
+    assert parse_exact(text) == value
+    assert cli._jsonable([Fraction(value)]) == [text]
