@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_json_text(raw: str):
     try:
         return json.loads(raw)
-    except ValueError as err:  # a JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as err:  # bad JSON, an int past the digit limit, deep nesting
         raise MalformedInputError(f"invalid JSON: {err}") from None
 
 

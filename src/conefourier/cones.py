@@ -27,9 +27,11 @@ on the shape (n, d): ``geometry._pairing_table`` keeps them per shape for
 the process, and the sweep scatters by the same tables. A pairing is a
 read at precomputed positions; the minor at S is the last pairing of S[:-1].
 
-``_facets`` (a double description) and ``_meet`` (the extreme-ray test)
-serve both ``validate_cone`` and ``brion.polytope_combinatorics``;
-``validate_cone`` reads pointedness and its witness off the same facets.
+``_facets`` (a double description, starting from the columns of one
+adjugate) and ``_meet`` (the extreme-ray test) serve both
+``validate_cone`` and ``brion.polytope_combinatorics``; ``validate_cone``
+reads pointedness and its witness off the same facets. The one cross
+product left is the dual of a cone of rank below d.
 """
 
 from __future__ import annotations
@@ -325,27 +327,27 @@ def _facets(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[tuple[
     primitive normal), in sorted order, by the double description method
     (Motzkin, Raiffa, Thompson & Thrall 1953).
 
-    It starts from the simplicial cone over the basis, each facet normal
-    the cross product of all basis rows but one, taken on the basis's lead
-    columns (where the reduced basis rows form a unit triangular block, so
-    the projection is one-to-one on the span and keeps every face) and 0
-    elsewhere. It adds the other rows in index order. A facet is a
-    primitive normal h and its mask Z(h). Adding row a keeps the facets
-    with h.a >= 0, and joins each pair with h.a > 0 > h'.a that is adjacent
-    (no third facet is tight on all of Z(h) & Z(h'): Fukuda & Prodon 1996)
-    into a facet tight on a, a positive combination of the two. An adjacent
-    pair shares at least r - 2 rows, so a pair sharing fewer is skipped
-    before the test. Every normal is nonnegative on every row, pointed cone
+    It starts from the simplicial cone over the basis. Its normals are
+    taken on the basis's lead columns (where the reduced basis rows form a
+    unit triangular block, so the projection is one-to-one on the span and
+    keeps every face) and are 0 elsewhere: with B the basis rows there,
+    B adj B = det B I, so column k of sign(det B) adj B (``_adjugate``) is
+    tight on every basis row but the k-th and |det B| > 0 on it. It adds
+    the other rows in index order. A facet is a primitive normal h and its
+    mask Z(h). Adding row a keeps the facets with h.a >= 0, and joins each
+    pair with h.a > 0 > h'.a that is adjacent (no third facet is tight on
+    all of Z(h) & Z(h'): Fukuda & Prodon 1996) into a facet tight on a, a
+    positive combination of the two. An adjacent pair shares at least
+    r - 2 rows, so a pair sharing fewer is skipped before the test. Every normal is nonnegative on every row, pointed cone
     or not; on a pointed cone the facets are exact (DECISIONS.md)."""
     basis, leads = _greedy_basis(rows, range(len(rows)), len(rows[0]))
     width = len(leads)
+    det, adjugate = _adjugate([[rows[i][c] for c in leads] for i in basis])
+    sign = 1 if det > 0 else -1
     facets = []
-    for b in basis:
-        cross = generalized_cross([[rows[i][c] for c in leads] for i in basis if i != b], width)
-        at_lead = dict(zip(leads, cross))
-        normal = [at_lead.get(c, 0) for c in range(len(rows[0]))]
-        if sum(map(mul, normal, rows[b])) < 0:
-            normal = [-c for c in normal]
+    for b, column in zip(basis, zip(*adjugate)):
+        at_lead = dict(zip(leads, column))
+        normal = [sign * at_lead.get(c, 0) for c in range(len(rows[0]))]
         facets.append((_primitive(normal), sum(1 << i for i in basis if i != b)))
     taken = set(basis)
     for i in range(len(rows)):

@@ -6,7 +6,10 @@ operation in this module is exact; floats are refused. ``determinant``,
 input on ``int`` arithmetic and return ints for it, which is what the
 integer-normal form of a cone (``Cone.integer_generators``) runs on; other
 input gives Fractions. ``maximal_minors`` gives a list in ``combinations``
-order, filled through ``_pairing_table``, which ``cones`` reads it by too.
+order, filled through ``_pairing_table``, which ``cones`` reads it by too;
+``generalized_cross`` reads its minors off the same sweep of the
+transpose. ``_adjugate`` is the one inverse, fraction-free, behind the
+duals' Cramer's rule and the double description's first facet normals.
 ``veronese`` maps one point and ``veronese_columns`` a batch of points
 given as coordinate columns, both by one level recursion.
 Vectors are plain tuples, matrices are sequences of equal-length row
@@ -72,11 +75,6 @@ def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     if len(u) != len(v):
         raise DimensionError(f"difference of lengths {len(u)} and {len(v)}")
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(scalar, v: Sequence[Fraction]) -> Vector:
-    s = as_scalar(scalar)
-    return tuple(s * c for c in v)
 
 
 def is_zero_vector(v: Sequence[Fraction]) -> bool:
@@ -240,9 +238,10 @@ def generalized_cross(vectors: Sequence[Sequence], dimension: int | None = None)
 
     Takes exactly d-1 vectors of dimension d and returns their generalized
     cross product, computed from the signed (d-1)-minors of the stacked
-    input matrix, so all-int input gives ints. Linearly dependent inputs
-    yield the zero vector. The ``dimension`` argument is only required when
-    the input list is empty (the d = 1 case, where the result is (1,)).
+    input matrix: all-int input gives ints, any other input Fractions.
+    Linearly dependent inputs yield the zero vector. The ``dimension``
+    argument is only required when the input list is empty (the d = 1
+    case, where the result is (1,)).
     """
     vs = [tuple(v) for v in vectors]
     if dimension is None:
@@ -253,13 +252,16 @@ def generalized_cross(vectors: Sequence[Sequence], dimension: int | None = None)
         raise DimensionError(f"need {dimension - 1} vectors in dimension {dimension}, got {len(vs)}")
     if any(len(v) != dimension for v in vs):
         raise DimensionError("input vectors must all have the ambient dimension")
-    out = []
-    for k in range(dimension):
-        minor = [v[:k] + v[k + 1 :] for v in vs]
-        value = determinant(minor)
-        # Sign of the cofactor of x_k when expanding det along the last row.
-        out.append(value if (dimension + k) % 2 == 1 else -value)
-    return tuple(out)
+    ints = all(type(c) is int for v in vs for c in v)
+    if not ints:
+        vs = [as_vector(v) for v in vs]
+    # The minors are the maximal minors of the d x (d-1) transpose, and the
+    # one without coordinate k is at position d-1-k in combinations order;
+    # x_k's cofactor sign along the last row is (-1)^(d+k+1). No vectors
+    # give the one minor 1.
+    minors = reversed(maximal_minors(list(zip(*vs))))
+    cross = tuple(m if (dimension + k) % 2 else -m for k, m in enumerate(minors))
+    return cross if ints else as_vector(cross)
 
 
 @lru_cache(maxsize=None)

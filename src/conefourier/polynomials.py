@@ -41,9 +41,6 @@ class HomogeneousPolynomial:
     def constant(cls, dimension: int, value) -> "HomogeneousPolynomial":
         return cls(dimension, 0, (as_scalar(value),))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value of the polynomial at a rational point."""
         coords = as_vector(point)
@@ -68,14 +65,6 @@ class HomogeneousPolynomial:
     def scale(self, scalar) -> "HomogeneousPolynomial":
         s = as_scalar(scalar)
         return HomogeneousPolynomial(self.dimension, self.degree, tuple(s * c for c in self.coefficients))
-
-    def multiply_linear(self, form: Sequence) -> "HomogeneousPolynomial":
-        """Multiply by the linear form <form, xi>, raising the degree by one."""
-        f = as_vector(form)
-        if len(f) != self.dimension:
-            raise DimensionError("linear form has the wrong number of variables")
-        coefficients = _times_linear(self.coefficients, f, self.degree)
-        return HomogeneousPolynomial(self.dimension, self.degree + 1, tuple(coefficients))
 
 
 def _times_linear(coefficients: Sequence, form: Sequence, degree: int) -> list:

@@ -13,18 +13,15 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Sequence
 
 from .cones import Cone, is_general_position
-from .errors import DimensionError, ZeroGeneratorError
-from .geometry import Vector, _primitive, as_vector, dot, is_zero_vector
+from .errors import DimensionError
+from .geometry import _primitive, as_vector
 
 # Sampling ranges; every seeded stream, and so every golden output, depends on them.
 RADIUS = 6
 MAX_HEIGHT = 3
 APEX_RANGE = 4
-MAX_NUMERATOR = 9
-MAX_DENOMINATOR = 8
 # Cone draws before giving up: seeded samples in the tests and the benchmark
 # reject at most 6, at d = 3 rejections grow to ~100 at n = 14 and past 4000 at n = 18.
 MAX_DRAWS = 1000
@@ -75,26 +72,3 @@ def sample_family(rng: random.Random, cone: Cone) -> tuple[tuple[int, ...], ...]
     diagonals = list(combinations(range(n), d - 1))
     picked = rng.sample(range(len(diagonals)), comb(n - 1, d - 1))
     return tuple(sorted(diagonals[i] for i in picked))
-
-
-def sample_rational_vector(rng: random.Random, dimension: int) -> Vector:
-    out = []
-    for _ in range(dimension):
-        num = 0
-        while num == 0:
-            num = rng.randint(-MAX_NUMERATOR, MAX_NUMERATOR)
-        out.append(Fraction(num, rng.randint(1, MAX_DENOMINATOR)))
-    return tuple(out)
-
-
-def sample_nonsingular_point(rng: random.Random, generators: Sequence[Sequence], dimension: int) -> Vector:
-    """A random rational point at which no given linear form vanishes. A
-    zero generator vanishes everywhere, so it is a ZeroGeneratorError."""
-    gens = [as_vector(g) for g in generators]
-    for i, g in enumerate(gens):
-        if is_zero_vector(g):
-            raise ZeroGeneratorError(f"generator {i + 1} is the zero vector", index=i + 1)
-    while True:
-        xi = sample_rational_vector(rng, dimension)
-        if all(dot(g, xi) != 0 for g in gens):
-            return xi

@@ -7,6 +7,8 @@ indices in wire data are 1-based.
 
 from __future__ import annotations
 
+import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
@@ -17,6 +19,10 @@ from .geometry import Vector, monomial_basis
 from .interpolation import InterpolationSystem, SolveDetails
 from .polynomials import HomogeneousPolynomial
 from .vervan import VerVanRecord
+
+# The exponent of a rational string in exponent notation, which Fraction
+# accepts: "1e20000" is short, but its value has 20001 digits.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def parse_rational(value) -> Fraction:
@@ -30,6 +36,11 @@ def parse_rational(value) -> Fraction:
         )
     if isinstance(value, str):
         try:
+            # the exponent is held to the digit limit an integer literal meets
+            exponent = _EXPONENT.search(value)
+            limit = sys.get_int_max_str_digits()
+            if exponent and limit and abs(int(exponent[1])) > limit:
+                raise ValueError(f"exponent {exponent[1]} exceeds the limit ({limit} digits)")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as err:
             raise MalformedInputError(f"cannot parse rational {value!r}: {err}") from None

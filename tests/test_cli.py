@@ -535,6 +535,36 @@ def test_json_integer_past_the_digit_limit_is_usage_error(capsys):
     assert err["code"] == "MalformedInput" and "4300 digits" in err["message"]
 
 
+def exponent_cone(value: str) -> str:
+    return '{"apex":[0,0],"generators":[[1,0],["%s",1]]}' % value
+
+
+def test_rational_exponent_within_the_digit_limit_parses(capsys):
+    code, out = run(capsys, "validate", exponent_cone("1e3"))  # the generator (1000, 1)
+    assert code == 0 and json.loads(out)["witness"] == ["1", "-999"]
+    assert run(capsys, "validate", exponent_cone("1e4300"))[0] == 0
+
+
+@pytest.mark.parametrize("value, exponent", [("1e20000", "20000"), ("1E-4301", "-4301")])
+def test_rational_exponent_past_the_digit_limit_is_usage_error(capsys, value, exponent):
+    """Exponent notation scales by 10**exponent, so an exponent past the
+    digit limit is refused before the value is built."""
+    code, out = run(capsys, "validate", exponent_cone(value))
+    assert code == 2
+    assert json.loads(out) == {
+        "code": "MalformedInput",
+        "message": f"cannot parse rational '{value}': exponent {exponent} exceeds the limit (4300 digits)",
+        "context": {},
+    }
+
+
+def test_deeply_nested_json_is_usage_error(capsys):
+    code, out = run(capsys, "validate", "[" * 100000 + "]" * 100000)
+    assert code == 2
+    err = json.loads(out)
+    assert err["code"] == "MalformedInput" and "recursion" in err["message"]
+
+
 def parse_exact(text: str) -> Fraction:
     numerator, _, denominator = text.partition("/")
     return Fraction(int(Decimal(numerator)), int(Decimal(denominator or "1")))

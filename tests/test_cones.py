@@ -15,6 +15,7 @@ from conefourier import (
     diagonal_for,
     enumerate_diagonals,
     is_general_position,
+    polytope_combinatorics,
     validate_cone,
 )
 from conefourier.errors import (
@@ -26,7 +27,7 @@ from conefourier.errors import (
 from conefourier.cones import _basis_pairings, classify_pairings
 from conefourier.feasibility import solve_nonnegative
 from conefourier.geometry import _clear_denominators, _pairing_table, _primitive, determinant, dot, generalized_cross
-from conefourier.geometry import maximal_minors, vec_scale
+from conefourier.geometry import maximal_minors
 from conefourier.sampling import sample_cone
 from conefourier.triangulation import pk_via_triangulation
 
@@ -193,6 +194,35 @@ class TestValidation:
         cone = (rational_cone if rational else sample_cone)(rng, d, n)
         assert validate_cone(cone).redundant_generators == lp_redundant(cone.generators)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: validate_cone(Cone((0, 0, 0), ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)))),
+            lambda: polytope_combinatorics(
+                [[a if bit else 0 for a, bit in zip((2, Fraction(3, 2), 5, Fraction(7, 3)), bits)]
+                 for bits in product((0, 1), repeat=4)],
+                allow_nonsimplicial=True,
+            ),
+        ],
+        ids=["rank-2-cone", "rational-4-box"],
+    )
+    def test_double_description_makes_no_cross_product(self, run, monkeypatch):
+        """The first facet normals are the columns of one adjugate, so
+        neither a rank-deficient cone nor a non-simplicial box asks for a
+        cross product."""
+        expected = run()
+        calls = []
+
+        def counting(vectors, dimension=None):
+            calls.append(vectors)
+            return generalized_cross(vectors, dimension)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("conefourier") and hasattr(module, "generalized_cross"):
+                monkeypatch.setattr(module, "generalized_cross", counting)
+        assert run() == expected
+        assert calls == []
+
 
 class TestGeneralPosition:
     def test_fan_is_generic(self, fan_cone):
@@ -266,7 +296,7 @@ class TestClassification:
         scaled = Cone(
             cone.apex,
             tuple(
-                vec_scale(lam, g) if j == index else g for j, g in enumerate(cone.generators)
+                tuple(lam * c for c in g) if j == index else g for j, g in enumerate(cone.generators)
             ),
         )
         for before, after in zip(enumerate_diagonals(cone), enumerate_diagonals(scaled)):

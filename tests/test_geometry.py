@@ -14,7 +14,6 @@ from conefourier.geometry import (
     generalized_cross,
     maximal_minors,
     monomial_basis,
-    vec_scale,
     veronese,
     veronese_columns,
 )
@@ -181,7 +180,7 @@ def test_generalized_cross_wrong_count():
         generalized_cross([(1, 0, 0)])
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 @given(data=st.data())
 def test_cross_defining_property(d, data):
     inputs = [data.draw(vectors(d)) for _ in range(d - 1)]
@@ -202,6 +201,20 @@ def test_cross_swap_antisymmetry(d, data):
 
 def test_cross_dependent_inputs_give_zero():
     assert generalized_cross([(1, 2, 3), (2, 4, 6)]) == (0, 0, 0)
+
+
+def test_cross_types_follow_veronese():
+    """All-int input gives ints, any other input Fractions in every
+    coordinate, the zeros that the minor sweep skips included; floats are
+    refused."""
+    assert [type(c) for c in generalized_cross([(1, 2, 3), (4, 5, 6)])] == [int] * 3
+    assert [type(c) for c in generalized_cross([], 1)] == [int]
+    mixed = generalized_cross([[Fraction(0), 1, 2], [3, 4, 5]])
+    assert mixed == (-3, 6, -3) and [type(c) for c in mixed] == [Fraction] * 3
+    units = generalized_cross([[Fraction(1), Fraction(0), Fraction(0)], [Fraction(0), Fraction(1), Fraction(0)]])
+    assert units == (0, 0, 1) and [type(c) for c in units] == [Fraction] * 3
+    with pytest.raises(TypeError):
+        generalized_cross([(1.0, 0, 0), (0, 1, 0)])
 
 
 def test_monomial_basis_degree_two():
@@ -264,7 +277,7 @@ def test_veronese_degree_one_is_identity():
 def test_veronese_homogeneity(d, s, data):
     v = data.draw(vectors(d))
     lam = data.draw(nonzero_rationals)
-    assert veronese(vec_scale(lam, v), s) == tuple(lam**s * c for c in veronese(v, s))
+    assert veronese(tuple(lam * c for c in v), s) == tuple(lam**s * c for c in veronese(v, s))
 
 
 def monomial_values(v, s):

@@ -27,7 +27,7 @@ from conefourier.errors import (
     ZeroGeneratorError,
 )
 from conefourier.cones import is_general_position
-from conefourier.geometry import _reduce_rows, determinant, dot, generalized_cross, monomial_basis, vec_scale, veronese
+from conefourier.geometry import _reduce_rows, determinant, dot, generalized_cross, monomial_basis, veronese
 from conefourier.brion import polytope_combinatorics, tangent_cone
 from conefourier.interpolation import (
     InterpolationSystem,
@@ -292,7 +292,7 @@ class TestPipelineEquivalence:
         lam = data.draw(st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(5, 3)]))
         scaled = Cone(
             cone.apex,
-            tuple(vec_scale(lam, g) if j == index else g for j, g in enumerate(cone.generators)),
+            tuple(tuple(lam * c for c in g) if j == index else g for j, g in enumerate(cone.generators)),
         )
         assert pk_via_interpolation(scaled) == pk_via_interpolation(cone).scale(lam)
         assert pk_via_triangulation(scaled) == pk_via_triangulation(cone).scale(lam)
