@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice, repeat
+from itertools import combinations, repeat
 from math import prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -52,7 +52,7 @@ from .errors import (
     NotPointedError,
     ZeroGeneratorError,
 )
-from .geometry import Vector, _adjugate, _clear_denominators, _pairing_table, _primitive, _reduce_rows, as_vector
+from .geometry import Vector, _adjugate, _clear_denominators, _echelon, _pairing_table, _primitive, as_vector
 from .geometry import generalized_cross, is_zero_vector, maximal_minors
 
 
@@ -314,11 +314,10 @@ def is_general_position(cone: Cone) -> bool:
 def _greedy_basis(rows: Sequence[Sequence[int]], indices: Sequence[int], size: int) -> tuple[list[int], list[int]]:
     """The first ``size`` of ``indices``, in order, whose rows are each
     linearly independent of the rows taken before them, which are the rows
-    ``_reduce_rows`` keeps, and the lead column of each kept row: fewer
-    when the rows have lower rank."""
-    reduced = _reduce_rows((rows[i] for i in indices), len(rows[0]))
-    picked = list(islice(((i, lead) for i, (lead, _, _) in zip(indices, reduced) if lead is not None), size))
-    return [i for i, _ in picked], [lead for _, lead in picked]
+    ``_echelon`` keeps, and the lead column of each kept row: fewer when
+    the rows have lower rank."""
+    positions, leads, _, _ = _echelon([rows[i] for i in indices], size)
+    return [indices[k] for k in positions], leads
 
 
 def _facets(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[tuple[int, ...], int, tuple[int, ...]]]]:
@@ -328,11 +327,12 @@ def _facets(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[tuple[
     (Motzkin, Raiffa, Thompson & Thrall 1953).
 
     It starts from the simplicial cone over the basis. Its normals are
-    taken on the basis's lead columns (where the reduced basis rows form a
-    unit triangular block, so the projection is one-to-one on the span and
-    keeps every face) and are 0 elsewhere: with B the basis rows there,
-    B adj B = det B I, so column k of sign(det B) adj B (``_adjugate``) is
-    tight on every basis row but the k-th and |det B| > 0 on it. It adds
+    taken on the basis's lead columns (where the reduced basis rows of
+    ``_echelon`` are the last pivot times the identity, so the projection
+    is one-to-one on the span and keeps every face) and are 0 elsewhere:
+    with B the basis rows there, B adj B = det B I, so column k of
+    sign(det B) adj B (``_adjugate``) is tight on every basis row but the
+    k-th and |det B| > 0 on it. It adds
     the other rows in index order. A facet is a primitive normal h and its
     mask Z(h). Adding row a keeps the facets with h.a >= 0, and joins each
     pair with h.a > 0 > h'.a that is adjacent (no third facet is tight on

@@ -2,14 +2,15 @@
 
 Scalars are Python ``int`` or ``fractions.Fraction`` values, so every
 operation in this module is exact; floats are refused. ``determinant``,
-``maximal_minors``, ``generalized_cross`` and ``veronese`` keep integer
-input on ``int`` arithmetic and return ints for it, which is what the
-integer-normal form of a cone (``Cone.integer_generators``) runs on; other
-input gives Fractions. ``maximal_minors`` gives a list in ``combinations``
-order, filled through ``_pairing_table``, which ``cones`` reads it by too;
-``generalized_cross`` reads its minors off the same sweep of the
-transpose. ``_adjugate`` is the one inverse, fraction-free, behind the
-duals' Cramer's rule and the double description's first facet normals.
+``generalized_cross`` and ``veronese`` keep integer input on ``int``
+arithmetic and return ints for it, which is what the integer-normal form
+of a cone (``Cone.integer_generators``) runs on; other input gives
+Fractions. ``maximal_minors`` takes int rows and gives ints, in
+``combinations`` order, filled through ``_pairing_table``, which ``cones``
+reads it by too; ``generalized_cross`` reads its minors off the same sweep
+of the transpose. ``_echelon`` is the one elimination, fraction-free in
+``int``, behind ``determinant``, the double description's basis and
+``_adjugate``, the one inverse.
 ``veronese`` maps one point and ``veronese_columns`` a batch of points
 given as coordinate columns, both by one level recursion.
 Vectors are plain tuples, matrices are sequences of equal-length row
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, cycle
-from math import comb, gcd, lcm
+from itertools import combinations, compress, count, cycle
+from math import comb, gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionError
 
@@ -58,6 +59,15 @@ def _clear_denominators(row: Iterable) -> tuple[list[int], int]:
     return [a.numerator * (scale // a.denominator) for a in entries], scale
 
 
+def _integer_rows(rows: list[Sequence]) -> tuple[list[Sequence[int]], int | None]:
+    """The rows and None when every entry is an int, else the rows scaled
+    to integers (``_clear_denominators``) and the product of the scales."""
+    if all(type(a) is int for row in rows for a in row):
+        return rows, None
+    rows, scales = zip(*map(_clear_denominators, rows))
+    return list(rows), prod(scales)
+
+
 def _primitive(vector: Sequence[int]) -> tuple[int, ...]:
     """A nonzero integer vector divided by the gcd of its entries: the one
     integer vector on its ray whose entries have no common factor."""
@@ -81,105 +91,76 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(c == 0 for c in v)
 
 
-def _reduce_rows(rows: Iterable[Sequence[Fraction]], width: int) -> Iterator[tuple[int | None, Fraction, list | None]]:
-    """The one exact elimination over Q, behind the exact interpolation
-    solve and the double description's choice of independent rows
-    (``cones._greedy_basis``). Callers check that every row has ``width``
-    entries.
+def _echelon(rows: Iterable[Sequence[int]], limit: int | None = None) -> tuple[list[int], list[int], list[list[int]], int]:
+    """The one fraction-free elimination, a Gauss-Jordan (Bareiss 1968) on
+    int rows of one length, behind ``determinant``, ``_adjugate`` and the
+    double description's basis (``cones._greedy_basis``).
 
-    Reduces each row, in the order given, against the rows kept before it
-    and yields ``(lead, value, kept)``: the column and value of the reduced
-    row's first nonzero entry, and the reduced row divided by that value,
-    which is kept; a row that vanishes yields ``(None, ZERO, None)``. A kept
-    row is zero left of its lead and at every earlier lead, so each update
-    starts at the pivot's lead column.
-    """
-    kept: list[tuple[int, list]] = []
-    for row in rows:
-        work = list(row)
-        for lead, pivot in kept:
-            factor = work[lead]
+    Reduces each row, in the order given, against the rows kept before it,
+    and keeps it when something survives, until ``limit`` rows are kept.
+    Returns the kept rows' positions, their lead columns (each the first
+    nonzero entry of the reduced row), the kept rows reduced against each
+    other and scaled by the last pivot p, and p: the determinant of the
+    kept rows on their leads, in the leads' order. A kept row is p at its
+    own lead and 0 at every other, so a new row a reduces to p a - sum of
+    a_l times the kept row of lead l; if it survives with lead c and value
+    q there, each kept row b becomes (q b - b_c w) / p, w the reduced row,
+    and q is the next pivot. Every entry so made is a minor of the rows
+    (Sylvester's identity), so each division is exact."""
+    positions, leads, kept, pivot = [], [], [], 1
+    for position, row in enumerate(rows):
+        if len(kept) == limit:
+            break
+        work = [pivot * a for a in row]
+        for lead, top in zip(leads, kept):
+            factor = row[lead]
             if factor:
-                work[lead] = ZERO  # pivot[lead] is 1
-                for j in range(lead + 1, width):
-                    b = pivot[j]
-                    if b:
-                        work[j] -= factor * b
-        for lead, value in enumerate(work):
-            if value:
-                break
-        else:
-            yield None, ZERO, None
+                work = [a - factor * b for a, b in zip(work, top)]
+        lead = next(compress(count(), work), None)
+        if lead is None:
             continue
-        inv = ONE / value
-        work[lead:] = [a * inv for a in work[lead:]]
-        kept.append((lead, work))
-        yield lead, value, work
+        value = work[lead]
+        kept = [[(value * a - top[lead] * b) // pivot for a, b in zip(top, work)] for top in kept]
+        kept.append(work)
+        positions.append(position)
+        leads.append(lead)
+        pivot = value
+    return positions, leads, kept, pivot
+
+
+def _sign(order: Sequence[int]) -> int:
+    """The sign of the permutation that sorts ``order``: +1 or -1."""
+    return -1 if sum(a > b for a, b in combinations(order, 2)) % 2 else 1
 
 
 def determinant(rows: Sequence[Sequence]) -> int | Fraction:
-    """Exact determinant of a square matrix, by fraction-free (Bareiss)
-    elimination: every intermediate entry is a minor of the matrix, so each
-    division is exact and no gcd is taken. All-int input gives an int.
-    Otherwise each row is first scaled to integers
-    (``_clear_denominators``) and the result, a Fraction, is divided by the
-    product of the scales. The empty 0x0 matrix has determinant 1."""
+    """Exact determinant of a square matrix: by ``_echelon``, the sign of
+    the leads' order times the last pivot, or 0 when a row depends on those
+    before it. All-int input gives an int, other input a Fraction, over
+    the product of the scales of ``_integer_rows``. The 0x0 matrix gives 1."""
     m = [list(row) for row in rows]
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionError(f"determinant needs a square matrix, got rows {[len(r) for r in m]}")
-    scale = None
-    if not all(type(a) is int for row in m for a in row):
-        scale = 1
-        for i, row in enumerate(m):
-            m[i], factor = _clear_denominators(row)
-            scale *= factor
-    sign, previous = 1, 1
-    for k in range(n - 1):
-        swap = next((i for i in range(k, n) if m[i][k]), None)
-        if swap is None:
-            return 0 if scale is None else ZERO
-        if swap != k:
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        top = m[k]
-        pivot = top[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            factor = row[k]
-            row[k + 1 :] = [(pivot * a - factor * b) // previous for a, b in zip(row[k + 1 :], top[k + 1 :])]
-        previous = pivot
-    result = sign * m[-1][-1] if n else 1
+    m, scale = _integer_rows(m)
+    _, leads, _, pivot = _echelon(m)
+    result = _sign(leads) * pivot if len(leads) == n else 0
     return result if scale is None else Fraction(result, scale)
 
 
 def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(det A, adj A) of a nonsingular square int matrix A, by one
-    fraction-free Gauss-Jordan elimination of [A | I] (Bareiss 1968): step
-    k updates every row but the pivot row k to (p_k a - a_k t) / p_(k-1),
-    t the pivot row, p_k its entry in column k and a_k the row's. Every
-    entry so made is a minor of the row-swapped [A | I] (Sylvester's
-    identity), so each division is exact; at the end [A | I] has become
-    [p I | p A^-1], p = +-det A the last pivot, the sign that of the row
-    swaps. O(d^3) products. ValueError for a singular A."""
+    """(det A, adj A) of a nonsingular square int matrix A, by ``_echelon``
+    of [A | I]. Every row is kept, and A is nonsingular exactly when every
+    lead falls in A. Then the kept rows are [p P | p P A^-1], P the
+    permutation matrix of the leads and p = sign(P) det A the last pivot,
+    so row l of adj A = det A A^-1 is sign(P) times the right half of the
+    kept row of lead l. O(d^3) products. ValueError for a singular A."""
     n = len(rows)
-    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
-    sign, previous = 1, 1
-    for k in range(n):
-        swap = next((i for i in range(k, n) if m[i][k]), None)
-        if swap is None:
-            raise ValueError("the adjugate is taken here of nonsingular matrices only")
-        if swap != k:
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        top = m[k]
-        pivot = top[k]
-        for i, row in enumerate(m):
-            if i != k:
-                factor = row[k]
-                m[i] = [(pivot * a - factor * b) // previous for a, b in zip(row, top)]
-        previous = pivot
-    return sign * previous, [[sign * a for a in row[n:]] for row in m]
+    _, leads, kept, pivot = _echelon([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows))
+    if any(lead >= n for lead in leads):
+        raise ValueError("the adjugate is taken here of nonsingular matrices only")
+    sign = _sign(leads)
+    return sign * pivot, [[sign * a for a in row[n:]] for _, row in sorted(zip(leads, kept))]
 
 
 @lru_cache(maxsize=None)
@@ -203,9 +184,9 @@ def _pairing_table(n: int, k: int) -> dict[tuple[int, ...], tuple[tuple[int, ...
     return {members: tuple(map(tuple, entry)) for members, entry in table.items()}
 
 
-def maximal_minors(rows: Sequence[Sequence]) -> list[int | Fraction]:
+def maximal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
     """The det of the rows at each sorted d-subset S, rows in S's order, of
-    an n x d matrix: a list in ``combinations`` order, ints for int input.
+    an n x d int matrix: a list of ints in ``combinations`` order.
     Computed level by level by Laplace expansion along column k-1: the minor
     M_k(S) on the rows S and the first k columns is
 
@@ -252,16 +233,16 @@ def generalized_cross(vectors: Sequence[Sequence], dimension: int | None = None)
         raise DimensionError(f"need {dimension - 1} vectors in dimension {dimension}, got {len(vs)}")
     if any(len(v) != dimension for v in vs):
         raise DimensionError("input vectors must all have the ambient dimension")
-    ints = all(type(c) is int for v in vs for c in v)
-    if not ints:
-        vs = [as_vector(v) for v in vs]
+    # The cross product is multilinear: the one of the vectors scaled to
+    # integers, over the product of the scales.
+    vs, scale = _integer_rows(vs)
     # The minors are the maximal minors of the d x (d-1) transpose, and the
     # one without coordinate k is at position d-1-k in combinations order;
     # x_k's cofactor sign along the last row is (-1)^(d+k+1). No vectors
     # give the one minor 1.
     minors = reversed(maximal_minors(list(zip(*vs))))
     cross = tuple(m if (dimension + k) % 2 else -m for k, m in enumerate(minors))
-    return cross if ints else as_vector(cross)
+    return cross if scale is None else tuple(Fraction(c, scale) for c in cross)
 
 
 @lru_cache(maxsize=None)

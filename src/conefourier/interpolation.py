@@ -18,8 +18,8 @@ elimination modulo a prime on rows packed in 8-byte slots, the prime sized
 to the row width so that no slot overflows and the anchor-star rows first,
 and then by Dixon's p-adic lifting, one O(N^2) pass per further base-p
 digit of the coefficients. The candidate is accepted only when it
-satisfies every row exactly. Otherwise, and for the pivots, exact rational
-elimination decides.
+satisfies every row exactly. Otherwise, and for the pivots, exact
+elimination in ``int`` on primitive rows decides.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, compress, count, islice
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from operator import mul
 from sys import byteorder
 from typing import Iterable, Iterator, Sequence
@@ -41,7 +41,7 @@ from .errors import (
     InconsistentError,
     RankDeficientError,
 )
-from .geometry import ZERO, _clear_denominators, _reduce_rows, basis_size, veronese_columns
+from .geometry import ZERO, _clear_denominators, basis_size, veronese_columns
 from .polynomials import HomogeneousPolynomial
 
 _SLOT_MASK = (1 << 64) - 1
@@ -159,10 +159,10 @@ def _pack(entries: Sequence[int]) -> int:
 def _reduce_mod(
     rows: Iterable[Sequence[int]], width: int, p: int
 ) -> Iterator[tuple[int, list[int], list[int], int] | tuple[None, None, None, None]]:
-    """``_reduce_rows`` mod the prime p on int rows of ``width`` entries:
-    yields ``(lead, kept, factors, inv)`` per row, kept the reduced row over
-    its lead entry, in [0, p), or ``(None, None, None, None)`` for a row
-    that vanishes mod p. ``factors[k]`` is the row's entry mod p at the
+    """The lead-column rule of ``_eliminate`` mod the prime p, on int rows
+    of ``width`` entries: yields ``(lead, kept, factors, inv)`` per row,
+    kept the reduced row over its lead entry, in [0, p), or
+    ``(None, None, None, None)`` for a row that vanishes mod p. ``factors[k]`` is the row's entry mod p at the
     lead of the k-th pivot kept before it, when that pivot came up (0 if
     it was not applied), and inv the inverse of the row's lead entry, so
     ``(r - sum(factors[k] * s[k])) * inv`` mod p replays the reduction on a
@@ -274,22 +274,37 @@ def _solve_modular(system: InterpolationSystem) -> list[int] | None:
     return solution if all(sum(map(mul, rows[r], solution)) == rows[r][unknowns] for r in others) else None
 
 
-def _eliminate(system: InterpolationSystem) -> list[tuple[tuple[int, ...], int, list[Fraction]]]:
+def _eliminate(system: InterpolationSystem) -> list[tuple[tuple[int, ...], int, list[int]]]:
     """Exact elimination over the rows in their given order, returning
     (diagonal, pivot column, reduced row) for each row kept.
 
-    The rows, with the rhs as a last column, go through the shared row
-    reduction: a row's pivot column is its first surviving coefficient, and
-    a row whose only surviving entry is the rhs leaves a residual, so the
-    system lies about its cone. Every row is checked, also after full rank.
+    The rows, rhs as a last column and scaled to ints, are kept primitive:
+    a kept row t with lead l updates a row r with f = r_l != 0 to
+    t_l r - f t over the gcd of its entries, a nonzero multiple of the
+    rational update. So a row's pivot column is its first surviving
+    coefficient, as over Q, and a row whose only surviving entry is the rhs
+    leaves the rational residual, so the system lies about its cone. Every
+    row is checked, also after full rank.
     """
     unknowns = system.unknowns
     kept = []
-    augmented = ((*row.coefficients, row.rhs) for row in system.rows)
-    for row, (lead, value, work) in zip(system.rows, _reduce_rows(augmented, unknowns + 1)):
+    for row in system.rows:
+        # work is scale * prod(t_l) / prod(g) over steps times the rational row
+        work, scale, steps = [*row.coefficients, row.rhs], 1, []
+        if set(map(type, work)) != {int}:
+            work, scale = _clear_denominators(work)
+        for _, lead, pivot in kept:
+            factor = work[lead]
+            if factor:
+                work = [pivot[lead] * a - factor * b for a, b in zip(work, pivot)]
+                g = gcd(*work) or 1
+                work = [a // g for a in work]
+                steps.append((pivot[lead], g))
+        lead = next(compress(count(), work), None)
         if lead is None:
             continue
         if lead == unknowns:
+            value = Fraction(work[lead] * prod(g for _, g in steps), scale * prod(t for t, _ in steps))
             raise InconsistentError(
                 f"row for diagonal {tuple(i + 1 for i in row.diagonal)} leaves residual {value}",
                 diagonal=tuple(i + 1 for i in row.diagonal),
@@ -327,7 +342,7 @@ def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomi
         for _, col, work in sorted(_eliminate(system), key=lambda k: k[1], reverse=True):
             # Entries left of the pivot column are zero by construction.
             terms = (work[j] * solution[j] for j in range(col + 1, unknowns) if work[j])
-            solution[col] = work[unknowns] - sum(terms, ZERO)
+            solution[col] = (work[unknowns] - sum(terms, ZERO)) / work[col]
     if system.scale != 1:
         solution = [Fraction(c, system.scale) for c in solution]
     poly = HomogeneousPolynomial(system.dimension, system.degree, tuple(solution))

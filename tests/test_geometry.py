@@ -5,10 +5,11 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
+from conefourier.cones import _greedy_basis
 from conefourier.errors import DimensionError
 from conefourier.geometry import (
     _adjugate,
-    _reduce_rows,
+    _echelon,
     determinant,
     dot,
     generalized_cross,
@@ -18,7 +19,7 @@ from conefourier.geometry import (
     veronese_columns,
 )
 
-from conftest import nonzero_rationals, rationals, vectors
+from conftest import nonzero_rationals, rational_reduction, rationals, vectors
 
 
 def permutation_determinant(rows):
@@ -101,7 +102,7 @@ def test_determinant_zero_pivots(rows, expected):
 
 
 def all_determinants(rows, d):
-    """The oracle for ``maximal_minors``: one Bareiss determinant per sorted
+    """The oracle for ``maximal_minors``: one ``determinant`` per sorted
     d-subset, rows in the subset's order, in ``combinations`` order."""
     return [determinant([rows[i] for i in subset]) for subset in combinations(range(len(rows)), d)]
 
@@ -215,6 +216,27 @@ def test_cross_types_follow_veronese():
     assert units == (0, 0, 1) and [type(c) for c in units] == [Fraction] * 3
     with pytest.raises(TypeError):
         generalized_cross([(1.0, 0, 0), (0, 1, 0)])
+
+
+@pytest.mark.parametrize(
+    "vectors, expected",
+    [
+        # the transpose has the zero minor of its first two rows
+        ([[Fraction(1, 2), 1, 0], [0, 0, Fraction(2, 3)]], (Fraction(2, 3), Fraction(-1, 3), 0)),
+        ([[Fraction(1), Fraction(2), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]], (2, -1, 0)),
+        # dependent vectors: every minor is zero
+        ([[Fraction(1, 3), Fraction(2, 3), 1], [1, 2, 3]], (0, 0, 0)),
+    ],
+)
+def test_cross_of_fractions_with_zero_minors(vectors, expected):
+    """Fraction input is scaled to integers, swept in int and divided by
+    the product of the scales: the values are the rational cross product's,
+    a Fraction in every coordinate, zeros included."""
+    cross = generalized_cross(vectors)
+    assert cross == expected
+    assert [type(c) for c in cross] == [Fraction] * 3
+    probe = (Fraction(1, 5), 7, Fraction(-2, 9))
+    assert dot(cross, probe) == permutation_determinant([*vectors, probe])
 
 
 def test_monomial_basis_degree_two():
@@ -355,9 +377,8 @@ def test_adjugate_of_a_singular_matrix():
 
 
 def kept_rows(rows, width):
-    """The rank: how many rows the exact row reduction keeps."""
-    matrix = [[Fraction(a) for a in row] for row in rows]
-    return sum(1 for lead, _, _ in _reduce_rows(matrix, width) if lead is not None)
+    """The rank: how many rows the reference reduction over Q keeps."""
+    return sum(1 for lead, _, _ in rational_reduction(rows, width) if lead is not None)
 
 
 def test_matrix_rank():
@@ -388,3 +409,108 @@ def test_rank_agrees_with_determinant(d, data):
     assert (rank == d) == (determinant(rows) != 0)
     extra = _combination([data.draw(rationals) for _ in rows], rows, d)
     assert kept_rows(rows + [extra], d) == rank
+
+
+def cofactor_determinant(rows):
+    """Independent oracle: Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * cofactor_determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
+def reduced_determinant(rows):
+    """The determinant off the reference reduction over Q: the sign of the
+    leads' order times the product of the leads' values, 0 when a row
+    vanishes."""
+    reduced = list(rational_reduction(rows, len(rows)))
+    if any(lead is None for lead, _, _ in reduced):
+        return 0
+    inversions = sum(a > b for a, b in combinations([lead for lead, _, _ in reduced], 2))
+    return (-1) ** inversions * prod(value for _, value, _ in reduced)
+
+
+NEAR_2_70 = st.sampled_from([2**70 - 1, 2**70, 2**70 + 1]).flatmap(lambda a: st.sampled_from([a, -a]))
+INT_ENTRIES = [st.integers(-3, 3), st.integers(-(2**70), 2**70), NEAR_2_70 | st.integers(-1, 1)]
+
+
+@st.composite
+def int_rows(draw, count, width):
+    """``count`` int rows of ``width`` entries: small, up to 2^70 or near
+    2^70. Some start with zeros, which can put a row's lead right of a
+    later row's, and one may be an integer combination of the others."""
+    entry = draw(st.sampled_from(INT_ENTRIES))
+    rows = [[draw(entry) for _ in range(width)] for _ in range(count)]
+    for row in rows:
+        if draw(st.booleans()):
+            zeros = draw(st.integers(1, width)) if width else 0
+            row[:zeros] = [0] * zeros
+    if count > 1 and draw(st.booleans()):
+        j = draw(st.integers(0, count - 1))
+        weights = [draw(st.integers(-2, 2)) for _ in range(count)]
+        rows[j] = [sum(w * row[c] for w, row in zip(weights, rows) if row is not rows[j]) for c in range(width)]
+    return rows
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+@given(data=st.data())
+def test_determinant_against_references(n, data):
+    rows = data.draw(int_rows(n, n))
+    det = determinant(rows)
+    assert det == cofactor_determinant(rows) == reduced_determinant(rows)
+    assert type(det) is int
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+@given(data=st.data())
+def test_adjugate_against_references(n, data):
+    """adj A is the transposed matrix of cofactors, det A as above; a
+    singular A is refused."""
+    rows = data.draw(int_rows(n, n))
+    det = cofactor_determinant(rows)
+    if det == 0:
+        with pytest.raises(ValueError):
+            _adjugate(rows)
+        return
+    minor = [[row[:i] + row[i + 1 :] for row in rows[:j] + rows[j + 1 :]] for i in range(n) for j in range(n)]
+    cofactors = [(-1) ** (k // n + k % n) * cofactor_determinant(m) for k, m in enumerate(minor)]
+    assert _adjugate(rows) == (det, [cofactors[i * n : (i + 1) * n] for i in range(n)])
+    assert det == reduced_determinant(rows)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+@given(data=st.data())
+def test_greedy_basis_against_reference(width, data):
+    count = data.draw(st.integers(1, 7), label="count")
+    rows = data.draw(int_rows(count, width), label="rows")
+    indices = data.draw(st.permutations(range(count)), label="order")[: data.draw(st.integers(0, count))]
+    size = data.draw(st.integers(0, width + 1), label="size")
+    reduced = rational_reduction([rows[i] for i in indices], width)
+    expected = [(i, lead) for i, (lead, _, _) in zip(indices, reduced) if lead is not None][:size]
+    assert _greedy_basis(rows, indices, size) == ([i for i, _ in expected], [lead for _, lead in expected])
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 5])
+@given(data=st.data())
+def test_echelon_against_reference(width, data):
+    """The kept rows, their leads, the last pivot p, the determinant of
+    the kept rows on their leads in the leads' order, and the kept rows
+    reduced against each other over Q times p."""
+    rows = data.draw(int_rows(data.draw(st.integers(0, 7), label="count"), width), label="rows")
+    limit = data.draw(st.none() | st.integers(0, width), label="limit")
+    reduced = [(k, lead, row) for k, (lead, _, row) in enumerate(rational_reduction(rows, width)) if lead is not None]
+    reduced = reduced[:limit]
+    positions, leads, kept, pivot = _echelon(rows, limit)
+    assert positions == [k for k, _, _ in reduced]
+    assert leads == [lead for _, lead, _ in reduced]
+    assert pivot == cofactor_determinant([[rows[k][c] for c in leads] for k in positions])
+    full = [row for _, _, row in reduced]
+    for i in reversed(range(len(full))):
+        for j in range(i):
+            factor = full[j][leads[i]]
+            full[j] = [a - factor * b for a, b in zip(full[j], full[i])]
+    assert kept == [[pivot * a for a in row] for row in full]
+    assert all(type(a) is int for row in kept for a in row)

@@ -27,7 +27,7 @@ from conefourier.errors import (
     ZeroGeneratorError,
 )
 from conefourier.cones import is_general_position
-from conefourier.geometry import _reduce_rows, determinant, dot, generalized_cross, monomial_basis, veronese
+from conefourier.geometry import determinant, dot, generalized_cross, monomial_basis, veronese
 from conefourier.brion import polytope_combinatorics, tangent_cone
 from conefourier.interpolation import (
     InterpolationSystem,
@@ -40,7 +40,7 @@ from conefourier.interpolation import (
 )
 from conefourier.sampling import sample_cone
 
-from conftest import random_cones, rational_cone
+from conftest import random_cones, rational_cone, rational_reduction, rationals
 
 P = _prime(3)  # the prime of the two-row systems below (3 entries a row)
 
@@ -306,10 +306,10 @@ class TestPipelineEquivalence:
 
 
 def exact_pivots(system):
-    """Pivots of the plain exact reduction of the rows, rhs as a last
+    """Pivots of the reference reduction over Q of the rows, rhs as a last
     column, in their given order."""
     augmented = [(*row.coefficients, row.rhs) for row in system.rows]
-    leads = (lead for lead, _, _ in _reduce_rows(augmented, system.unknowns + 1))
+    leads = (lead for lead, _, _ in rational_reduction(augmented, system.unknowns + 1))
     return tuple((row.diagonal, lead) for row, lead in zip(system.rows, leads) if lead is not None)
 
 
@@ -456,11 +456,81 @@ class TestModularSolve:
 
 
 def exact_solution(system):
-    """Back-substitution over Q on the rows ``_eliminate`` keeps."""
+    """Back-substitution over Q on the rows ``_eliminate`` keeps, each
+    divided by its lead entry."""
     solution = [Fraction(0)] * system.unknowns
     for _, lead, work in sorted(_eliminate(system), key=lambda k: k[1], reverse=True):
-        solution[lead] = work[-1] - sum(work[j] * solution[j] for j in range(lead + 1, system.unknowns))
+        rest = sum((work[j] * solution[j] for j in range(lead + 1, system.unknowns)), Fraction(0))
+        solution[lead] = (work[-1] - rest) / work[lead]
     return solution
+
+
+@st.composite
+def hand_built_systems(draw, entry):
+    """Systems of 1-4 unknowns with one row fewer to three rows more, of
+    ``entry`` values, some rows combinations of the rows before them, and
+    two skipped diagonals. Either every rhs is the rows' value at a drawn
+    solution, or the rhs are drawn too and a combination may have its rhs
+    moved."""
+    unknowns = draw(st.integers(1, 4), label="unknowns")
+    x = draw(st.none() | st.lists(entry, min_size=unknowns, max_size=unknowns), label="solution")
+    rows = []
+    for _ in range(draw(st.integers(max(1, unknowns - 1), unknowns + 3), label="count")):
+        if rows and draw(st.integers(0, 2)) == 0:
+            weights = [draw(entry) for _ in rows]
+            row = [sum(w * r[c] for w, r in zip(weights, rows)) for c in range(unknowns + 1)]
+            if x is None and draw(st.booleans()):
+                row[-1] += draw(entry.filter(bool))
+        else:
+            coefficients = [draw(entry) for _ in range(unknowns)]
+            row = [*coefficients, draw(entry) if x is None else sum(map(mul, coefficients, x))]
+        rows.append(row)
+    return InterpolationSystem(
+        dimension=2,
+        degree=unknowns - 1,
+        rows=tuple(SystemRow((i,), tuple(r[:-1]), r[-1]) for i, r in enumerate(rows)),
+        skipped=((7,), (9,)),
+    )
+
+
+class TestExactElimination:
+    @pytest.mark.parametrize("entry", [st.integers(-9, 9), rationals], ids=["int", "fraction"])
+    @given(data=st.data())
+    def test_matches_the_rational_reduction(self, entry, data):
+        """The first row whose only surviving entry is its rhs raises with
+        the reference's residual, a Fraction; otherwise too few kept rows
+        raise with the reference's rank; otherwise the leads are the
+        reference's, each kept row is an int multiple of its reduced row,
+        and the solution is the reference's back-substitution."""
+        system = data.draw(hand_built_systems(entry), label="system")
+        unknowns = system.unknowns
+        augmented = [(*row.coefficients, row.rhs) for row in system.rows]
+        reference = list(rational_reduction(augmented, unknowns + 1))
+        for row, (lead, value, _) in zip(system.rows, reference):
+            if lead == unknowns:
+                with pytest.raises(InconsistentError) as exc:
+                    _eliminate(system)
+                assert exc.value.context == {"diagonal": (row.diagonal[0] + 1,), "residual": value}
+                assert type(exc.value.context["residual"]) is Fraction
+                return
+        kept = [(row.diagonal, lead, reduced) for row, (lead, _, reduced) in zip(system.rows, reference) if lead is not None]
+        if len(kept) < unknowns:
+            with pytest.raises(RankDeficientError) as exc:
+                _eliminate(system)
+            assert exc.value.context == {"rank": len(kept), "unknowns": unknowns, "skipped": ((8,), (10,))}
+            return
+        eliminated = _eliminate(system)
+        assert [(diagonal, lead) for diagonal, lead, _ in eliminated] == [(diagonal, lead) for diagonal, lead, _ in kept]
+        for (_, lead, work), (_, _, reduced) in zip(eliminated, kept):
+            assert all(type(a) is int for a in work)
+            assert [Fraction(a, work[lead]) for a in work] == reduced
+        solution = [Fraction(0)] * unknowns
+        for _, lead, reduced in sorted(kept, key=lambda k: k[1], reverse=True):
+            solution[lead] = reduced[-1] - sum(reduced[j] * solution[j] for j in range(lead + 1, unknowns))
+        assert exact_solution(system) == solution
+        poly, details = solve_with_details(system)
+        assert poly.coefficients == tuple(solution)
+        assert details.pivots == exact_pivots(system)
 
 
 def leads_and_rows(rows, width, p):
@@ -470,7 +540,7 @@ def leads_and_rows(rows, width, p):
 
 def plain_reduce_mod(rows, width, p):
     """The reference for ``_reduce_mod``: the lead-column rule of
-    ``_reduce_rows`` mod p, one reduced entry at a time."""
+    ``rational_reduction`` mod p, one reduced entry at a time."""
     kept = []
     for row in rows:
         work = [a % p for a in row]
