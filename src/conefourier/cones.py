@@ -9,10 +9,11 @@ degenerate (some generator exactly on the hyperplane, or a zero dual).
 Each pairing of a dual with a generator off its diagonal is a signed
 maximal minor, read from the cone's one table of them. The pairings also
 determine the dual: ``Cone._dual_columns`` reads a batch of duals off the
-table by Cramer's rule on one basis of generators, through the adjugate of
-that basis from one fraction-free elimination, so no dual of a cone of
-full rank is a cross product. ``Cone.integer_dual`` is its one-diagonal
-case, and ``diagonal_for`` divides that by the scales.
+table by Cramer's rule on one basis of generators, through the integer
+inverse of that basis from one fraction-free elimination (``_adjugate``),
+so no dual of a cone of full rank is a cross product.
+``Cone.integer_dual`` is its one-diagonal case, and ``diagonal_for``
+divides that by the scales.
 
 The table holds the minors of the cone's integer-normal form: generator
 w_j times the lcm m_j of its denominators, the integer vector
@@ -28,10 +29,10 @@ the process, and the sweep scatters by the same tables. A pairing is a
 read at precomputed positions; the minor at S is the last pairing of S[:-1].
 
 ``_facets`` (a double description, starting from the columns of one
-adjugate) and ``_meet`` (the extreme-ray test) serve both
+integer inverse) and ``_meet`` (the extreme-ray test) serve both
 ``validate_cone`` and ``brion.polytope_combinatorics``; ``validate_cone``
 reads pointedness and its witness off the same facets. The one cross
-product left is the dual of a cone of rank below d.
+product left is the dual of a cone of rank below d, one elimination each.
 """
 
 from __future__ import annotations
@@ -169,36 +170,32 @@ class Cone:
 
     def _dual_columns(self, diagonals: Sequence[tuple[int, ...]], pairings: Sequence[Sequence[int]]) -> list[list[int]]:
         """The integer duals of the sorted diagonals, ``pairings`` their
-        ``integer_pairings``, as d coordinate columns: dual(D) = adj(U_S) w_D
-        / det U_S by Cramer's rule, U_S the rows u_s of the basis S
-        (``_dual_basis``) and w_D the pairings <dual(D), u_s> = det(u_D..., u_s),
-        each read off D's pairings (``_basis_pairings``). Divided exactly,
-        since dual(D) is integral. A cone of rank below d has no basis, and
-        gets one cross product a diagonal."""
+        ``integer_pairings``, as d coordinate columns: dual(D) = U_S^-1 w_D
+        by Cramer's rule, U_S^-1 the rows of ``_dual_basis`` over |det U_S|
+        and w_D the pairings <dual(D), u_s> = det(u_D..., u_s) with the
+        basis S, each read off D's pairings (``_basis_pairings``). Divided
+        exactly, since dual(D) is integral. A cone of rank below d has no
+        basis, and gets one cross product a diagonal."""
         basis = self._dual_basis
         if basis is None:
             u = self.integer_generators
             duals = [generalized_cross([u[i] for i in members], self.dimension) for members in diagonals]
             return [list(column) for column in zip(*duals)]
-        subset, denominator, adjugate = basis
+        subset, denominator, inverse = basis
         weights = list(map(_basis_pairings, diagonals, pairings, repeat(subset)))
-        return [[sum(map(mul, row, w)) // denominator for w in weights] for row in adjugate]
+        return [[sum(map(mul, row, w)) // denominator for w in weights] for row in inverse]
 
     @cached_property
     def _dual_basis(self) -> tuple[tuple[int, ...], int, list[list[int]]] | None:
         """(S, |det U_S|, rows) for the first d-subset S, in combinations
-        order, with a nonzero minor, or None when there is none: rows is the
-        adjugate of U_S (``geometry._adjugate``) times the sign of det U_S,
-        so that rows over |det U_S| is U_S^-1. Derived on first use and
-        kept, like the table."""
+        order, with a nonzero minor, or None when there is none: the pair
+        ``geometry._adjugate`` gives of U_S, so that rows over |det U_S| is
+        U_S^-1. Derived on first use and kept, like the table."""
         subsets = combinations(range(self.num_generators), self.dimension)
         subset = next((s for s, m in zip(subsets, self._minors) if m), None)
         if subset is None:
             return None
-        det, adjugate = _adjugate([self.integer_generators[i] for i in subset])
-        if det < 0:
-            adjugate = [[-a for a in row] for row in adjugate]
-        return subset, abs(det), adjugate
+        return subset, *_adjugate([self.integer_generators[i] for i in subset])
 
 
 def _basis_pairings(members: tuple[int, ...], pairings: Sequence[int], subset: Sequence[int]) -> list[int]:
@@ -330,9 +327,8 @@ def _facets(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[tuple[
     taken on the basis's lead columns (where the reduced basis rows of
     ``_echelon`` are the last pivot times the identity, so the projection
     is one-to-one on the span and keeps every face) and are 0 elsewhere:
-    with B the basis rows there, B adj B = det B I, so column k of
-    sign(det B) adj B (``_adjugate``) is tight on every basis row but the
-    k-th and |det B| > 0 on it. It adds
+    with B the basis rows there, column k of |det B| B^-1 (``_adjugate``)
+    is tight on every basis row but the k-th and |det B| > 0 on it. It adds
     the other rows in index order. A facet is a primitive normal h and its
     mask Z(h). Adding row a keeps the facets with h.a >= 0, and joins each
     pair with h.a > 0 > h'.a that is adjacent (no third facet is tight on
@@ -342,12 +338,11 @@ def _facets(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[tuple[
     or not; on a pointed cone the facets are exact (DECISIONS.md)."""
     basis, leads = _greedy_basis(rows, range(len(rows)), len(rows[0]))
     width = len(leads)
-    det, adjugate = _adjugate([[rows[i][c] for c in leads] for i in basis])
-    sign = 1 if det > 0 else -1
+    _, inverse = _adjugate([[rows[i][c] for c in leads] for i in basis])
     facets = []
-    for b, column in zip(basis, zip(*adjugate)):
+    for b, column in zip(basis, zip(*inverse)):
         at_lead = dict(zip(leads, column))
-        normal = [sign * at_lead.get(c, 0) for c in range(len(rows[0]))]
+        normal = [at_lead.get(c, 0) for c in range(len(rows[0]))]
         facets.append((_primitive(normal), sum(1 << i for i in basis if i != b)))
     taken = set(basis)
     for i in range(len(rows)):

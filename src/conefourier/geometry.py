@@ -7,10 +7,10 @@ arithmetic and return ints for it, which is what the integer-normal form
 of a cone (``Cone.integer_generators``) runs on; other input gives
 Fractions. ``maximal_minors`` takes int rows and gives ints, in
 ``combinations`` order, filled through ``_pairing_table``, which ``cones``
-reads it by too; ``generalized_cross`` reads its minors off the same sweep
-of the transpose. ``_echelon`` is the one elimination, fraction-free in
-``int``, behind ``determinant``, the double description's basis and
-``_adjugate``, the one inverse.
+reads it by too: it fills a cone's table, and nothing else. ``_echelon``
+is the one elimination, fraction-free in ``int``, behind ``determinant``,
+``generalized_cross``, the double description's basis and ``_adjugate``,
+the one inverse, as |det A| A^-1 over |det A|.
 ``veronese`` maps one point and ``veronese_columns`` a batch of points
 given as coordinate columns, both by one level recursion.
 Vectors are plain tuples, matrices are sequences of equal-length row
@@ -149,18 +149,19 @@ def determinant(rows: Sequence[Sequence]) -> int | Fraction:
 
 
 def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(det A, adj A) of a nonsingular square int matrix A, by ``_echelon``
-    of [A | I]. Every row is kept, and A is nonsingular exactly when every
-    lead falls in A. Then the kept rows are [p P | p P A^-1], P the
-    permutation matrix of the leads and p = sign(P) det A the last pivot,
-    so row l of adj A = det A A^-1 is sign(P) times the right half of the
-    kept row of lead l. O(d^3) products. ValueError for a singular A."""
+    """(|det A|, sign(det A) adj A) of a nonsingular square int matrix A,
+    the second over the first A^-1, by ``_echelon`` of [A | I]. Every row
+    is kept, and A is nonsingular exactly when every lead falls in A. Then
+    the kept rows are [p P | p P A^-1], P the permutation matrix of the
+    leads and p = sign(P) det A the last pivot, so row l of |det A| A^-1
+    is sign(p) times the right half of the kept row of lead l. O(d^3)
+    products. ValueError for a singular A."""
     n = len(rows)
     _, leads, kept, pivot = _echelon([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows))
     if any(lead >= n for lead in leads):
         raise ValueError("the adjugate is taken here of nonsingular matrices only")
-    sign = _sign(leads)
-    return sign * pivot, [[sign * a for a in row[n:]] for _, row in sorted(zip(leads, kept))]
+    sign = 1 if pivot > 0 else -1
+    return abs(pivot), [[sign * a for a in row[n:]] for _, row in sorted(zip(leads, kept))]
 
 
 @lru_cache(maxsize=None)
@@ -218,11 +219,12 @@ def generalized_cross(vectors: Sequence[Sequence], dimension: int | None = None)
     """The vector r with <r, x> = det(v_1, ..., v_{d-1}, x) for all x.
 
     Takes exactly d-1 vectors of dimension d and returns their generalized
-    cross product, computed from the signed (d-1)-minors of the stacked
-    input matrix: all-int input gives ints, any other input Fractions.
-    Linearly dependent inputs yield the zero vector. The ``dimension``
-    argument is only required when the input list is empty (the d = 1
-    case, where the result is (1,)).
+    cross product, the null vector of the stacked input matrix that one
+    ``_echelon`` gives, scaled to the signed cofactors (DECISIONS.md):
+    all-int input gives ints, any other input Fractions. Linearly
+    dependent inputs yield the zero vector. The ``dimension`` argument is
+    only required when the input list is empty (the d = 1 case, where the
+    result is (1,)).
     """
     vs = [tuple(v) for v in vectors]
     if dimension is None:
@@ -236,13 +238,15 @@ def generalized_cross(vectors: Sequence[Sequence], dimension: int | None = None)
     # The cross product is multilinear: the one of the vectors scaled to
     # integers, over the product of the scales.
     vs, scale = _integer_rows(vs)
-    # The minors are the maximal minors of the d x (d-1) transpose, and the
-    # one without coordinate k is at position d-1-k in combinations order;
-    # x_k's cofactor sign along the last row is (-1)^(d+k+1). No vectors
-    # give the one minor 1.
-    minors = reversed(maximal_minors(list(zip(*vs))))
-    cross = tuple(m if (dimension + k) % 2 else -m for k, m in enumerate(minors))
-    return cross if scale is None else tuple(Fraction(c, scale) for c in cross)
+    _, leads, kept, pivot = _echelon(vs)
+    cross = [0] * dimension
+    if len(leads) == dimension - 1:
+        (free,) = set(range(dimension)).difference(leads)
+        sign = _sign(leads) * (-1) ** (dimension - 1 + free)
+        cross[free] = sign * pivot
+        for lead, row in zip(leads, kept):
+            cross[lead] = -sign * row[free]
+    return tuple(cross) if scale is None else tuple(Fraction(c, scale) for c in cross)
 
 
 @lru_cache(maxsize=None)

@@ -5,11 +5,13 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
-from conefourier.cones import _greedy_basis
+from conefourier import vervan
+from conefourier.cones import Cone, _greedy_basis, diagonal_for
 from conefourier.errors import DimensionError
 from conefourier.geometry import (
     _adjugate,
     _echelon,
+    _pairing_table,
     determinant,
     dot,
     generalized_cross,
@@ -206,8 +208,7 @@ def test_cross_dependent_inputs_give_zero():
 
 def test_cross_types_follow_veronese():
     """All-int input gives ints, any other input Fractions in every
-    coordinate, the zeros that the minor sweep skips included; floats are
-    refused."""
+    coordinate, zeros included; floats are refused."""
     assert [type(c) for c in generalized_cross([(1, 2, 3), (4, 5, 6)])] == [int] * 3
     assert [type(c) for c in generalized_cross([], 1)] == [int]
     mixed = generalized_cross([[Fraction(0), 1, 2], [3, 4, 5]])
@@ -221,7 +222,7 @@ def test_cross_types_follow_veronese():
 @pytest.mark.parametrize(
     "vectors, expected",
     [
-        # the transpose has the zero minor of its first two rows
+        # the minor without the last column is zero
         ([[Fraction(1, 2), 1, 0], [0, 0, Fraction(2, 3)]], (Fraction(2, 3), Fraction(-1, 3), 0)),
         ([[Fraction(1), Fraction(2), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]], (2, -1, 0)),
         # dependent vectors: every minor is zero
@@ -229,8 +230,8 @@ def test_cross_types_follow_veronese():
     ],
 )
 def test_cross_of_fractions_with_zero_minors(vectors, expected):
-    """Fraction input is scaled to integers, swept in int and divided by
-    the product of the scales: the values are the rational cross product's,
+    """Fraction input is scaled to integers, eliminated in int and divided
+    by the product of the scales: the values are the rational cross product's,
     a Fraction in every coordinate, zeros included."""
     cross = generalized_cross(vectors)
     assert cross == expected
@@ -335,13 +336,14 @@ def test_veronese_columns_rejects_no_coordinates():
 
 
 def check_adjugate(rows):
-    det, adj = _adjugate(rows)
+    """``_adjugate`` gives (|det A|, M) with M A = |det A| I, in ints."""
+    denominator, inverse = _adjugate(rows)
     n = len(rows)
-    assert det == determinant(rows)
-    assert all(type(a) is int for row in adj for a in row)
+    assert denominator == abs(determinant(rows))
+    assert all(type(a) is int for row in inverse for a in row)
     for i in range(n):
         for j in range(n):
-            assert sum(adj[i][k] * rows[k][j] for k in range(n)) == (det if i == j else 0)
+            assert sum(inverse[i][k] * rows[k][j] for k in range(n)) == (denominator if i == j else 0)
 
 
 @pytest.mark.parametrize(
@@ -467,8 +469,8 @@ def test_determinant_against_references(n, data):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 @given(data=st.data())
 def test_adjugate_against_references(n, data):
-    """adj A is the transposed matrix of cofactors, det A as above; a
-    singular A is refused."""
+    """(|det A|, sign(det A) adj A), adj A the transposed matrix of
+    cofactors and det A as above; a singular A is refused."""
     rows = data.draw(int_rows(n, n))
     det = cofactor_determinant(rows)
     if det == 0:
@@ -477,8 +479,62 @@ def test_adjugate_against_references(n, data):
         return
     minor = [[row[:i] + row[i + 1 :] for row in rows[:j] + rows[j + 1 :]] for i in range(n) for j in range(n)]
     cofactors = [(-1) ** (k // n + k % n) * cofactor_determinant(m) for k, m in enumerate(minor)]
-    assert _adjugate(rows) == (det, [cofactors[i * n : (i + 1) * n] for i in range(n)])
+    sign = 1 if det > 0 else -1
+    assert _adjugate(rows) == (abs(det), [[sign * c for c in cofactors[i * n : (i + 1) * n]] for i in range(n)])
     assert det == reduced_determinant(rows)
+
+
+def cofactor_cross(rows, d):
+    """The reference cross product: (-1)^(d-1+k) det(V without column k)
+    for each column k, by ``reduced_determinant``."""
+    return tuple((-1) ** (d - 1 + k) * reduced_determinant([row[:k] + row[k + 1 :] for row in rows]) for k in range(d))
+
+
+CROSS_ENTRIES = [st.integers(-9, 9), st.integers(-(2**70), 2**70), rationals, st.integers(-3, 3) | rationals]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
+@given(data=st.data())
+def test_cross_against_cofactors(d, data):
+    """The cofactors, on int, Fraction and mixed rows of rank d - 1 and
+    below, some with a zero column, which leaves that column free of a
+    lead; all-int rows give ints, any other rows Fractions."""
+    entry = data.draw(st.sampled_from(CROSS_ENTRIES), label="entry")
+    rows = [[data.draw(entry) for _ in range(d)] for _ in range(d - 1)]
+    if d > 1 and data.draw(st.booleans()):
+        column = data.draw(st.integers(0, d - 1))
+        for row in rows:
+            row[column] = 0
+    if d > 2 and data.draw(st.booleans()):
+        # rank below d - 1: the last row a combination of the others
+        weights = [data.draw(st.integers(-2, 2)) for _ in range(d - 2)]
+        rows[-1] = [sum(w * row[k] for w, row in zip(weights, rows)) for k in range(d)]
+    cross = generalized_cross(rows, d)
+    assert cross == cofactor_cross(rows, d)
+    all_int = all(type(a) is int for row in rows for a in row)
+    assert [type(c) for c in cross] == [int if all_int else Fraction] * d
+
+
+def test_cross_fills_no_pairing_table():
+    """A cross product is one elimination: at d = 16 it leaves no table of
+    the Laplace sweep cached."""
+    rows = [[(i + 2) ** k for k in range(16)] for i in range(15)]
+    before = _pairing_table.cache_info().currsize
+    cross = generalized_cross(rows)
+    assert _pairing_table.cache_info().currsize == before
+    probe = list(range(16))
+    assert dot(cross, probe) == determinant([*rows, probe]) != 0
+
+
+def test_duals_of_a_cone_of_rank_below_d_at_d_12():
+    """Rank 11 in d = 12, every last coordinate 0: no basis, so each dual
+    is a cross product, a multiple of the last axis. The duals of the
+    family off generator 0 are parallel, so its minor is 0."""
+    cone = Cone((0,) * 12, [(*(t**k for k in range(11)), 0) for t in range(-6, 7)])
+    assert cone._dual_basis is None
+    for indices in combinations(range(13), 11):
+        assert diagonal_for(cone, indices).dual == cofactor_cross([cone.generators[i] for i in indices], 12)
+    assert vervan.minor(cone, list(combinations(range(1, 13), 11))) == 0
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
