@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .cones import Cone, _facets, _greedy_basis, _meet
+from .cones import Cone, _facets, _meet
 from .errors import (
     DegenerateVertexError,
     DimensionError,
@@ -34,7 +34,7 @@ from .errors import (
     NotFullDimensionalError,
     SingularEvaluationPointError,
 )
-from .geometry import Vector, _clear_denominators, as_vector, vec_sub, veronese
+from .geometry import Vector, _clear_denominators, _echelon, as_vector, vec_sub, veronese
 from .interpolation import pk_via_interpolation
 from .triangulation import ConicTransform, pk_via_triangulation
 
@@ -96,7 +96,7 @@ def polytope_combinatorics(vertices: Sequence[Sequence], allow_nonsimplicial: bo
     if not allow_nonsimplicial:
         wide = [facet for facet, _, _ in facets if len(facet) > d]
         if wide:
-            facet = min(wide, key=lambda f: _greedy_basis(rows, f, d)[0])
+            facet = min(wide, key=lambda f: [f[k] for k in _echelon([rows[i] for i in f], d)[0]])
             raise NonSimplicialFacetError(
                 f"supporting hyperplane contains {len(facet)} > {d} vertices",
                 facet=tuple(i + 1 for i in facet),

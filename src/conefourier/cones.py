@@ -9,9 +9,10 @@ degenerate (some generator exactly on the hyperplane, or a zero dual).
 Each pairing of a dual with a generator off its diagonal is a signed
 maximal minor, read from the cone's one table of them. The pairings also
 determine the dual: ``Cone._dual_columns`` reads a batch of duals off the
-table by Cramer's rule on one basis of generators, through the integer
-inverse of that basis from one fraction-free elimination (``_adjugate``),
-so no dual of a cone of full rank is a cross product.
+table by Cramer's rule on the greedy basis of generators and its integer
+inverse, both from one fraction-free elimination (``_adjugate``) that reads
+no minor: no dual of a cone of full rank is a cross product, and a cone of
+rank below d reads no table for its duals.
 ``Cone.integer_dual`` is its one-diagonal case, and ``diagonal_for``
 divides that by the scales.
 
@@ -28,9 +29,10 @@ on the shape (n, d): ``geometry._pairing_table`` keeps them per shape for
 the process, and the sweep scatters by the same tables. A pairing is a
 read at precomputed positions; the minor at S is the last pairing of S[:-1].
 
-``_facets`` (a double description, starting from the columns of one
-integer inverse) and ``_meet`` (the extreme-ray test) serve both
-``validate_cone`` and ``brion.polytope_combinatorics``; ``validate_cone``
+``_facets`` (a double description, starting from the greedy basis of the
+rows and its integer inverse, one ``_adjugate``) and ``_meet`` (the
+extreme-ray test) serve both ``validate_cone`` and
+``brion.polytope_combinatorics``; ``validate_cone``
 reads pointedness and its witness off the same facets. The one cross
 product left is the dual of a cone of rank below d, one elimination each.
 """
@@ -53,7 +55,7 @@ from .errors import (
     NotPointedError,
     ZeroGeneratorError,
 )
-from .geometry import Vector, _adjugate, _clear_denominators, _echelon, _pairing_table, _primitive, as_vector
+from .geometry import Vector, _adjugate, _clear_denominators, _pairing_table, _primitive, as_vector
 from .geometry import generalized_cross, is_zero_vector, maximal_minors
 
 
@@ -168,14 +170,14 @@ class Cone:
         pairings = self.integer_pairings(members)  # checks the indices before the cross-product fallback
         return tuple(column[0] for column in self._dual_columns([members], [pairings]))
 
-    def _dual_columns(self, diagonals: Sequence[tuple[int, ...]], pairings: Sequence[Sequence[int]]) -> list[list[int]]:
+    def _dual_columns(self, diagonals: Sequence[tuple[int, ...]], pairings: Iterable[Sequence[int]]) -> list[list[int]]:
         """The integer duals of the sorted diagonals, ``pairings`` their
         ``integer_pairings``, as d coordinate columns: dual(D) = U_S^-1 w_D
         by Cramer's rule, U_S^-1 the rows of ``_dual_basis`` over |det U_S|
         and w_D the pairings <dual(D), u_s> = det(u_D..., u_s) with the
         basis S, each read off D's pairings (``_basis_pairings``). Divided
         exactly, since dual(D) is integral. A cone of rank below d has no
-        basis, and gets one cross product a diagonal."""
+        basis, and gets one cross product a diagonal, its pairings unread."""
         basis = self._dual_basis
         if basis is None:
             u = self.integer_generators
@@ -187,15 +189,13 @@ class Cone:
 
     @cached_property
     def _dual_basis(self) -> tuple[tuple[int, ...], int, list[list[int]]] | None:
-        """(S, |det U_S|, rows) for the first d-subset S, in combinations
-        order, with a nonzero minor, or None when there is none: the pair
-        ``geometry._adjugate`` gives of U_S, so that rows over |det U_S| is
-        U_S^-1. Derived on first use and kept, like the table."""
-        subsets = combinations(range(self.num_generators), self.dimension)
-        subset = next((s for s, m in zip(subsets, self._minors) if m), None)
-        if subset is None:
-            return None
-        return subset, *_adjugate([self.integer_generators[i] for i in subset])
+        """(S, |det U_S|, rows) for the greedy basis S of the integer
+        generators, the first d-subset in ``combinations`` order with a
+        nonzero minor (DECISIONS.md), or None when the rank is below d:
+        ``geometry._adjugate``, so that rows over |det U_S| is U_S^-1. One
+        elimination, which reads no minor; derived on first use and kept."""
+        positions, _, denominator, inverse = _adjugate(self.integer_generators, self.dimension)
+        return (tuple(positions), denominator, inverse) if len(positions) == self.dimension else None
 
 
 def _basis_pairings(members: tuple[int, ...], pairings: Sequence[int], subset: Sequence[int]) -> list[int]:
@@ -308,37 +308,28 @@ def is_general_position(cone: Cone) -> bool:
     return all(cone._minors)
 
 
-def _greedy_basis(rows: Sequence[Sequence[int]], indices: Sequence[int], size: int) -> tuple[list[int], list[int]]:
-    """The first ``size`` of ``indices``, in order, whose rows are each
-    linearly independent of the rows taken before them, which are the rows
-    ``_echelon`` keeps, and the lead column of each kept row: fewer when
-    the rows have lower rank."""
-    positions, leads, _, _ = _echelon([rows[i] for i in indices], size)
-    return [indices[k] for k in positions], leads
-
-
 def _facets(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[tuple[int, ...], int, tuple[int, ...]]]]:
     """The greedy basis of the nonzero integer rows, of their rank r, and
     the facets of the cone over them as (rows on it, their bit mask, its
     primitive normal), in sorted order, by the double description method
     (Motzkin, Raiffa, Thompson & Thrall 1953).
 
-    It starts from the simplicial cone over the basis. Its normals are
-    taken on the basis's lead columns (where the reduced basis rows of
-    ``_echelon`` are the last pivot times the identity, so the projection
-    is one-to-one on the span and keeps every face) and are 0 elsewhere:
-    with B the basis rows there, column k of |det B| B^-1 (``_adjugate``)
-    is tight on every basis row but the k-th and |det B| > 0 on it. It adds
-    the other rows in index order. A facet is a primitive normal h and its
-    mask Z(h). Adding row a keeps the facets with h.a >= 0, and joins each
-    pair with h.a > 0 > h'.a that is adjacent (no third facet is tight on
-    all of Z(h) & Z(h'): Fukuda & Prodon 1996) into a facet tight on a, a
-    positive combination of the two. An adjacent pair shares at least
-    r - 2 rows, so a pair sharing fewer is skipped before the test. Every normal is nonnegative on every row, pointed cone
-    or not; on a pointed cone the facets are exact (DECISIONS.md)."""
-    basis, leads = _greedy_basis(rows, range(len(rows)), len(rows[0]))
+    It starts from the simplicial cone over the basis, which ``_adjugate``
+    gives with its inverse. Its normals are taken on the basis's sorted
+    lead columns (where the reduced basis rows are the last pivot times the
+    identity, so the projection is one-to-one on the span and keeps every
+    face) and are 0 elsewhere: with B the basis rows there, column k of
+    |det B| B^-1 is tight on every basis row but the k-th and |det B| > 0
+    on it. It adds the other rows in index order. A facet is a primitive
+    normal h and its mask Z(h). Adding row a keeps the facets with
+    h.a >= 0, and joins each pair with h.a > 0 > h'.a that is adjacent (no
+    third facet is tight on all of Z(h) & Z(h'): Fukuda & Prodon 1996) into
+    a facet tight on a, a positive combination of the two. An adjacent pair
+    shares at least r - 2 rows, so a pair sharing fewer is skipped before
+    the test. Every normal is nonnegative on every row, pointed cone or
+    not; on a pointed cone the facets are exact (DECISIONS.md)."""
+    basis, leads, _, inverse = _adjugate(rows, len(rows[0]))
     width = len(leads)
-    _, inverse = _adjugate([[rows[i][c] for c in leads] for i in basis])
     facets = []
     for b, column in zip(basis, zip(*inverse)):
         at_lead = dict(zip(leads, column))

@@ -9,8 +9,9 @@ Fractions. ``maximal_minors`` takes int rows and gives ints, in
 ``combinations`` order, filled through ``_pairing_table``, which ``cones``
 reads it by too: it fills a cone's table, and nothing else. ``_echelon``
 is the one elimination, fraction-free in ``int``, behind ``determinant``,
-``generalized_cross``, the double description's basis and ``_adjugate``,
-the one inverse, as |det A| A^-1 over |det A|.
+``generalized_cross`` and ``_adjugate``, which gives each greedy basis B
+(the first rows each independent of those before it) with its inverse,
+as |det B| B^-1 over |det B|, from one pass.
 ``veronese`` maps one point and ``veronese_columns`` a batch of points
 given as coordinate columns, both by one level recursion.
 Vectors are plain tuples, matrices are sequences of equal-length row
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, count, cycle
+from itertools import combinations, combinations_with_replacement, compress, count, cycle, islice
 from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -91,13 +92,14 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(c == 0 for c in v)
 
 
-def _echelon(rows: Iterable[Sequence[int]], limit: int | None = None) -> tuple[list[int], list[int], list[list[int]], int]:
+def _echelon(rows: Iterable[Sequence[int]], limit: int | None = None, width: int | None = None) -> tuple[list[int], list[int], list[list[int]], int]:
     """The one fraction-free elimination, a Gauss-Jordan (Bareiss 1968) on
-    int rows of one length, behind ``determinant``, ``_adjugate`` and the
-    double description's basis (``cones._greedy_basis``).
+    int rows of one length, behind ``determinant``, ``generalized_cross``
+    and ``_adjugate``.
 
     Reduces each row, in the order given, against the rows kept before it,
-    and keeps it when something survives, until ``limit`` rows are kept.
+    and keeps it when something survives in its first ``width`` columns
+    (all of them by default), until ``limit`` rows are kept.
     Returns the kept rows' positions, their lead columns (each the first
     nonzero entry of the reduced row), the kept rows reduced against each
     other and scaled by the last pivot p, and p: the determinant of the
@@ -116,7 +118,7 @@ def _echelon(rows: Iterable[Sequence[int]], limit: int | None = None) -> tuple[l
             factor = row[lead]
             if factor:
                 work = [a - factor * b for a, b in zip(work, top)]
-        lead = next(compress(count(), work), None)
+        lead = next(compress(count(), islice(work, width)), None)
         if lead is None:
             continue
         value = work[lead]
@@ -148,20 +150,21 @@ def determinant(rows: Sequence[Sequence]) -> int | Fraction:
     return result if scale is None else Fraction(result, scale)
 
 
-def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(|det A|, sign(det A) adj A) of a nonsingular square int matrix A,
-    the second over the first A^-1, by ``_echelon`` of [A | I]. Every row
-    is kept, and A is nonsingular exactly when every lead falls in A. Then
-    the kept rows are [p P | p P A^-1], P the permutation matrix of the
-    leads and p = sign(P) det A the last pivot, so row l of |det A| A^-1
-    is sign(p) times the right half of the kept row of lead l. O(d^3)
-    products. ValueError for a singular A."""
-    n = len(rows)
-    _, leads, kept, pivot = _echelon([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows))
-    if any(lead >= n for lead in leads):
-        raise ValueError("the adjugate is taken here of nonsingular matrices only")
+def _adjugate(rows: Sequence[Sequence[int]], size: int | None = None) -> tuple[list[int], list[int], int, list[list[int]]]:
+    """(P, L, |det B|, sign(det B) adj B): the greedy basis of the int rows
+    A, up to ``size`` rows each independent of those kept before it, at the
+    positions P with leads L, sorted, and B those rows on the columns L, by
+    one ``_echelon`` of [A | I] that keeps a row when it survives in A. The
+    kept rows are X [A_P | I_P], each p at its own lead and 0 at the others,
+    so X B = p Q, Q the leads' permutation and p = sign(Q) det B the last
+    pivot: row l of |det B| B^-1 is sign(p) times the kept row of lead l on
+    the columns of P. The 0x0 A gives ([], [], 1, [])."""
+    n, width = len(rows), len(rows[0]) if rows else 0
+    stacked = ([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows))
+    positions, leads, kept, pivot = _echelon(stacked, size, width)
     sign = 1 if pivot > 0 else -1
-    return abs(pivot), [[sign * a for a in row[n:]] for _, row in sorted(zip(leads, kept))]
+    inverse = [[sign * row[width + k] for k in positions] for _, row in sorted(zip(leads, kept))]
+    return positions, sorted(leads), abs(pivot), inverse
 
 
 @lru_cache(maxsize=None)
@@ -257,15 +260,17 @@ def monomial_basis(dimension: int, degree: int) -> tuple[tuple[int, ...], ...]:
     This ordering is part of the wire format; for example the degree-2
     basis in three variables is
     (2,0,0), (1,1,0), (1,0,1), (0,2,0), (0,1,1), (0,0,2).
+    Each counts the variables of one multiset of ``degree`` of them, taken
+    in ``combinations_with_replacement`` order, which is that order.
     """
     if dimension < 1 or degree < 0:
         raise DimensionError(f"invalid monomial basis ({dimension}, {degree})")
-    if dimension == 1:
-        return ((degree,),)
     out = []
-    for e in range(degree, -1, -1):
-        for rest in monomial_basis(dimension - 1, degree - e):
-            out.append((e,) + rest)
+    for chosen in combinations_with_replacement(range(dimension), degree):
+        exponents = [0] * dimension
+        for i in chosen:
+            exponents[i] += 1
+        out.append(tuple(exponents))
     return tuple(out)
 
 

@@ -126,6 +126,8 @@ def polynomial_from_json(data) -> HomogeneousPolynomial:
         raise MalformedInputError(f"bad polynomial object: {err}") from None
     if type(dimension) is not int or type(degree) is not int:  # bool and float are no sizes
         raise MalformedInputError(f"dimension and degree must be integers, got {dimension!r} and {degree!r}")
+    if dimension < 1 or degree < 0:
+        raise MalformedInputError(f"need dimension >= 1 and degree >= 0, got {dimension} and {degree}")
     if not isinstance(terms, list):
         raise MalformedInputError('"terms" must be an array of term objects')
     basis = monomial_basis(dimension, degree)

@@ -106,7 +106,7 @@ def minor(cone: Cone, family: Sequence[Sequence[int]]) -> Fraction:
     if len(fam) != expected:
         raise DimensionError(f"family needs {expected} diagonals, got {len(fam)}")
     members = [_diagonal_indices(cone, idx) for idx in fam]
-    duals = cone._dual_columns(members, [cone.integer_pairings(idx) for idx in members])
+    duals = cone._dual_columns(members, map(cone.integer_pairings, members))
     rows = list(zip(*veronese_columns(duals, n - d)))
     scale = prod(cone.scales[i] for idx in members for i in idx)
     return Fraction(determinant(rows), scale ** (n - d))

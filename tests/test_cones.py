@@ -31,7 +31,7 @@ from conefourier.geometry import maximal_minors
 from conefourier.sampling import sample_cone
 from conefourier.triangulation import pk_via_triangulation
 
-from conftest import random_cones, rational_cone
+from conftest import random_cones, rational_cone, rationals
 
 
 def lp_redundant(generators):
@@ -597,6 +597,20 @@ integer_cones = st.integers(min_value=2, max_value=4).flatmap(
 )
 
 
+@st.composite
+def low_rank_generators(draw):
+    """d + 0..3 generators in dimension d = 1..5, each an integer
+    combination of r <= d drawn rows, int or rational: rank r or below."""
+    d = draw(st.integers(1, 5))
+    entry = draw(st.sampled_from([st.integers(-4, 4), rationals]))
+    spanning = [[draw(entry) for _ in range(d)] for _ in range(draw(st.integers(1, d)))]
+    generators = []
+    for _ in range(d + draw(st.integers(0, 3))):
+        weights = [draw(st.integers(-3, 3)) for _ in spanning]
+        generators.append(tuple(sum(w * row[k] for w, row in zip(weights, spanning)) for k in range(d)))
+    return generators
+
+
 class TestIntegerDual:
     """Cone.integer_dual reads each dual off the minor table by Cramer's
     rule on the first nonsingular d-subset S of generators."""
@@ -644,6 +658,31 @@ class TestIntegerDual:
     def test_dimension_one(self, generators):
         cone = Cone((0,), generators)
         assert cone.integer_dual(()) == generalized_cross([], 1) == (1,)
+
+    @given(generators=low_rank_generators())
+    def test_dual_basis_is_the_first_nonzero_minor(self, generators):
+        """The basis, read without filling the table, is the first d-subset
+        in ``combinations`` order with a nonzero minor, read off the table,
+        and None when the rank is below d; rows over |det U_S| is U_S^-1."""
+        d = len(generators[0])
+        try:
+            cone = Cone((0,) * d, generators)
+        except (ZeroGeneratorError, DuplicateRayError):
+            return
+        basis = cone._dual_basis
+        assert "_minors" not in vars(cone)
+        subsets = combinations(range(cone.num_generators), d)
+        first = next((s for s, m in zip(subsets, cone._minors) if m), None)
+        if first is None:
+            assert basis is None
+            return
+        subset, denominator, inverse = basis
+        assert subset == first
+        rows = [cone.integer_generators[i] for i in subset]
+        assert denominator == abs(determinant(rows))
+        for i in range(d):
+            for j in range(d):
+                assert sum(inverse[i][k] * rows[k][j] for k in range(d)) == (denominator if i == j else 0)
 
     @given(generators=integer_cones)
     def test_random_integer_cones(self, generators):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conefourier import vervan
-from conefourier.cones import Cone, _greedy_basis, diagonal_for
+from conefourier.cones import Cone, diagonal_for
 from conefourier.errors import DimensionError
 from conefourier.geometry import (
     _adjugate,
@@ -263,6 +263,26 @@ def test_monomial_basis_is_descending_and_complete(d, s):
     assert len(basis) == comb(d + s - 1, d - 1)
 
 
+def recursive_monomial_basis(d, s):
+    """The reference order: the first exponent from s down to 0, then the
+    rest in that order."""
+    if d == 1:
+        return [(s,)]
+    return [(e, *rest) for e in range(s, -1, -1) for rest in recursive_monomial_basis(d - 1, s - e)]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_monomial_basis_against_recursion(d):
+    for s in range(8):
+        assert list(monomial_basis(d, s)) == recursive_monomial_basis(d, s)
+
+
+def test_monomial_basis_in_many_variables():
+    """No recursion per variable: 3000 variables are no RecursionError."""
+    assert monomial_basis(3000, 0) == ((0,) * 3000,)
+    assert monomial_basis(3000, 1)[-1] == (0,) * 2999 + (1,)
+
+
 def test_veronese_example():
     assert veronese((1, 2, 3), 2) == (1, 2, 3, 4, 6, 9)
 
@@ -335,15 +355,21 @@ def test_veronese_columns_rejects_no_coordinates():
         veronese_columns([], 2)
 
 
-def check_adjugate(rows):
-    """``_adjugate`` gives (|det A|, M) with M A = |det A| I, in ints."""
-    denominator, inverse = _adjugate(rows)
-    n = len(rows)
-    assert denominator == abs(determinant(rows))
+def check_adjugate(rows, size=None):
+    """``_adjugate`` gives (P, L, |det B|, M), B the rows at P on the
+    sorted columns L, with M B = |det B| I, in ints, and P as many rows as
+    the rank, up to ``size``."""
+    positions, leads, denominator, inverse = _adjugate(rows, size)
+    basis = [[rows[i][c] for c in leads] for i in positions]
+    r = len(positions)
+    assert leads == sorted(leads) and len(leads) == r
+    assert r == min(kept_rows(rows, len(rows[0])) if rows else 0, r if size is None else size)
+    assert denominator == abs(determinant(basis)) != 0
     assert all(type(a) is int for row in inverse for a in row)
-    for i in range(n):
-        for j in range(n):
-            assert sum(inverse[i][k] * rows[k][j] for k in range(n)) == (denominator if i == j else 0)
+    for i in range(r):
+        for j in range(r):
+            assert sum(inverse[i][k] * basis[k][j] for k in range(r)) == (denominator if i == j else 0)
+    return positions, leads
 
 
 @pytest.mark.parametrize(
@@ -358,24 +384,22 @@ def check_adjugate(rows):
     ],
 )
 def test_adjugate_with_row_swaps(rows):
-    check_adjugate(rows)
+    assert check_adjugate(rows)[0] == list(range(len(rows)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 @given(data=st.data())
 def test_adjugate_is_det_times_inverse(d, data):
+    """A nonsingular matrix keeps every row, a singular one fewer."""
     entries = st.integers(min_value=-2**70, max_value=2**70) | st.integers(min_value=-3, max_value=3)
     rows = [[data.draw(entries) for _ in range(d)] for _ in range(d)]
-    if determinant(rows) == 0:
-        with pytest.raises(ValueError):
-            _adjugate(rows)
-    else:
-        check_adjugate(rows)
+    positions, _ = check_adjugate(rows)
+    assert (positions == list(range(d))) == (determinant(rows) != 0)
 
 
 def test_adjugate_of_a_singular_matrix():
-    with pytest.raises(ValueError):
-        _adjugate([[1, 2], [2, 4]])
+    """The second row is twice the first: the basis is the first row."""
+    assert _adjugate([[1, 2], [2, 4]]) == ([0], [0], 1, [[1]])
 
 
 def kept_rows(rows, width):
@@ -469,19 +493,22 @@ def test_determinant_against_references(n, data):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 @given(data=st.data())
 def test_adjugate_against_references(n, data):
-    """(|det A|, sign(det A) adj A), adj A the transposed matrix of
-    cofactors and det A as above; a singular A is refused."""
+    """(P, L, |det B|, sign(det B) adj B): P and L the kept rows and their
+    sorted leads of the reference reduction, B the rows at P on the columns
+    L, adj B the transposed matrix of cofactors and det B as above. A
+    nonsingular A keeps every row, a singular one fewer."""
     rows = data.draw(int_rows(n, n))
-    det = cofactor_determinant(rows)
-    if det == 0:
-        with pytest.raises(ValueError):
-            _adjugate(rows)
-        return
-    minor = [[row[:i] + row[i + 1 :] for row in rows[:j] + rows[j + 1 :]] for i in range(n) for j in range(n)]
-    cofactors = [(-1) ** (k // n + k % n) * cofactor_determinant(m) for k, m in enumerate(minor)]
+    reduced = [(k, lead) for k, (lead, _, _) in enumerate(rational_reduction(rows, n)) if lead is not None]
+    positions, leads = [k for k, _ in reduced], sorted(lead for _, lead in reduced)
+    basis = [[rows[k][c] for c in leads] for k in positions]
+    r, det = len(basis), cofactor_determinant(basis)
+    minor = [[row[:i] + row[i + 1 :] for row in basis[:j] + basis[j + 1 :]] for i in range(r) for j in range(r)]
+    cofactors = [(-1) ** (k // r + k % r) * cofactor_determinant(m) for k, m in enumerate(minor)]
     sign = 1 if det > 0 else -1
-    assert _adjugate(rows) == (abs(det), [[sign * c for c in cofactors[i * n : (i + 1) * n]] for i in range(n)])
-    assert det == reduced_determinant(rows)
+    expected = [[sign * c for c in cofactors[i * r : (i + 1) * r]] for i in range(r)]
+    assert _adjugate(rows) == (positions, leads, abs(det), expected)
+    assert (r == n) == (cofactor_determinant(rows) != 0)
+    assert det == reduced_determinant(basis)
 
 
 def cofactor_cross(rows, d):
@@ -540,26 +567,32 @@ def test_duals_of_a_cone_of_rank_below_d_at_d_12():
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
 @given(data=st.data())
 def test_greedy_basis_against_reference(width, data):
+    """``_adjugate``'s positions and sorted leads are the first ``size``
+    rows, in the order given, that the reference reduction keeps."""
     count = data.draw(st.integers(1, 7), label="count")
     rows = data.draw(int_rows(count, width), label="rows")
     indices = data.draw(st.permutations(range(count)), label="order")[: data.draw(st.integers(0, count))]
     size = data.draw(st.integers(0, width + 1), label="size")
     reduced = rational_reduction([rows[i] for i in indices], width)
     expected = [(i, lead) for i, (lead, _, _) in zip(indices, reduced) if lead is not None][:size]
-    assert _greedy_basis(rows, indices, size) == ([i for i, _ in expected], [lead for _, lead in expected])
+    positions, leads = check_adjugate([rows[i] for i in indices], size)
+    assert [indices[k] for k in positions] == [i for i, _ in expected]
+    assert leads == sorted(lead for _, lead in expected)
 
 
 @pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 5])
 @given(data=st.data())
 def test_echelon_against_reference(width, data):
-    """The kept rows, their leads, the last pivot p, the determinant of
-    the kept rows on their leads in the leads' order, and the kept rows
+    """The kept rows, each kept when something survives in its first
+    ``cut`` columns, their leads, the last pivot p, the determinant of the
+    kept rows on their leads in the leads' order, and the kept rows
     reduced against each other over Q times p."""
     rows = data.draw(int_rows(data.draw(st.integers(0, 7), label="count"), width), label="rows")
     limit = data.draw(st.none() | st.integers(0, width), label="limit")
-    reduced = [(k, lead, row) for k, (lead, _, row) in enumerate(rational_reduction(rows, width)) if lead is not None]
-    reduced = reduced[:limit]
-    positions, leads, kept, pivot = _echelon(rows, limit)
+    cut = data.draw(st.none() | st.integers(0, width), label="cut")
+    reduced = rational_reduction(rows, width, cut)
+    reduced = [(k, lead, row) for k, (lead, _, row) in enumerate(reduced) if lead is not None][:limit]
+    positions, leads, kept, pivot = _echelon(rows, limit, cut)
     assert positions == [k for k, _, _ in reduced]
     assert leads == [lead for _, lead, _ in reduced]
     assert pivot == cofactor_determinant([[rows[k][c] for c in leads] for k in positions])

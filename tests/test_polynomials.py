@@ -89,6 +89,18 @@ def test_polynomial_from_json_rejects_non_integer_sizes(dimension, degree):
         polynomial_from_json({"dimension": dimension, "degree": degree, "terms": []})
 
 
+@pytest.mark.parametrize("dimension,degree", [(0, 1), (-1, 0), (2, -1)])
+def test_polynomial_from_json_rejects_impossible_sizes(dimension, degree):
+    with pytest.raises(MalformedInputError):
+        polynomial_from_json({"dimension": dimension, "degree": degree, "terms": []})
+
+
+def test_polynomial_from_json_in_many_variables():
+    """The monomial basis is built without recursing once per variable."""
+    poly = polynomial_from_json({"dimension": 3000, "degree": 0, "terms": []})
+    assert poly == HomogeneousPolynomial.zero(3000, 0)
+
+
 def test_equality_is_exact():
     a = HomogeneousPolynomial(2, 1, (Fraction(1, 3), 1))
     b = HomogeneousPolynomial(2, 1, (Fraction(2, 6), 1))
