@@ -194,7 +194,7 @@ class Cone:
         nonzero minor (DECISIONS.md), or None when the rank is below d:
         ``geometry._adjugate``, so that rows over |det U_S| is U_S^-1. One
         elimination, which reads no minor; derived on first use and kept."""
-        positions, _, denominator, inverse = _adjugate(self.integer_generators, self.dimension)
+        positions, _, denominator, inverse = _adjugate(self.integer_generators)
         return (tuple(positions), denominator, inverse) if len(positions) == self.dimension else None
 
 
@@ -328,17 +328,14 @@ def _facets(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[tuple[
     shares at least r - 2 rows, so a pair sharing fewer is skipped before
     the test. Every normal is nonnegative on every row, pointed cone or
     not; on a pointed cone the facets are exact (DECISIONS.md)."""
-    basis, leads, _, inverse = _adjugate(rows, len(rows[0]))
+    basis, leads, _, inverse = _adjugate(rows)
     width = len(leads)
     facets = []
     for b, column in zip(basis, zip(*inverse)):
         at_lead = dict(zip(leads, column))
         normal = [at_lead.get(c, 0) for c in range(len(rows[0]))]
         facets.append((_primitive(normal), sum(1 << i for i in basis if i != b)))
-    taken = set(basis)
-    for i in range(len(rows)):
-        if i in taken:
-            continue
+    for i in sorted(set(range(len(rows))).difference(basis)):
         row, bit = rows[i], 1 << i
         plus, minus, kept = [], [], []
         for normal, mask in facets:

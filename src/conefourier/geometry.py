@@ -99,7 +99,10 @@ def _echelon(rows: Iterable[Sequence[int]], limit: int | None = None, width: int
 
     Reduces each row, in the order given, against the rows kept before it,
     and keeps it when something survives in its first ``width`` columns
-    (all of them by default), until ``limit`` rows are kept.
+    (all of them by default), until ``limit`` rows are kept. With ``width``
+    given, the columns past it are the record of [A | I]: a row kept after
+    k others gets the pivot it was scaled by at column width + k, 0 in each
+    row kept before, so kept input rows R 0 there come out as [X R | X].
     Returns the kept rows' positions, their lead columns (each the first
     nonzero entry of the reduced row), the kept rows reduced against each
     other and scaled by the last pivot p, and p: the determinant of the
@@ -121,6 +124,8 @@ def _echelon(rows: Iterable[Sequence[int]], limit: int | None = None, width: int
         lead = next(compress(count(), islice(work, width)), None)
         if lead is None:
             continue
+        if width is not None:
+            work[width + len(kept)] = pivot
         value = work[lead]
         kept = [[(value * a - top[lead] * b) // pivot for a, b in zip(top, work)] for top in kept]
         kept.append(work)
@@ -150,20 +155,19 @@ def determinant(rows: Sequence[Sequence]) -> int | Fraction:
     return result if scale is None else Fraction(result, scale)
 
 
-def _adjugate(rows: Sequence[Sequence[int]], size: int | None = None) -> tuple[list[int], list[int], int, list[list[int]]]:
+def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int], int, list[list[int]]]:
     """(P, L, |det B|, sign(det B) adj B): the greedy basis of the int rows
-    A, up to ``size`` rows each independent of those kept before it, at the
-    positions P with leads L, sorted, and B those rows on the columns L, by
-    one ``_echelon`` of [A | I] that keeps a row when it survives in A. The
-    kept rows are X [A_P | I_P], each p at its own lead and 0 at the others,
-    so X B = p Q, Q the leads' permutation and p = sign(Q) det B the last
-    pivot: row l of |det B| B^-1 is sign(p) times the kept row of lead l on
-    the columns of P. The 0x0 A gives ([], [], 1, [])."""
-    n, width = len(rows), len(rows[0]) if rows else 0
-    stacked = ([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows))
-    positions, leads, kept, pivot = _echelon(stacked, size, width)
+    A, each independent of those kept before it, at the positions P with
+    leads L, sorted, and B those rows on the columns L, by one ``_echelon``
+    of [A | I], which keeps at most as many rows as A has columns. They are
+    [X A_P | X], each p at its own lead and 0 at the others, so X B = p Q,
+    Q the leads' permutation and p = sign(Q) det B the last pivot: row l of
+    |det B| B^-1 is sign(p) times the kept row of lead l past A. The 0x0 A
+    gives ([], [], 1, [])."""
+    width = len(rows[0]) if rows else 0
+    positions, leads, kept, pivot = _echelon(([*row, *[0] * width] for row in rows), width, width)
     sign = 1 if pivot > 0 else -1
-    inverse = [[sign * row[width + k] for k in positions] for _, row in sorted(zip(leads, kept))]
+    inverse = [[sign * a for a in row[width : width + len(kept)]] for _, row in sorted(zip(leads, kept))]
     return positions, sorted(leads), abs(pivot), inverse
 
 

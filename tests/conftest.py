@@ -24,14 +24,13 @@ def vectors(dimension):
     return st.tuples(*([rationals] * dimension))
 
 
-def rational_reduction(rows, width, cut=None):
+def rational_reduction(rows, width):
     """The reference elimination over Q, apart from the program's own
     integer ones: each row, in the order given, has every entry made a
     Fraction and is reduced against the rows kept before it, which have 1
     at their lead. It yields ``(lead, value, kept)``: the column and value
-    of the reduced row's first nonzero entry among its first ``cut``
-    columns (all by default) and the reduced row divided by that value,
-    which is kept; a row that vanishes there yields
+    of the reduced row's first nonzero entry and the reduced row divided by
+    that value, which is kept; a row that vanishes yields
     ``(None, Fraction(0), None)``."""
     kept = []
     for row in rows:
@@ -40,7 +39,7 @@ def rational_reduction(rows, width, cut=None):
         for lead, pivot in kept:
             factor = work[lead]
             work = [a - factor * b for a, b in zip(work, pivot)]
-        lead = next((j for j, a in enumerate(work[:cut]) if a), None)
+        lead = next((j for j, a in enumerate(work) if a), None)
         if lead is None:
             yield None, Fraction(0), None
             continue

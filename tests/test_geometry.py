@@ -355,15 +355,15 @@ def test_veronese_columns_rejects_no_coordinates():
         veronese_columns([], 2)
 
 
-def check_adjugate(rows, size=None):
+def check_adjugate(rows):
     """``_adjugate`` gives (P, L, |det B|, M), B the rows at P on the
     sorted columns L, with M B = |det B| I, in ints, and P as many rows as
-    the rank, up to ``size``."""
-    positions, leads, denominator, inverse = _adjugate(rows, size)
+    the rank."""
+    positions, leads, denominator, inverse = _adjugate(rows)
     basis = [[rows[i][c] for c in leads] for i in positions]
     r = len(positions)
     assert leads == sorted(leads) and len(leads) == r
-    assert r == min(kept_rows(rows, len(rows[0])) if rows else 0, r if size is None else size)
+    assert r == (kept_rows(rows, len(rows[0])) if rows else 0)
     assert denominator == abs(determinant(basis)) != 0
     assert all(type(a) is int for row in inverse for a in row)
     for i in range(r):
@@ -567,15 +567,14 @@ def test_duals_of_a_cone_of_rank_below_d_at_d_12():
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
 @given(data=st.data())
 def test_greedy_basis_against_reference(width, data):
-    """``_adjugate``'s positions and sorted leads are the first ``size``
-    rows, in the order given, that the reference reduction keeps."""
+    """``_adjugate``'s positions and sorted leads are the rows, in the
+    order given, that the reference reduction keeps."""
     count = data.draw(st.integers(1, 7), label="count")
     rows = data.draw(int_rows(count, width), label="rows")
     indices = data.draw(st.permutations(range(count)), label="order")[: data.draw(st.integers(0, count))]
-    size = data.draw(st.integers(0, width + 1), label="size")
     reduced = rational_reduction([rows[i] for i in indices], width)
-    expected = [(i, lead) for i, (lead, _, _) in zip(indices, reduced) if lead is not None][:size]
-    positions, leads = check_adjugate([rows[i] for i in indices], size)
+    expected = [(i, lead) for i, (lead, _, _) in zip(indices, reduced) if lead is not None]
+    positions, leads = check_adjugate([rows[i] for i in indices])
     assert [indices[k] for k in positions] == [i for i, _ in expected]
     assert leads == sorted(lead for _, lead in expected)
 
@@ -583,16 +582,17 @@ def test_greedy_basis_against_reference(width, data):
 @pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 5])
 @given(data=st.data())
 def test_echelon_against_reference(width, data):
-    """The kept rows, each kept when something survives in its first
-    ``cut`` columns, their leads, the last pivot p, the determinant of the
-    kept rows on their leads in the leads' order, and the kept rows
-    reduced against each other over Q times p."""
+    """The kept rows, their leads, the last pivot p, the determinant of
+    the kept rows on their leads in the leads' order, and the kept rows
+    reduced against each other over Q times p. With ``width`` given, on
+    the rows followed by ``width`` zeros, the same rows and pivot, and past
+    the width the record X of [A | I], each kept row X times the kept input
+    rows, as wide as the rows kept."""
     rows = data.draw(int_rows(data.draw(st.integers(0, 7), label="count"), width), label="rows")
     limit = data.draw(st.none() | st.integers(0, width), label="limit")
-    cut = data.draw(st.none() | st.integers(0, width), label="cut")
-    reduced = rational_reduction(rows, width, cut)
-    reduced = [(k, lead, row) for k, (lead, _, row) in enumerate(reduced) if lead is not None][:limit]
-    positions, leads, kept, pivot = _echelon(rows, limit, cut)
+    reduced = [(k, lead, row) for k, (lead, _, row) in enumerate(rational_reduction(rows, width)) if lead is not None]
+    reduced = reduced[:limit]
+    positions, leads, kept, pivot = _echelon(rows, limit)
     assert positions == [k for k, _, _ in reduced]
     assert leads == [lead for _, lead, _ in reduced]
     assert pivot == cofactor_determinant([[rows[k][c] for c in leads] for k in positions])
@@ -603,3 +603,10 @@ def test_echelon_against_reference(width, data):
             full[j] = [a - factor * b for a, b in zip(full[j], full[i])]
     assert kept == [[pivot * a for a in row] for row in full]
     assert all(type(a) is int for row in kept for a in row)
+    recorded = _echelon([[*row, *[0] * width] for row in rows], limit, width)
+    assert (recorded[0], recorded[1], recorded[3]) == (positions, leads, pivot)
+    assert [row[:width] for row in recorded[2]] == kept
+    for row in recorded[2]:
+        record = row[width:]
+        assert not any(record[len(positions) :])
+        assert row[:width] == [sum(x * rows[k][c] for x, k in zip(record, positions)) for c in range(width)]
