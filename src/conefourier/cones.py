@@ -11,8 +11,7 @@ maximal minor, read from the cone's one table of them. The pairings also
 determine the dual: ``Cone._dual_columns`` reads a batch of duals off the
 table by Cramer's rule on the greedy basis of generators and its integer
 inverse, both from one fraction-free elimination (``_adjugate``) that reads
-no minor: no dual of a cone of full rank is a cross product, and a cone of
-rank below d reads no table for its duals.
+no minor: no dual of a cone of full rank is a cross product.
 ``Cone.integer_dual`` is its one-diagonal case, and ``diagonal_for``
 divides that by the scales.
 
@@ -22,8 +21,9 @@ u_j = m_j w_j (``Cone.integer_generators``, ``Cone.scales``). On an integer
 cone u = w. A minor of u is the minor of w times the m_j of its rows, so it
 has the same sign, and the pipelines compute on u in ``int`` and divide
 p_K by ``Cone.scale`` = prod m_j once at the end. The table, one list in
-``combinations`` order, is filled on first read by one sweep
-(``geometry.maximal_minors``) that shares sub-minors between the C(n, d)
+``combinations`` order, is filled on first read. Below rank d it is all
+zeros, since the same elimination finds no basis; otherwise one sweep
+(``geometry.maximal_minors``) shares sub-minors between the C(n, d)
 minors. Where each minor sits in it, and each pairing's sign, depend only
 on the shape (n, d): ``geometry._pairing_table`` keeps them per shape for
 the process, and the sweep scatters by the same tables. A pairing is a
@@ -45,7 +45,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, repeat
-from math import prod
+from math import comb, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -62,10 +62,10 @@ from .geometry import generalized_cross, is_zero_vector, maximal_minors
 @dataclass(frozen=True)
 class Cone:
     """An apex and n >= d generator rays, all rational. The integer-normal
-    form (``integer_generators``, ``scales``), the table of its maximal
-    minors (all of them, by one sweep on first read) and the basis the
-    duals are read by (``_dual_basis``) are derived from the generators and
-    left out of equality, hashing and repr."""
+    form (``integer_generators``, ``scales``), the basis the duals are read
+    by (``_dual_basis``, None below rank d) and the table of all maximal
+    minors (all 0 without a basis; both on first read) are derived from
+    the generators and left out of equality, hashing and repr."""
 
     apex: Vector
     generators: tuple[Vector, ...]
@@ -110,10 +110,12 @@ class Cone:
 
     @cached_property
     def _minors(self) -> list[int]:
-        """The cone's one table of minors: the determinant of the integer
-        generators at every sorted d-subset, rows in that order, as a list
-        in ``combinations`` order. Filled by one sweep on first read and
-        kept; threads racing on the first read store equal tables."""
+        """The determinant of the integer generators at every sorted d-subset,
+        rows in that order, in ``combinations`` order: the cone's one table of
+        minors, filled on first read and kept (racing threads store equal
+        tables). All 0 below rank d (no ``_dual_basis``), else one sweep."""
+        if self._dual_basis is None:
+            return [0] * comb(self.num_generators, self.dimension)
         return maximal_minors(self.integer_generators)
 
     def integer_minor(self, indices: Sequence[int]) -> int:
@@ -177,7 +179,7 @@ class Cone:
         and w_D the pairings <dual(D), u_s> = det(u_D..., u_s) with the
         basis S, each read off D's pairings (``_basis_pairings``). Divided
         exactly, since dual(D) is integral. A cone of rank below d has no
-        basis, and gets one cross product a diagonal, its pairings unread."""
+        basis, and gets one cross product a diagonal."""
         basis = self._dual_basis
         if basis is None:
             u = self.integer_generators

@@ -155,7 +155,7 @@ def family_from_json(data) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def system_to_json(system: InterpolationSystem, details: SolveDetails | None = None) -> dict:
+def system_to_json(system: InterpolationSystem, details: SolveDetails) -> dict:
     basis = monomial_basis(system.dimension, system.degree)
     out = {
         "dimension": system.dimension,
@@ -173,12 +173,11 @@ def system_to_json(system: InterpolationSystem, details: SolveDetails | None = N
     }
     if system.scale != 1:  # the rows are the integer generators'; see Cone.scale
         out["scale"] = format_rational(system.scale)
-    if details is not None:
-        out["pivots"] = [
-            {"diagonal": [i + 1 for i in diag], "monomial": list(basis[col])}
-            for diag, col in details.pivots
-        ]
-        out["rank"] = details.rank
+    out["pivots"] = [
+        {"diagonal": [i + 1 for i in diag], "monomial": list(basis[col])}
+        for diag, col in details.pivots
+    ]
+    out["rank"] = details.rank
     return out
 
 

@@ -2,8 +2,8 @@
 
 The maximal minors of the interpolation matrix factor combinatorially.
 Take a family of N = C(n-1, d-1) diagonals. Its minor, the determinant of
-the Veronese images of their duals (read off the cone's minor table, in
-``int``, by ``Cone._dual_columns``), is predicted in two branches.
+the Veronese images of their duals (``Cone._dual_columns``, in ``int``; by
+Cramer's rule, or cross products below rank d), is predicted in two branches.
 
 Rank bound (minor 0). Take a set T of at most n-d generators. Every family
 member that meets T has its dual on the union of the hyperplanes w_t^perp,
@@ -95,11 +95,11 @@ def vanishing_witness(family: Sequence[Sequence[int]], num_generators: int) -> t
 def minor(cone: Cone, family: Sequence[Sequence[int]]) -> Fraction:
     """Determinant of the square matrix of Veronese-expanded duals, one
     row per family diagonal in lexicographic order. It is taken in ``int``
-    on the integer duals (``Cone._dual_columns``, all at once, expanded a
-    column per monomial by ``veronese_columns``), each c_D times the dual
-    of ``diagonal_for``, c_D the product of the diagonal's scales. The
-    Veronese map is homogeneous of degree n - d, so that determinant is the
-    minor times prod c_D^(n-d), and is divided by it once."""
+    on the integer duals (``Cone._dual_columns`` of their pairings, all at
+    once, then a column per monomial by ``veronese_columns``), each c_D
+    times the dual of ``diagonal_for``, c_D the product of the diagonal's
+    scales. The Veronese map is homogeneous of degree n - d, so that
+    determinant is the minor times prod c_D^(n-d), divided by it once."""
     fam = normalize_family(family)
     n, d = cone.num_generators, cone.dimension
     expected = comb(n - 1, d - 1)

@@ -318,6 +318,11 @@ class TestFacetSearch:
         with pytest.raises(DimensionError):
             polytope_combinatorics([()])
 
+    def test_no_points_rejected(self):
+        with pytest.raises(NotFullDimensionalError) as err:
+            polytope_combinatorics([])
+        assert (err.value.message, err.value.context) == ("no vertices given", {})
+
 
 class TestTangentCones:
     def test_square_corner_origin(self, unit_square_vertices):
@@ -361,6 +366,29 @@ class TestTransforms:
         by_interp = polytope_transform(P, "interpolation")
         for a, b in zip(by_tri.terms, by_interp.terms):
             assert a.numerator == b.numerator and a.generators == b.generators
+
+
+class TestIndexChecks:
+    @pytest.mark.parametrize("vertex", [4, -1])
+    def test_vertex_out_of_range(self, unit_square_vertices, vertex):
+        with pytest.raises(DimensionError) as err:
+            tangent_cone(polytope_combinatorics(unit_square_vertices), vertex)
+        assert (err.value.message, err.value.context) == (f"vertex index {vertex} out of range", {})
+
+    def test_unknown_method(self, unit_square_vertices):
+        with pytest.raises(DimensionError) as err:
+            polytope_transform(polytope_combinatorics(unit_square_vertices), method="brion")
+        message = "unknown method 'brion'; expected one of ('triangulation', 'interpolation')"
+        assert (err.value.message, err.value.context) == (message, {})
+
+    def test_term_of_another_dimension(self, unit_square_vertices):
+        """The point is checked against the first term; a later term of
+        another dimension is refused before any of its linear forms is read."""
+        square = polytope_transform(polytope_combinatorics(unit_square_vertices))
+        solid = ConicTransform((0, 0, 0), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), HomogeneousPolynomial.constant(3, 1))
+        with pytest.raises(DimensionError) as err:
+            evaluate_transform(PolytopeTransform((*square.terms, solid)), (Fraction(1, 2), Fraction(1, 3)))
+        assert (err.value.message, err.value.context) == ("a term in dimension 3 at a point of length 2", {})
 
 
 class TestEvaluation:

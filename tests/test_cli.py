@@ -11,6 +11,7 @@ from test_golden import COMMANDS, GOLDEN
 from conefourier import brion, cli, interpolation, pk_via_triangulation
 from conefourier.cli import main
 from conefourier.errors import MalformedInputError, RankDeficientError
+from conefourier.geometry import maximal_minors
 from conefourier.serialize import cone_from_json, family_from_json, format_rational
 
 SQUARE_CONE = json.dumps(
@@ -135,6 +136,118 @@ def test_transform_non_generic_triangulation_fails(capsys):
     code, out = run(capsys, "transform", cone, "--method", "triangulation")
     assert code == 1
     assert json.loads(out)["code"] == "NotGeneric"
+
+
+def test_cone_of_rank_below_d_sweeps_no_minor_table(capsys, monkeypatch):
+    """Rank 15 in d = 16, the 17 generators (t, ..., t^14, 0) for t = -8..8:
+    every command reads the all-zero minor table that the cone's one
+    elimination proves, and none runs the Laplace sweep."""
+    cone = json.dumps({"apex": [0] * 16, "generators": [[t**k for k in range(15)] + [0] for t in range(-8, 9)]})
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return maximal_minors(rows)
+
+    monkeypatch.setattr("conefourier.cones.maximal_minors", counting)
+    code, out = run(capsys, "validate", cone)
+    assert code == 0 and json.loads(out)["general_position"] is False
+    for argv, expected in [
+        (["transform"], "RankDeficient"),
+        (["transform", "--method", "triangulation"], "NotGeneric"),
+        (["compare"], "NotGeneric"),
+    ]:
+        code, out = run(capsys, *argv, cone)
+        assert code == 1 and json.loads(out)["code"] == expected
+    code, out = run(capsys, "vervan", cone, "--random", "2")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 2 and all(json.loads(line)["pass"] is True for line in lines)
+    assert calls == []
+
+
+TWO_RAYS = '"generators": [[1, 0], [0, 1]]'
+NEEDS_D_AND_N = "--sample needs D >= 2 and N >= D"
+
+
+@pytest.mark.parametrize(
+    "argv, status, code, message",
+    [
+        (["validate", '{"apex": [true, 0], %s}' % TWO_RAYS], 2, "MalformedInput", "expected a rational, got True"),
+        (["validate", '{"apex": [null, 0], %s}' % TWO_RAYS], 2, "MalformedInput", "expected a rational, got NoneType"),
+        (["validate", '{"apex": "0", %s}' % TWO_RAYS], 2, "MalformedInput", "expected an array of rationals, got str"),
+        (["validate", "[[1, 0], [0, 1]]"], 2, "MalformedInput", "cone input must be a JSON object"),
+        (["validate", "{%s}" % TWO_RAYS], 2, "MalformedInput", 'cone input needs "apex" and "generators" keys'),
+        (
+            ["validate", '{"apex": [0, 0], "generators": []}'],
+            2,
+            "MalformedInput",
+            '"generators" must be a non-empty array of vectors',
+        ),
+        (["brion-eval", '{"xi": ["1/2"]}'], 2, "MalformedInput", 'polytope input needs a "vertices" key'),
+        (
+            ["brion-eval", '{"vertices": []}', "--xi", '["1/2"]'],
+            2,
+            "MalformedInput",
+            '"vertices" must be a non-empty array of points',
+        ),
+        (
+            ["vervan", SQUARE_CONE, "--family", '{"1": [1, 2]}'],
+            2,
+            "MalformedInput",
+            "family must be an array of index arrays",
+        ),
+        (["validate"], 2, "MalformedInput", "an input is required: a file path, '-' for stdin, or inline JSON"),
+        (
+            ["validate", SQUARE_CONE, "--sample", "3", "5"],
+            2,
+            "MalformedInput",
+            "give either an input or --sample, not both",
+        ),
+        (["validate", "--sample", "1", "3"], 2, "MalformedInput", NEEDS_D_AND_N),
+        (["transform", "--sample", "3", "2"], 2, "MalformedInput", NEEDS_D_AND_N),
+        (
+            ["vervan", SQUARE_CONE, "--family", "[[1,2],[2,3],[3,4]]", "--random", "2"],
+            2,
+            "MalformedInput",
+            "give either --family or --random, not both",
+        ),
+        (
+            ["brion-eval", UNIT_SQUARE],
+            2,
+            "MalformedInput",
+            'an evaluation point is required: --xi or a "xi" key in the input',
+        ),
+        (["bench", "--dims", "2,x"], 2, "MalformedInput", "bad --dims value '2,x'"),
+        (["bench", "--dims", "2,1"], 2, "MalformedInput", "--dims needs integers >= 2"),
+        (["validate", '{"apex": [], "generators": [[]]}'], 1, "Dimension", "cone needs a positive ambient dimension"),
+        (
+            ["brion-eval", '{"vertices": [[0, 0], [1]]}', "--xi", '["1/2", "1/3"]'],
+            1,
+            "Dimension",
+            "vertices have mixed dimensions",
+        ),
+        (
+            ["brion-eval", '{"vertices": [[0, 0], [1, 0], [0, 1], [1, 0]]}', "--xi", '["1/2", "1/3"]'],
+            1,
+            "DegenerateVertex",
+            "duplicate vertex in input",
+        ),
+    ],
+)
+def test_input_checks_on_the_wire(capsys, argv, status, code, message):
+    """Each check of the input, met by the command that reads it: the exit
+    code and the whole error object."""
+    got, out = run(capsys, *argv)
+    assert got == status
+    assert json.loads(out) == {"code": code, "message": message, "context": {}}
+
+
+def test_vervan_family_of_mixed_sizes_is_its_own_error(capsys):
+    code, out = run(capsys, "vervan", SQUARE_CONE, "--family", "[[1,2],[3],[2,3]]", "--family", "[[1,2],[2,3],[3,4]]")
+    assert code == 1
+    first, second = map(json.loads, out.splitlines())
+    assert first == {"code": "Dimension", "message": "family mixes diagonals of different sizes", "context": {}}
+    assert second["pass"] is True
 
 
 def test_compare_sampled_cone(capsys):

@@ -3,7 +3,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -17,11 +17,13 @@ from conefourier import (
     is_general_position,
     polytope_combinatorics,
     validate_cone,
+    verify_vervan,
 )
 from conefourier.errors import (
     DimensionError,
     DuplicateRayError,
     NotPointedError,
+    VerificationFailureError,
     ZeroGeneratorError,
 )
 from conefourier.cones import _basis_pairings, classify_pairings
@@ -122,6 +124,15 @@ class TestConstruction:
     def test_rejects_ragged_generators(self):
         with pytest.raises(DimensionError):
             Cone((0, 0), ((1, 0), (0, 1, 2)))
+
+
+@pytest.mark.parametrize(
+    "d, n, message", [(1, 3, "sampler supports dimension >= 2"), (3, 2, "need at least d generators")]
+)
+def test_sampler_refuses_impossible_sizes(d, n, message):
+    with pytest.raises(ValueError) as err:
+        sample_cone(random.Random(1), d, n)
+    assert str(err.value) == message
 
 
 class TestValidation:
@@ -598,14 +609,15 @@ integer_cones = st.integers(min_value=2, max_value=4).flatmap(
 
 
 @st.composite
-def low_rank_generators(draw):
-    """d + 0..3 generators in dimension d = 1..5, each an integer
-    combination of r <= d drawn rows, int or rational: rank r or below."""
-    d = draw(st.integers(1, 5))
+def low_rank_generators(draw, dims=(1, 5), below=0, extra=3):
+    """d + 0..``extra`` generators in dimension d in ``dims``, each an
+    integer combination of r <= d - ``below`` drawn rows, int or rational:
+    rank r or below."""
+    d = draw(st.integers(*dims))
     entry = draw(st.sampled_from([st.integers(-4, 4), rationals]))
-    spanning = [[draw(entry) for _ in range(d)] for _ in range(draw(st.integers(1, d)))]
+    spanning = [[draw(entry) for _ in range(d)] for _ in range(draw(st.integers(1, d - below)))]
     generators = []
-    for _ in range(d + draw(st.integers(0, 3))):
+    for _ in range(d + draw(st.integers(0, extra))):
         weights = [draw(st.integers(-3, 3)) for _ in spanning]
         generators.append(tuple(sum(w * row[k] for w, row in zip(weights, spanning)) for k in range(d)))
     return generators
@@ -691,3 +703,49 @@ class TestIntegerDual:
         except (ZeroGeneratorError, DuplicateRayError):
             return
         assert_duals_match_cross_products(cone)
+
+
+def vervan_outcome(cone, family):
+    """``verify_vervan``'s record, or its error's message and context."""
+    try:
+        return verify_vervan(cone, family)
+    except VerificationFailureError as err:
+        return err.message, err.context
+
+
+class TestRankBelowD:
+    """A cone of rank below d has an all-zero minor table, which it reads
+    off the one elimination of ``_dual_basis`` without the Laplace sweep;
+    every reader of the table then answers with no rank case of its own.
+    (In d = 1 every nonzero generator has rank 1.)"""
+
+    @settings(max_examples=60)
+    @given(generators=low_rank_generators(dims=(2, 6), below=1, extra=2), data=st.data())
+    def test_table_is_all_zeros_without_a_sweep(self, generators, data):
+        d = len(generators[0])
+        try:
+            cone = Cone((0,) * d, generators)
+            twin = Cone((0,) * d, generators)
+        except (ZeroGeneratorError, DuplicateRayError):
+            return
+        n = cone.num_generators
+        vars(twin)["_minors"] = maximal_minors(twin.integer_generators)  # filled by the sweep
+        family = data.draw(st.permutations(list(combinations(range(n), d - 1))))[: comb(n - 1, d - 1)]
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return maximal_minors(rows)
+
+        units = [[int(i == k) for i in range(d)] for k in range(d)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("conefourier.cones.maximal_minors", counting)
+            assert not is_general_position(cone)
+            for indices in combinations(range(n), d):
+                assert cone.integer_minor(indices) == determinant([cone.integer_generators[i] for i in indices]) == 0
+            for indices in combinations(range(n), d - 1):
+                assert not any(cone.integer_pairings(indices))
+                rows = [cone.integer_generators[i] for i in indices]
+                assert cone.integer_dual(indices) == tuple(determinant([*rows, e]) for e in units)
+            assert vervan_outcome(cone, family) == vervan_outcome(twin, family)
+        assert calls == []

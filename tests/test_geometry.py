@@ -17,6 +17,7 @@ from conefourier.geometry import (
     generalized_cross,
     maximal_minors,
     monomial_basis,
+    vec_sub,
     veronese,
     veronese_columns,
 )
@@ -610,3 +611,21 @@ def test_echelon_against_reference(width, data):
         record = row[width:]
         assert not any(record[len(positions) :])
         assert row[:width] == [sum(x * rows[k][c] for x, k in zip(record, positions)) for c in range(width)]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dot((1, 2), (1,)), "dot product of lengths 2 and 1"),
+        (lambda: vec_sub((1,), (1, 2, 3)), "difference of lengths 1 and 3"),
+        (lambda: generalized_cross([(1, 0, 0), (0, 1)]), "input vectors must all have the ambient dimension"),
+        (lambda: monomial_basis(0, 1), "invalid monomial basis (0, 1)"),
+        (lambda: monomial_basis(2, -1), "invalid monomial basis (2, -1)"),
+        (lambda: veronese((), 1), "invalid monomial basis (0, 1)"),
+        (lambda: veronese((1, 2), -1), "invalid monomial basis (2, -1)"),
+    ],
+)
+def test_shape_checks(call, message):
+    with pytest.raises(DimensionError) as err:
+        call()
+    assert (err.value.message, err.value.context) == (message, {})

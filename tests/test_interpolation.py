@@ -21,6 +21,7 @@ from conefourier import (
 )
 from conefourier.errors import (
     DegenerateDiagonalError,
+    DimensionError,
     DuplicateRayError,
     InconsistentError,
     RankDeficientError,
@@ -247,6 +248,16 @@ class TestSolver:
         with pytest.raises(InconsistentError) as exc:
             solve_exact(system)
         assert exc.value.context == {"diagonal": (2,), "residual": 1}
+
+    def test_row_of_the_wrong_length(self):
+        system = InterpolationSystem(
+            dimension=2,
+            degree=1,
+            rows=(SystemRow((0,), (1, 0), 1), SystemRow((1,), (1, 0, 2), 1)),
+        )
+        with pytest.raises(DimensionError) as err:
+            solve_with_details(system)
+        assert (err.value.message, err.value.context) == ("row for diagonal (1,) has 3 entries, expected 2", {})
 
     def test_rank_deficiency(self):
         system = InterpolationSystem(

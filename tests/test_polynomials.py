@@ -105,3 +105,25 @@ def test_equality_is_exact():
     a = HomogeneousPolynomial(2, 1, (Fraction(1, 3), 1))
     b = HomogeneousPolynomial(2, 1, (Fraction(2, 6), 1))
     assert a == b
+
+
+def test_addition_adds_coefficients():
+    total = HomogeneousPolynomial(2, 1, (Fraction(1, 2), 3)) + HomogeneousPolynomial(2, 1, (Fraction(1, 3), -3))
+    assert total == HomogeneousPolynomial(2, 1, (Fraction(5, 6), 0))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([2, 1, []], "polynomial input must be a JSON object"),
+        ({"dimension": 2, "degree": 1}, "bad polynomial object: 'terms'"),
+        (
+            {"dimension": 2, "degree": 1, "terms": [{"exponents": [2, 0], "coefficient": "1"}]},
+            "exponents (2, 0) do not match degree 1",
+        ),
+    ],
+)
+def test_polynomial_from_json_rejects_the_object(data, message):
+    with pytest.raises(MalformedInputError) as err:
+        polynomial_from_json(data)
+    assert (err.value.message, err.value.context) == (message, {})

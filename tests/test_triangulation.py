@@ -13,7 +13,7 @@ from conefourier import (
     pulling_triangulation,
     simplicial_transform,
 )
-from conefourier.errors import NotGenericError, SingularSimplexError
+from conefourier.errors import DimensionError, NotGenericError, SingularSimplexError
 from conefourier.geometry import determinant, dot
 
 from conftest import random_cones
@@ -138,3 +138,18 @@ def test_pk_at_extremal_duals_is_determinant_product(cone):
             if j not in diagonal.indices:
                 product *= dot(diagonal.dual, w)
         assert poly.evaluate(diagonal.dual) == cls.sign * product
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda cone: pulling_triangulation(cone, anchor=4), "anchor index 4 out of range"),
+        (lambda cone: pulling_triangulation(cone, anchor=-1), "anchor index -1 out of range"),
+        (lambda cone: simplicial_transform(cone, (0, 1)), "simplex needs 3 indices, got 2"),
+        (lambda cone: expand_linear_forms([(1, 2, 3), (1, 2)], 3), "linear form has the wrong number of variables"),
+    ],
+)
+def test_index_and_shape_checks(square_cone, call, message):
+    with pytest.raises(DimensionError) as err:
+        call(square_cone)
+    assert (err.value.message, err.value.context) == (message, {})
