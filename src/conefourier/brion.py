@@ -34,7 +34,7 @@ from .errors import (
     NotFullDimensionalError,
     SingularEvaluationPointError,
 )
-from .geometry import Vector, _clear_denominators, _echelon, as_vector, vec_sub, veronese
+from .geometry import Vector, _adjugate, _clear_denominators, _echelon, as_vector, vec_sub, veronese
 from .interpolation import pk_via_interpolation
 from .triangulation import ConicTransform, pk_via_triangulation
 
@@ -89,9 +89,10 @@ def polytope_combinatorics(vertices: Sequence[Sequence], allow_nonsimplicial: bo
     if len(set(points)) != len(points):
         raise DegenerateVertexError("duplicate vertex in input")
     rows = [(m, *u) for u, m in map(_clear_denominators, points)]
-    basis, facets = _facets(rows)
-    if len(basis) <= d:
+    elimination = _adjugate(rows)
+    if len(elimination[0]) <= d:
         raise NotFullDimensionalError(f"vertices span less than dimension {d}")
+    facets = _facets(rows, elimination)
 
     if not allow_nonsimplicial:
         wide = [facet for facet, _, _ in facets if len(facet) > d]

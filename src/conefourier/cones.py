@@ -29,12 +29,13 @@ on the shape (n, d): ``geometry._pairing_table`` keeps them per shape for
 the process, and the sweep scatters by the same tables. A pairing is a
 read at precomputed positions; the minor at S is the last pairing of S[:-1].
 
-``_facets`` (a double description, starting from the greedy basis of the
-rows and its integer inverse, one ``_adjugate``) and ``_meet`` (the
-extreme-ray test) serve both ``validate_cone`` and
-``brion.polytope_combinatorics``; ``validate_cone``
-reads pointedness and its witness off the same facets. The one cross
-product left is the dual of a cone of rank below d, one elimination each.
+``_facets`` (a double description from the greedy basis and integer
+inverse of the ``_adjugate`` its caller passes) and ``_meet`` (the
+extreme-ray test) serve ``brion.polytope_combinatorics`` and
+``validate_cone``, which passes the cone's own (``Cone._elimination``,
+read by ``_dual_basis`` too) and reads pointedness and its witness off
+the facets. The one cross product left is the dual of a cone of rank
+below d, one elimination each.
 """
 
 from __future__ import annotations
@@ -190,13 +191,17 @@ class Cone:
         return [[sum(map(mul, row, w)) // denominator for w in weights] for row in inverse]
 
     @cached_property
+    def _elimination(self) -> tuple[list[int], list[int], int, list[list[int]]]:
+        """``_adjugate`` of the integer generators, read by ``_dual_basis`` and ``validate_cone``."""
+        return _adjugate(self.integer_generators)
+
+    @cached_property
     def _dual_basis(self) -> tuple[tuple[int, ...], int, list[list[int]]] | None:
         """(S, |det U_S|, rows) for the greedy basis S of the integer
         generators, the first d-subset in ``combinations`` order with a
         nonzero minor (DECISIONS.md), or None when the rank is below d:
-        ``geometry._adjugate``, so that rows over |det U_S| is U_S^-1. One
-        elimination, which reads no minor; derived on first use and kept."""
-        positions, _, denominator, inverse = _adjugate(self.integer_generators)
+        from ``_elimination``, so that rows over |det U_S| is U_S^-1."""
+        positions, _, denominator, inverse = self._elimination
         return (tuple(positions), denominator, inverse) if len(positions) == self.dimension else None
 
 
@@ -310,27 +315,27 @@ def is_general_position(cone: Cone) -> bool:
     return all(cone._minors)
 
 
-def _facets(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[tuple[int, ...], int, tuple[int, ...]]]]:
-    """The greedy basis of the nonzero integer rows, of their rank r, and
-    the facets of the cone over them as (rows on it, their bit mask, its
-    primitive normal), in sorted order, by the double description method
-    (Motzkin, Raiffa, Thompson & Thrall 1953).
+def _facets(rows: Sequence[Sequence[int]], elimination: tuple) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """The facets of the cone over the nonzero integer rows, of rank r, as
+    (rows on it, their bit mask, its primitive normal), in sorted order, by
+    the double description method (Motzkin, Raiffa, Thompson & Thrall 1953).
 
-    It starts from the simplicial cone over the basis, which ``_adjugate``
-    gives with its inverse. Its normals are taken on the basis's sorted
-    lead columns (where the reduced basis rows are the last pivot times the
-    identity, so the projection is one-to-one on the span and keeps every
-    face) and are 0 elsewhere: with B the basis rows there, column k of
-    |det B| B^-1 is tight on every basis row but the k-th and |det B| > 0
-    on it. It adds the other rows in index order. A facet is a primitive
-    normal h and its mask Z(h). Adding row a keeps the facets with
-    h.a >= 0, and joins each pair with h.a > 0 > h'.a that is adjacent (no
-    third facet is tight on all of Z(h) & Z(h'): Fukuda & Prodon 1996) into
-    a facet tight on a, a positive combination of the two. An adjacent pair
-    shares at least r - 2 rows, so a pair sharing fewer is skipped before
-    the test. Every normal is nonnegative on every row, pointed cone or
-    not; on a pointed cone the facets are exact (DECISIONS.md)."""
-    basis, leads, _, inverse = _adjugate(rows)
+    It starts from the simplicial cone over the greedy basis of the rows,
+    which ``elimination``, their ``_adjugate``, gives with its inverse. Its
+    normals are taken on the basis's sorted lead columns (where the reduced
+    basis rows are the last pivot times the identity, so the projection is
+    one-to-one on the span and keeps every face) and are 0 elsewhere: with
+    B the basis rows there, column k of |det B| B^-1 is tight on every
+    basis row but the k-th and |det B| > 0 on it. It adds the other rows in
+    index order. A facet is a primitive normal h and its mask Z(h). Adding
+    row a keeps the facets with h.a >= 0, and joins each pair with
+    h.a > 0 > h'.a that is adjacent (no third facet is tight on all of
+    Z(h) & Z(h'): Fukuda & Prodon 1996) into a facet tight on a, a positive
+    combination of the two. An adjacent pair shares at least r - 2 rows, so
+    a pair sharing fewer is skipped before the test. Every normal is
+    nonnegative on every row, pointed cone or not; on a pointed cone the
+    facets are exact (DECISIONS.md)."""
+    basis, leads, _, inverse = elimination
     width = len(leads)
     facets = []
     for b, column in zip(basis, zip(*inverse)):
@@ -360,7 +365,7 @@ def _facets(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[tuple[
                 joined = [value * b - other_value * a for a, b in zip(normal, other)]
                 kept.append((_primitive(joined), common | bit))
         facets = kept
-    return basis, sorted((tuple(i for i in range(len(rows)) if mask >> i & 1), mask, h) for h, mask in facets)
+    return sorted((tuple(i for i in range(len(rows)) if mask >> i & 1), mask, h) for h, mask in facets)
 
 
 def _meet(facets: Iterable[tuple[tuple[int, ...], int, tuple[int, ...]]], count: int, i: int) -> list[int]:
@@ -385,7 +390,7 @@ def validate_cone(cone: Cone) -> ValidationReport:
     combinations of the others are permitted but reported as redundant:
     those that are not extreme rays, by the test of ``_meet``.
     """
-    _, facets = _facets(cone.integer_generators)
+    facets = _facets(cone.integer_generators, cone._elimination)
     total = [sum(column) for column in zip(*(normal for _, _, normal in facets))] or [0] * cone.dimension
     least = min(Fraction(sum(map(mul, u, total)), m) for u, m in zip(cone.integer_generators, cone.scales))
     if least <= 0:

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra and the Veronese monomial map.
+"""Exact rational linear algebra, the Veronese map and linear products.
 
 Scalars are Python ``int`` or ``fractions.Fraction`` values, so every
 operation in this module is exact; floats are refused. ``determinant``,
@@ -12,8 +12,10 @@ is the one elimination, fraction-free in ``int``, behind ``determinant``,
 ``generalized_cross`` and ``_adjugate``, which gives each greedy basis B
 (the first rows each independent of those before it) with its inverse,
 as |det B| B^-1 over |det B|, from one pass.
-``veronese`` maps one point and ``veronese_columns`` a batch of points
-given as coordinate columns, both by one level recursion.
+``veronese`` maps one point, level by level. ``veronese_columns`` maps a
+batch of points and ``product_columns`` expands a batch of products of
+linear forms, both on coordinate columns, one ``map`` at a time, by one
+table per degree of each monomial as a lower one times a variable.
 Vectors are plain tuples, matrices are sequences of equal-length row
 vectors, and nothing here mutates its inputs.
 """
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, compress, count, cycle, islice
 from math import comb, gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionError
@@ -33,6 +35,7 @@ Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_BLOCK = 128  # points or simplices in one batch of a column kernel, which bounds its memory
 
 
 def as_scalar(value) -> Fraction:
@@ -267,8 +270,7 @@ def monomial_basis(dimension: int, degree: int) -> tuple[tuple[int, ...], ...]:
     Each counts the variables of one multiset of ``degree`` of them, taken
     in ``combinations_with_replacement`` order, which is that order.
     """
-    if dimension < 1 or degree < 0:
-        raise DimensionError(f"invalid monomial basis ({dimension}, {degree})")
+    basis_size(dimension, degree)  # checks the shape
     out = []
     for chosen in combinations_with_replacement(range(dimension), degree):
         exponents = [0] * dimension
@@ -279,53 +281,67 @@ def monomial_basis(dimension: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def monomial_index(dimension: int, degree: int) -> dict[tuple[int, ...], int]:
-    """Position of each exponent vector within monomial_basis."""
-    return {e: i for i, e in enumerate(monomial_basis(dimension, degree))}
+def _raising_pairs(dimension: int, degree: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each monomial m' of degree ``degree + 1``, in basis order, the
+    pairs (position of m' - e_i in degree ``degree``, i), one for each i
+    with m'_i > 0: the terms of [xi^m'](P l) = sum of P_(m' - e_i) l_i."""
+    position = {e: k for k, e in enumerate(monomial_basis(dimension, degree))}
+    return tuple(
+        tuple((position[e[:i] + (a - 1,) + e[i + 1 :]], i) for i, a in enumerate(e) if a)
+        for e in monomial_basis(dimension, degree + 1)
+    )
+
+
+def product_columns(constants: list, forms: Iterable[Sequence[list]]) -> list[list]:
+    """constants[b] times prod <f[b], xi> over the forms f, for each b of a
+    batch, each form given as d coordinate columns: one coefficient column
+    per monomial, in the entries' own type. Step t makes each column of
+    degree t + 1 by one ``map`` per pair of ``_raising_pairs``."""
+    columns = [constants]
+    for degree, form in enumerate(forms):
+        product = []
+        for (k, i), *rest in _raising_pairs(len(form), degree):
+            column = map(mul, columns[k], form[i])
+            for k, i in rest:
+                column = map(add, column, map(mul, columns[k], form[i]))
+            product.append(list(column))
+        columns = product
+    return columns
 
 
 def basis_size(dimension: int, degree: int) -> int:
+    if dimension < 1 or degree < 0:
+        raise DimensionError(f"invalid monomial basis ({dimension}, {degree})")
     return comb(dimension + degree - 1, dimension - 1)
-
-
-def _veronese_level(first: list, degree: int, times) -> list:
-    """The degree-``degree`` monomials, degree >= 1, of the d entries of
-    ``first`` in basis order, ``times`` the product of two entries. In the
-    lexicographically descending basis, degree k + 1 is entry 0 times all
-    of degree k, then entry i times the suffix of degree k where e_0 = ...
-    = e_(i-1) = 0, its last basis_size(d - i, k) monomials."""
-    d = len(first)
-    level = first
-    for k in range(1, degree):
-        size = len(level)
-        level = [times(x, m) for i, x in enumerate(first) for m in level[size - basis_size(d - i, k) :]]
-    return level
-
-
-def _column_product(a: list, b: list) -> list:
-    return list(map(mul, a, b))
 
 
 def veronese(v: Sequence, degree: int) -> Vector:
     """Evaluate every monomial of the given degree at v, in basis order.
-    An all-int v gives ints, any other v Fractions."""
+    An all-int v gives ints, any other v Fractions. In the lexicographically
+    descending basis, degree k + 1 is v_0 times all of degree k, then v_i
+    times the suffix of degree k where e_0 = ... = e_(i-1) = 0, its last
+    basis_size(d - i, k) monomials."""
     coords = list(v)
-    if not coords or degree < 0:
-        raise DimensionError(f"invalid monomial basis ({len(coords)}, {degree})")
+    d = len(coords)
+    basis_size(d, degree)  # checks the shape
     if any(type(c) is not int for c in coords):
         coords = [as_scalar(c) for c in coords]
-    if degree == 0:
-        return (coords[0] ** 0,)
-    return tuple(_veronese_level(coords, degree, mul))
+    level = [coords[0] ** 0]
+    for k in range(degree):
+        level = [x * m for i, x in enumerate(coords) for m in level[len(level) - basis_size(d - i, k) :]]
+    return tuple(level)
 
 
 def veronese_columns(columns: Sequence[list], degree: int) -> list[list]:
     """``veronese`` of a batch of points given as d coordinate columns of
-    ints or Fractions: one column per monomial, in basis order, each made
-    by one ``map`` of products over the batch. The rows of the result,
+    ints or Fractions: one column per monomial, in basis order, each one
+    ``map`` of products over the batch, x^m' = x^(m' - e_i) x_i for the
+    first pair of ``_raising_pairs``. The rows of the result,
     ``zip(*columns)``, are the points' images."""
-    if not columns or degree < 0:
-        raise DimensionError(f"invalid monomial basis ({len(columns)}, {degree})")
+    basis_size(len(columns), degree)  # checks the shape
     if degree == 0:
         return [[c**0 for c in columns[0]]]
-    return _veronese_level(list(columns), degree, _column_product)
+    level = list(columns)
+    for t in range(1, degree):
+        level = [list(map(mul, level[p[0][0]], columns[p[0][1]])) for p in _raising_pairs(len(columns), t)]
+    return level

@@ -41,11 +41,10 @@ from .errors import (
     InconsistentError,
     RankDeficientError,
 )
-from .geometry import ZERO, _clear_denominators, basis_size, veronese_columns
+from .geometry import _BLOCK, ZERO, _clear_denominators, basis_size, veronese_columns
 from .polynomials import HomogeneousPolynomial
 
 _SLOT_MASK = (1 << 64) - 1
-_BLOCK = 128  # diagonals a block of build_system
 
 
 @dataclass(frozen=True)

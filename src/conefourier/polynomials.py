@@ -1,9 +1,8 @@
-"""Dense homogeneous polynomials with exact rational coefficients.
-
-Coefficients are stored against the shared monomial ordering of
-:func:`conefourier.geometry.monomial_basis` (lexicographically descending
-exponent vectors), which is also how polynomials travel over the wire.
-"""
+"""Dense homogeneous polynomials with exact rational coefficients, in the
+monomial order of :func:`conefourier.geometry.monomial_basis`
+(lexicographically descending exponent vectors), which is also the wire
+order. Products of linear forms are expanded a batch at a time, a column
+per monomial, by ``geometry.product_columns``, not here."""
 
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import DimensionError
-from .geometry import ZERO, as_scalar, as_vector, basis_size, monomial_basis, monomial_index, veronese
+from .geometry import ZERO, as_scalar, as_vector, basis_size, monomial_basis, veronese
 
 
 @dataclass(frozen=True)
@@ -65,17 +64,3 @@ class HomogeneousPolynomial:
     def scale(self, scalar) -> "HomogeneousPolynomial":
         s = as_scalar(scalar)
         return HomogeneousPolynomial(self.dimension, self.degree, tuple(s * c for c in self.coefficients))
-
-
-def _times_linear(coefficients: Sequence, form: Sequence, degree: int) -> list:
-    """The coefficients of a degree-``degree`` polynomial times <form, xi>,
-    in the entries' own number type, so ints stay ints."""
-    dimension = len(form)
-    position = monomial_index(dimension, degree + 1)
-    out = [0] * basis_size(dimension, degree + 1)
-    for exponents, coeff in zip(monomial_basis(dimension, degree), coefficients):
-        if coeff:
-            for k, f in enumerate(form):
-                if f:
-                    out[position[exponents[:k] + (exponents[k] + 1,) + exponents[k + 1 :]]] += coeff * f
-    return out

@@ -7,7 +7,9 @@ polynomial p_K directly:
     p_K = sum over simplices S of |det(S)| * prod(<w_j, xi> for j not in S)
 
 This is the reference pipeline that the interpolation route is checked
-against.
+against. It reads the generators and their minors only, and expands the
+products a block of simplices at a time, a column per monomial
+(``geometry.product_columns``), in ``int`` on the integer generators.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import prod
 from typing import Sequence
 
 from .cones import Cone, DiagonalKind, classify_pairings, is_general_position
 from .errors import DimensionError, NotGenericError, SingularSimplexError
-from .geometry import Vector, _clear_denominators, _exact, basis_size
-from .polynomials import HomogeneousPolynomial, _times_linear
+from .geometry import _BLOCK, Vector, _clear_denominators, _exact, basis_size, product_columns
+from .polynomials import HomogeneousPolynomial
 
 
 @dataclass(frozen=True)
@@ -103,35 +105,27 @@ def simplicial_transform(cone: Cone, simplex: Sequence[int]) -> ConicTransform:
 
 
 def expand_linear_forms(forms: Sequence[Sequence], dimension: int) -> HomogeneousPolynomial:
-    """Expand prod(<v, xi>) over the given vectors into a dense polynomial.
-
-    The empty product is the constant 1.
-    """
-    return HomogeneousPolynomial(dimension, len(forms), tuple(_expand(forms, dimension)))
-
-
-def _expand(forms: Sequence[Sequence], dimension: int) -> list:
-    """The coefficients of expand_linear_forms, ints for int forms."""
-    coefficients = [1]
-    for degree, form in enumerate(forms):
-        f = tuple(map(_exact, form))
-        if len(f) != dimension:
-            raise DimensionError("linear form has the wrong number of variables")
-        coefficients = _times_linear(coefficients, f, degree)
-    return coefficients
+    """Expand prod(<v, xi>) over the given vectors into a dense polynomial,
+    ``product_columns`` on a batch of one; the empty product is 1."""
+    batch = [[[_exact(c)] for c in form] for form in forms]
+    if any(len(form) != dimension for form in batch):
+        raise DimensionError("linear form has the wrong number of variables")
+    return HomogeneousPolynomial(dimension, len(batch), tuple(c for c, in product_columns([1], batch)))
 
 
 def pk_via_triangulation(cone: Cone, anchor: int = 0) -> HomogeneousPolynomial:
-    """Numerator polynomial of the cone transform, degree n - d, by
-    summing |det(S)| * prod(<w_j, xi>, j not in S) over a pulling
-    triangulation. The sum runs in int on the integer generators and is
-    divided by the cone's scale at the end."""
+    """Numerator polynomial of the cone transform, degree n - d: the sum of
+    the module docstring over a pulling triangulation, on the integer
+    generators u, over the cone's scale. Each block of ``_BLOCK`` simplices starts from their
+    volumes, and its t-th form is the t-th u_j that each simplex misses."""
     triangulation = pulling_triangulation(cone, anchor)
-    degree = cone.num_generators - cone.dimension
-    total = [0] * basis_size(cone.dimension, degree)
-    for simplex in triangulation.simplices:
-        volume = abs(cone.integer_minor(simplex))
-        missing = [u for j, u in enumerate(cone.integer_generators) if j not in simplex]
-        for k, c in enumerate(_expand(missing, cone.dimension)):
-            total[k] += volume * c
-    return HomogeneousPolynomial(cone.dimension, degree, tuple(Fraction(c, cone.scale) for c in total))
+    d, n, u = cone.dimension, cone.num_generators, cone.integer_generators
+    total = [0] * basis_size(d, n - d)
+    simplices = iter(triangulation.simplices)
+    while block := list(islice(simplices, _BLOCK)):
+        volumes = [abs(cone.integer_minor(simplex)) for simplex in block]
+        missing = zip(*([j for j in range(n) if j not in simplex] for simplex in block))
+        forms = (list(zip(*map(u.__getitem__, generators))) for generators in missing)
+        for k, column in enumerate(product_columns(volumes, forms)):
+            total[k] += sum(column)
+    return HomogeneousPolynomial(d, n - d, tuple(Fraction(c, cone.scale) for c in total))

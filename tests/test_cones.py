@@ -28,7 +28,7 @@ from conefourier.errors import (
 )
 from conefourier.cones import _basis_pairings, classify_pairings
 from conefourier.feasibility import solve_nonnegative
-from conefourier.geometry import _clear_denominators, _pairing_table, _primitive, determinant, dot, generalized_cross
+from conefourier.geometry import _adjugate, _clear_denominators, _pairing_table, _primitive, determinant, dot, generalized_cross
 from conefourier.geometry import maximal_minors
 from conefourier.sampling import sample_cone
 from conefourier.triangulation import pk_via_triangulation
@@ -204,6 +204,29 @@ class TestValidation:
         rng = random.Random(d * 100 + n)
         cone = (rational_cone if rational else sample_cone)(rng, d, n)
         assert validate_cone(cone).redundant_generators == lp_redundant(cone.generators)
+
+    @pytest.mark.parametrize(
+        "generators",
+        [((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0), (1, 1, 0)), ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1))],
+        ids=["quadrant", "rank-2-in-d-3", "square-pyramid"],
+    )
+    def test_validation_eliminates_the_generators_once(self, generators, monkeypatch):
+        """The double description starts from the cone's own elimination,
+        the one its dual basis reads, so a new cone's generators are
+        eliminated once however many of its readers run."""
+        import conefourier.cones as cones
+
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return _adjugate(rows)
+
+        monkeypatch.setattr(cones, "_adjugate", counting)
+        cone = Cone((0,) * len(generators[0]), generators)
+        validate_cone(cone)
+        cone._dual_basis
+        assert calls == [cone.integer_generators]
 
     @pytest.mark.parametrize(
         "run",

@@ -18,6 +18,28 @@ def test_constant_and_zero():
     assert zero.coefficients == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "make, shape",
+    [
+        (lambda: HomogeneousPolynomial(2, -1, ()), (2, -1)),
+        (lambda: HomogeneousPolynomial(0, 0, (1,)), (0, 0)),
+        (lambda: HomogeneousPolynomial(-1, 2, ()), (-1, 2)),
+        (lambda: HomogeneousPolynomial.zero(0, 1), (0, 1)),
+        (lambda: HomogeneousPolynomial.constant(0, 1), (0, 0)),
+        (lambda: expand_linear_forms([], 0), (0, 0)),
+        (lambda: expand_linear_forms([()], 0), (0, 0)),
+    ],
+    ids=["negative-degree", "no-variables", "negative-dimension", "zero", "constant", "empty-product", "empty-form"],
+)
+def test_impossible_shapes_are_dimension_errors(make, shape):
+    """No variables or a negative degree is no monomial basis, whether the
+    coefficient count happens to match (``basis_size`` reads 0 at (2, -1))
+    or ``math.comb`` would refuse it."""
+    with pytest.raises(DimensionError) as err:
+        make()
+    assert (err.value.message, err.value.context) == (f"invalid monomial basis {shape}", {})
+
+
 def test_coefficient_count_enforced():
     with pytest.raises(DimensionError):
         HomogeneousPolynomial(2, 2, (1, 2))

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
+from math import prod
+from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, reject, strategies as st
 
 from conefourier import (
     Cone,
@@ -13,10 +16,40 @@ from conefourier import (
     pulling_triangulation,
     simplicial_transform,
 )
-from conefourier.errors import DimensionError, NotGenericError, SingularSimplexError
-from conefourier.geometry import determinant, dot
+from conefourier import triangulation
+from conefourier.cones import is_general_position
+from conefourier.errors import DimensionError, DuplicateRayError, NotGenericError, SingularSimplexError
+from conefourier.geometry import basis_size, determinant, dot, monomial_basis
+from conefourier.sampling import sample_cone
 
-from conftest import random_cones
+from conftest import random_cones, rational_cone, rationals, vectors
+
+
+def times_linear(coefficients, form, degree):
+    """The coefficients of a degree-``degree`` polynomial times <form, xi>,
+    one coefficient and variable at a time: the per-simplex expansion that
+    the batched columns replaced, kept as the reference."""
+    dimension = len(form)
+    position = {e: k for k, e in enumerate(monomial_basis(dimension, degree + 1))}
+    out = [0] * basis_size(dimension, degree + 1)
+    for exponents, coeff in zip(monomial_basis(dimension, degree), coefficients):
+        for k, f in enumerate(form):
+            out[position[exponents[:k] + (exponents[k] + 1,) + exponents[k + 1 :]]] += coeff * f
+    return out
+
+
+def reference_pk(cone, anchor):
+    """sum of |det S| prod(<w_j, xi>, j not in S) over the pulling
+    triangulation, simplex by simplex on the rational generators, with
+    each volume a ``determinant`` of its rows rather than a table read."""
+    d, n = cone.dimension, cone.num_generators
+    total = [0] * basis_size(d, n - d)
+    for simplex in pulling_triangulation(cone, anchor).simplices:
+        coefficients = [abs(determinant([cone.generators[i] for i in simplex]))]
+        for degree, j in enumerate(j for j in range(n) if j not in simplex):
+            coefficients = times_linear(coefficients, cone.generators[j], degree)
+        total = [a + b for a, b in zip(total, coefficients)]
+    return tuple(total)
 
 
 def test_fan_triangulation(fan_cone):
@@ -73,6 +106,54 @@ def test_expand_single_form():
 def test_expand_two_forms():
     # x * y
     assert expand_linear_forms([(1, 0), (0, 1)], 2).coefficients == (0, 1, 0)
+
+
+@pytest.mark.parametrize("block", [1, 2, 128])
+@given(data=st.data())
+def test_pk_matches_the_per_simplex_expansion(block, data):
+    """Coefficient for coefficient, whatever the block size: integer and
+    rational cones, anchors 0 and n - 1, and n = d, a constant simplex."""
+    d = data.draw(st.sampled_from((2, 3, 4)), label="d")
+    n = d + data.draw(st.sampled_from((0, 1, 2, 3)), label="n - d")
+    rng = random.Random(data.draw(st.integers(0, 10**9), label="seed"))
+    try:
+        cone = (rational_cone if data.draw(st.booleans(), label="rational") else sample_cone)(rng, d, n)
+    except DuplicateRayError:  # a moved rational generator can land on another's ray
+        reject()
+    assume(is_general_position(cone))
+    anchor = data.draw(st.sampled_from((0, n - 1)), label="anchor")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triangulation, "_BLOCK", block)
+        poly = pk_via_triangulation(cone, anchor)
+    assert poly.coefficients == reference_pk(cone, anchor)
+
+
+@given(data=st.data())
+def test_expand_linear_forms_against_evaluation(data):
+    """Rational and integer forms, the empty product included, against the
+    product of the forms' values at random rational points and against the
+    per-form reference expansion."""
+    d = data.draw(st.integers(1, 4), label="d")
+    entries = st.one_of(rationals, st.integers(-9, 9))
+    forms = data.draw(st.lists(st.tuples(*[entries] * d), max_size=4), label="forms")
+    poly = expand_linear_forms(forms, d)
+    coefficients = [1]
+    for degree, form in enumerate(forms):
+        coefficients = times_linear(coefficients, form, degree)
+    assert (poly.dimension, poly.degree, poly.coefficients) == (d, len(forms), tuple(coefficients))
+    for point in data.draw(st.lists(vectors(d), min_size=1, max_size=3), label="points"):
+        assert poly.evaluate(point) == prod(sum(map(mul, form, point)) for form in forms)
+
+
+@given(data=st.data())
+def test_expand_linear_forms_rejects_a_form_of_the_wrong_length(data):
+    d = data.draw(st.integers(1, 4), label="d")
+    forms = data.draw(st.lists(vectors(d), max_size=3), label="forms")
+    wrong = data.draw(vectors(data.draw(st.integers(0, 5).filter(lambda k: k != d))), label="wrong")
+    forms.insert(data.draw(st.integers(0, len(forms)), label="at"), wrong)
+    with pytest.raises(DimensionError) as err:
+        expand_linear_forms(forms, d)
+    assert err.value.message == "linear form has the wrong number of variables"
 
 
 def test_pk_fan(fan_cone):
