@@ -1,13 +1,13 @@
 """Exact rational linear algebra, the Veronese map and linear products.
 
 Scalars are Python ``int`` or ``fractions.Fraction`` values, so every
-operation in this module is exact; floats are refused. ``determinant``,
-``generalized_cross`` and ``veronese`` keep integer input on ``int``
-arithmetic and return ints for it, which is what the integer-normal form
-of a cone (``Cone.integer_generators``) runs on; other input gives
-Fractions. ``maximal_minors`` takes int rows and gives ints, in
-``combinations`` order, filled through ``_pairing_table``, which ``cones``
-reads it by too: it fills a cone's table, and nothing else. ``_echelon``
+operation in this module is exact; floats are refused. Exact rows reach
+``int`` in one place, ``_integer_rows``, read by ``determinant``,
+``generalized_cross``, the interpolation solves and conic transforms;
+these and ``veronese`` give ints for all-int input, else Fractions.
+``maximal_minors`` takes int rows and gives ints, in ``combinations``
+order, filled through ``_pairing_table``, which ``cones`` reads it by
+too: it fills a cone's table, and nothing else. ``_echelon``
 is the one elimination, fraction-free in ``int``, behind ``determinant``,
 ``generalized_cross`` and ``_adjugate``, which gives each greedy basis B
 (the first rows each independent of those before it) with its inverse,
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, compress, count, cycle, islice
+from itertools import chain, combinations, combinations_with_replacement, compress, count, cycle, islice
 from math import comb, gcd, lcm, prod
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -63,13 +63,14 @@ def _clear_denominators(row: Iterable) -> tuple[list[int], int]:
     return [a.numerator * (scale // a.denominator) for a in entries], scale
 
 
-def _integer_rows(rows: list[Sequence]) -> tuple[list[Sequence[int]], int | None]:
-    """The rows and None when every entry is an int, else the rows scaled
-    to integers (``_clear_denominators``) and the product of the scales."""
-    if all(type(a) is int for row in rows for a in row):
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[Sequence[Sequence[int]], tuple[int, ...] | None]:
+    """The one integer form of exact rows: the rows and None when every entry
+    is an int, else each row times the lcm of its denominators, as ints
+    (``_clear_denominators``), and the tuple of those per-row scales."""
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
         return rows, None
     rows, scales = zip(*map(_clear_denominators, rows))
-    return list(rows), prod(scales)
+    return list(rows), scales
 
 
 def _primitive(vector: Sequence[int]) -> tuple[int, ...]:
@@ -152,10 +153,10 @@ def determinant(rows: Sequence[Sequence]) -> int | Fraction:
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionError(f"determinant needs a square matrix, got rows {[len(r) for r in m]}")
-    m, scale = _integer_rows(m)
+    m, scales = _integer_rows(m)
     _, leads, _, pivot = _echelon(m)
     result = _sign(leads) * pivot if len(leads) == n else 0
-    return result if scale is None else Fraction(result, scale)
+    return result if scales is None else Fraction(result, prod(scales))
 
 
 def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int], int, list[list[int]]]:
@@ -247,7 +248,7 @@ def generalized_cross(vectors: Sequence[Sequence], dimension: int | None = None)
         raise DimensionError("input vectors must all have the ambient dimension")
     # The cross product is multilinear: the one of the vectors scaled to
     # integers, over the product of the scales.
-    vs, scale = _integer_rows(vs)
+    vs, scales = _integer_rows(vs)
     _, leads, kept, pivot = _echelon(vs)
     cross = [0] * dimension
     if len(leads) == dimension - 1:
@@ -256,7 +257,7 @@ def generalized_cross(vectors: Sequence[Sequence], dimension: int | None = None)
         cross[free] = sign * pivot
         for lead, row in zip(leads, kept):
             cross[lead] = -sign * row[free]
-    return tuple(cross) if scale is None else tuple(Fraction(c, scale) for c in cross)
+    return tuple(cross) if scales is None else tuple(map(Fraction, cross, [prod(scales)] * dimension))
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,8 @@ to the row width so that no slot overflows and the anchor-star rows first,
 and then by Dixon's p-adic lifting, one O(N^2) pass per further base-p
 digit of the coefficients. The candidate is accepted only when it
 satisfies every row exactly. Otherwise, and for the pivots, exact
-elimination in ``int`` on primitive rows decides.
+elimination in ``int`` on primitive rows decides. Both read the rows as
+ints by ``geometry._integer_rows``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, compress, count, islice
+from itertools import combinations, compress, count, islice, repeat
 from math import gcd, isqrt, prod
 from operator import mul
 from sys import byteorder
@@ -41,7 +42,7 @@ from .errors import (
     InconsistentError,
     RankDeficientError,
 )
-from .geometry import _BLOCK, ZERO, _clear_denominators, basis_size, veronese_columns
+from .geometry import _BLOCK, ZERO, _integer_rows, basis_size, veronese_columns
 from .polynomials import HomogeneousPolynomial
 
 _SLOT_MASK = (1 << 64) - 1
@@ -202,9 +203,9 @@ def _solve_modular(system: InterpolationSystem) -> list[int] | None:
     """The system's integer solution, lifted p-adically from one reduction
     modulo a prime and checked exactly, or None.
 
-    The rows, rhs included, are read as ints (hand-built ones scaled to
-    integers), those whose diagonal avoids generator 0 first: under general
-    position they are the independent anchor-star family (DECISIONS.md).
+    The rows, rhs included, are read as ints (``_integer_rows``), those
+    whose diagonal avoids generator 0 first: under general position they
+    are the independent anchor-star family (DECISIONS.md).
     ``_reduce_mod`` reduces them mod the prime p for their width
     (``_prime``) until full rank, which holds over Q too, so the kept
     square block B with rhs b has one solution x. Dixon's lifting finds
@@ -221,12 +222,8 @@ def _solve_modular(system: InterpolationSystem) -> list[int] | None:
     integral).
     """
     unknowns = system.unknowns
-    rows = []
-    for row in sorted(system.rows, key=lambda r: 0 in r.diagonal):
-        entries = [*row.coefficients, row.rhs]
-        if set(map(type, entries)) != {int}:
-            entries, _ = _clear_denominators(entries)
-        rows.append(entries)
+    ordered = sorted(system.rows, key=lambda r: 0 in r.diagonal)
+    rows, _ = _integer_rows([[*row.coefficients, row.rhs] for row in ordered])
     p = _prime(unknowns + 1)
     kept = []
     for r, (lead, work, factors, inv) in enumerate(_reduce_mod(rows, unknowns + 1, p)):
@@ -277,21 +274,19 @@ def _eliminate(system: InterpolationSystem) -> list[tuple[tuple[int, ...], int, 
     """Exact elimination over the rows in their given order, returning
     (diagonal, pivot column, reduced row) for each row kept.
 
-    The rows, rhs as a last column and scaled to ints, are kept primitive:
-    a kept row t with lead l updates a row r with f = r_l != 0 to
-    t_l r - f t over the gcd of its entries, a nonzero multiple of the
-    rational update. So a row's pivot column is its first surviving
-    coefficient, as over Q, and a row whose only surviving entry is the rhs
-    leaves the rational residual, so the system lies about its cone. Every
-    row is checked, also after full rank.
+    The rows, rhs as a last column, are read as ints (``_integer_rows``)
+    and kept primitive: a kept row t with lead l updates a row r with
+    f = r_l != 0 to t_l r - f t over the gcd of its entries, a nonzero
+    multiple of the rational update. So a row's pivot column is its first
+    surviving coefficient, as over Q, and a row whose only surviving entry
+    is the rhs leaves the rational residual, over its own scale, so the
+    system lies about its cone. Every row is checked, also after full rank.
     """
     unknowns = system.unknowns
+    rows, scales = _integer_rows([[*row.coefficients, row.rhs] for row in system.rows])
     kept = []
-    for row in system.rows:
-        # work is scale * prod(t_l) / prod(g) over steps times the rational row
-        work, scale, steps = [*row.coefficients, row.rhs], 1, []
-        if set(map(type, work)) != {int}:
-            work, scale = _clear_denominators(work)
+    for row, work, scale in zip(system.rows, rows, scales or repeat(1)):
+        steps = []  # work is scale * prod(t_l) / prod(g) over steps times the rational row
         for _, lead, pivot in kept:
             factor = work[lead]
             if factor:
@@ -332,9 +327,9 @@ def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomi
     unknowns = system.unknowns
     for row in system.rows:
         if len(row.coefficients) != unknowns:
-            raise DimensionError(
-                f"row for diagonal {row.diagonal} has {len(row.coefficients)} entries, expected {unknowns}"
-            )
+            wire = tuple(i + 1 for i in row.diagonal)
+            message = f"row for diagonal {wire} has {len(row.coefficients)} entries, expected {unknowns}"
+            raise DimensionError(message, diagonal=wire)
     solution = _solve_modular(system)
     if solution is None:
         solution = [ZERO] * unknowns

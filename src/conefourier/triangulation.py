@@ -10,6 +10,7 @@ This is the reference pipeline that the interpolation route is checked
 against. It reads the generators and their minors only, and expands the
 products a block of simplices at a time, a column per monomial
 (``geometry.product_columns``), in ``int`` on the integer generators.
+``ConicTransform.integer_form`` scales its generators by ``geometry._integer_rows``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from .cones import Cone, DiagonalKind, classify_pairings, is_general_position
 from .errors import DimensionError, NotGenericError, SingularSimplexError
-from .geometry import _BLOCK, Vector, _clear_denominators, _exact, basis_size, product_columns
+from .geometry import _BLOCK, Vector, _clear_denominators, _exact, _integer_rows, basis_size, product_columns
 from .polynomials import HomogeneousPolynomial
 
 
@@ -48,7 +49,7 @@ class ConicTransform:
     @cached_property
     def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...], int, tuple[int, ...], int]:
         """(u, C, a, D, v, m): each generator w_j as u_j = m_j w_j and
-        C = prod m_j (``_clear_denominators``, as ``Cone`` does), the
+        C = prod m_j (``_integer_rows``; all-int generators give C = 1), the
         numerator's coefficients as a / D, and the apex as v / m, all ints.
         A float coordinate is a TypeError, and a numerator whose dimension
         or degree (n - d) does not fit the generators a DimensionError."""
@@ -57,12 +58,12 @@ class ConicTransform:
             raise DimensionError(
                 f"a degree-{p.degree} numerator in {p.dimension} variables does not fit {n} generators in dimension {d}"
             )
-        forms = [_clear_denominators(w) for w in self.generators]
+        forms, scales = _integer_rows(self.generators)
         coefficients, denominator = _clear_denominators(self.numerator.coefficients)
         apex, apex_scale = _clear_denominators(self.apex)
         return (
-            tuple(tuple(u) for u, _ in forms),
-            prod(m for _, m in forms),
+            tuple(map(tuple, forms)),
+            prod(scales or ()),
             tuple(coefficients),
             denominator,
             tuple(apex),

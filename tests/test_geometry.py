@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +11,7 @@ from conefourier.errors import DimensionError
 from conefourier.geometry import (
     _adjugate,
     _echelon,
+    _integer_rows,
     _pairing_table,
     determinant,
     dot,
@@ -239,6 +240,44 @@ def test_cross_of_fractions_with_zero_minors(vectors, expected):
     assert [type(c) for c in cross] == [Fraction] * 3
     probe = (Fraction(1, 5), 7, Fraction(-2, 9))
     assert dot(cross, probe) == permutation_determinant([*vectors, probe])
+
+
+def test_integer_rows_of_ints_are_the_rows_themselves():
+    rows = [[1, -2, 0], [3, 4, 5]]
+    integer, scales = _integer_rows(rows)
+    assert integer is rows and scales is None
+    assert _integer_rows([]) == ([], None)
+
+
+def test_integer_rows_scale_each_row_by_its_own_lcm():
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [4, -5], [Fraction(-3, 4), 1], [Fraction(6), 0]]
+    assert _integer_rows(rows) == ([[3, 2], [4, -5], [-3, 4], [6, 0]], (6, 1, 4, 1))
+
+
+def test_integer_rows_scale_bools_to_0_and_1():
+    integer, scales = _integer_rows([[True, False], [2, 3]])
+    assert (integer, scales) == ([[1, 0], [2, 3]], (1, 1))
+    assert [type(a) for row in integer for a in row] == [int] * 4
+
+
+def test_integer_rows_refuse_floats():
+    with pytest.raises(TypeError):
+        _integer_rows([[1, 2], [0.5, 1]])
+
+
+@given(st.lists(st.lists(st.integers(-9, 9) | rationals, min_size=3, max_size=3), max_size=4))
+def test_integer_rows_against_the_rationals(rows):
+    """Each scaled row is its rational row times the least scale that makes
+    it integral, in int."""
+    integer, scales = _integer_rows(rows)
+    if all(type(a) is int for row in rows for a in row):
+        assert integer is rows and scales is None
+        return
+    assert len(integer) == len(scales) == len(rows)
+    for row, scaled, scale in zip(rows, integer, scales):
+        assert all(type(a) is int for a in scaled)
+        assert [Fraction(a, scale) for a in scaled] == row
+        assert scale == lcm(*(Fraction(a).denominator for a in row))
 
 
 def test_monomial_basis_degree_two():

@@ -257,7 +257,18 @@ class TestSolver:
         )
         with pytest.raises(DimensionError) as err:
             solve_with_details(system)
-        assert (err.value.message, err.value.context) == ("row for diagonal (1,) has 3 entries, expected 2", {})
+        assert err.value.message == "row for diagonal (2,) has 3 entries, expected 2"
+        assert err.value.context == {"diagonal": (2,)}
+
+    def test_float_entry_is_refused(self):
+        system = InterpolationSystem(
+            dimension=2,
+            degree=1,
+            rows=(SystemRow((0,), (1, 0), 1), SystemRow((1,), (0, 0.5), 1)),
+        )
+        for solve in (solve_with_details, _eliminate):
+            with pytest.raises(TypeError):
+                solve(system)
 
     def test_rank_deficiency(self):
         system = InterpolationSystem(
@@ -477,16 +488,17 @@ def exact_solution(system):
 
 
 @st.composite
-def hand_built_systems(draw, entry):
-    """Systems of 1-4 unknowns with one row fewer to three rows more, of
-    ``entry`` values, some rows combinations of the rows before them, and
-    two skipped diagonals. Either every rhs is the rows' value at a drawn
-    solution, or the rhs are drawn too and a combination may have its rhs
-    moved."""
+def hand_built_systems(draw, entries):
+    """Systems of 1-4 unknowns with one row fewer to three rows more, each
+    row of values of one of ``entries``, some rows combinations of the rows
+    before them, and two skipped diagonals. Either every rhs is the rows'
+    value at a drawn solution, of ``entries[0]`` values, or the rhs are
+    drawn too and a combination may have its rhs moved."""
     unknowns = draw(st.integers(1, 4), label="unknowns")
-    x = draw(st.none() | st.lists(entry, min_size=unknowns, max_size=unknowns), label="solution")
+    x = draw(st.none() | st.lists(entries[0], min_size=unknowns, max_size=unknowns), label="solution")
     rows = []
     for _ in range(draw(st.integers(max(1, unknowns - 1), unknowns + 3), label="count")):
+        entry = draw(st.sampled_from(entries), label="entry")
         if rows and draw(st.integers(0, 2)) == 0:
             weights = [draw(entry) for _ in rows]
             row = [sum(w * r[c] for w, r in zip(weights, rows)) for c in range(unknowns + 1)]
@@ -505,15 +517,21 @@ def hand_built_systems(draw, entry):
 
 
 class TestExactElimination:
-    @pytest.mark.parametrize("entry", [st.integers(-9, 9), rationals], ids=["int", "fraction"])
+    @pytest.mark.parametrize(
+        "entries",
+        [(st.integers(-9, 9),), (rationals,), (st.integers(-9, 9), rationals)],
+        ids=["int", "fraction", "mixed"],
+    )
     @given(data=st.data())
-    def test_matches_the_rational_reduction(self, entry, data):
+    def test_matches_the_rational_reduction(self, entries, data):
         """The first row whose only surviving entry is its rhs raises with
         the reference's residual, a Fraction; otherwise too few kept rows
         raise with the reference's rank; otherwise the leads are the
         reference's, each kept row is an int multiple of its reduced row,
-        and the solution is the reference's back-substitution."""
-        system = data.draw(hand_built_systems(entry), label="system")
+        and the solution is the reference's back-substitution. Mixed
+        systems hold int rows beside Fraction rows, each row with its own
+        scale."""
+        system = data.draw(hand_built_systems(entries), label="system")
         unknowns = system.unknowns
         augmented = [(*row.coefficients, row.rhs) for row in system.rows]
         reference = list(rational_reduction(augmented, unknowns + 1))
