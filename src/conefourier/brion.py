@@ -97,7 +97,7 @@ def polytope_combinatorics(vertices: Sequence[Sequence], allow_nonsimplicial: bo
     if not allow_nonsimplicial:
         wide = [facet for facet, _, _ in facets if len(facet) > d]
         if wide:
-            facet = min(wide, key=lambda f: [f[k] for k in _echelon([rows[i] for i in f], d)[0]])
+            facet = min(wide, key=lambda f: [f[k] for k in _echelon([rows[i] for i in f])[0]])
             raise NonSimplicialFacetError(
                 f"supporting hyperplane contains {len(facet)} > {d} vertices",
                 facet=tuple(i + 1 for i in facet),

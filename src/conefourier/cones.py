@@ -30,12 +30,13 @@ the process, and the sweep scatters by the same tables. A pairing is a
 read at precomputed positions; the minor at S is the last pairing of S[:-1].
 
 ``_facets`` (a double description from the greedy basis and integer
-inverse of the ``_adjugate`` its caller passes) and ``_meet`` (the
-extreme-ray test) serve ``brion.polytope_combinatorics`` and
-``validate_cone``, which passes the cone's own (``Cone._elimination``,
-read by ``_dual_basis`` too) and reads pointedness and its witness off
-the facets. The one cross product left is the dual of a cone of rank
-below d, one elimination each.
+inverse of the ``_adjugate`` its caller passes) is the one facet finder:
+with ``_meet`` (the extreme-ray test) it serves
+``brion.polytope_combinatorics``, and from the cone's own elimination
+(``Cone._elimination``, which the table and the duals read too)
+``validate_cone``, which reads pointedness and its witness off the
+facets, and ``triangulation.pulling_triangulation``. The one cross
+product left is the dual of a cone of rank below d, one elimination each.
 """
 
 from __future__ import annotations
@@ -63,10 +64,11 @@ from .geometry import generalized_cross, is_zero_vector, maximal_minors
 @dataclass(frozen=True)
 class Cone:
     """An apex and n >= d generator rays, all rational. The integer-normal
-    form (``integer_generators``, ``scales``), the basis the duals are read
-    by (``_dual_basis``, None below rank d) and the table of all maximal
-    minors (all 0 without a basis; both on first read) are derived from
-    the generators and left out of equality, hashing and repr."""
+    form (``integer_generators``, ``scales``), the one elimination of the
+    integer generators (``_elimination``, whose basis is short of d rows
+    below rank d) and the table of all maximal minors (all 0 without a
+    basis; both on first read) are derived from the generators and left
+    out of equality, hashing and repr."""
 
     apex: Vector
     generators: tuple[Vector, ...]
@@ -114,8 +116,9 @@ class Cone:
         """The determinant of the integer generators at every sorted d-subset,
         rows in that order, in ``combinations`` order: the cone's one table of
         minors, filled on first read and kept (racing threads store equal
-        tables). All 0 below rank d (no ``_dual_basis``), else one sweep."""
-        if self._dual_basis is None:
+        tables). All 0 below rank d (``_elimination`` keeps fewer than d
+        rows), else one sweep."""
+        if len(self._elimination[0]) < self.dimension:
             return [0] * comb(self.num_generators, self.dimension)
         return maximal_minors(self.integer_generators)
 
@@ -176,33 +179,28 @@ class Cone:
     def _dual_columns(self, diagonals: Sequence[tuple[int, ...]], pairings: Iterable[Sequence[int]]) -> list[list[int]]:
         """The integer duals of the sorted diagonals, ``pairings`` their
         ``integer_pairings``, as d coordinate columns: dual(D) = U_S^-1 w_D
-        by Cramer's rule, U_S^-1 the rows of ``_dual_basis`` over |det U_S|
-        and w_D the pairings <dual(D), u_s> = det(u_D..., u_s) with the
-        basis S, each read off D's pairings (``_basis_pairings``). Divided
-        exactly, since dual(D) is integral. A cone of rank below d has no
-        basis, and gets one cross product a diagonal."""
-        basis = self._dual_basis
-        if basis is None:
+        by Cramer's rule, U_S^-1 the inverse rows of ``_elimination`` over
+        |det U_S| and w_D the pairings <dual(D), u_s> = det(u_D..., u_s)
+        with the basis S, each read off D's pairings (``_basis_pairings``).
+        Divided exactly, since dual(D) is integral. A cone of rank below d
+        has no basis, and gets one cross product a diagonal."""
+        subset, _, denominator, inverse = self._elimination
+        if len(subset) < self.dimension:
             u = self.integer_generators
             duals = [generalized_cross([u[i] for i in members], self.dimension) for members in diagonals]
             return [list(column) for column in zip(*duals)]
-        subset, denominator, inverse = basis
         weights = list(map(_basis_pairings, diagonals, pairings, repeat(subset)))
         return [[sum(map(mul, row, w)) // denominator for w in weights] for row in inverse]
 
     @cached_property
     def _elimination(self) -> tuple[list[int], list[int], int, list[list[int]]]:
-        """``_adjugate`` of the integer generators, read by ``_dual_basis`` and ``validate_cone``."""
+        """``_adjugate`` of the integer generators, the cone's one record of
+        its elimination: the greedy basis S, the first d-subset in
+        ``combinations`` order with a nonzero minor (DECISIONS.md), short of
+        d rows below rank d, with its leads, |det U_S| and rows that over
+        |det U_S| are U_S^-1. Read by ``_minors``, ``_dual_columns`` and
+        ``_facets``."""
         return _adjugate(self.integer_generators)
-
-    @cached_property
-    def _dual_basis(self) -> tuple[tuple[int, ...], int, list[list[int]]] | None:
-        """(S, |det U_S|, rows) for the greedy basis S of the integer
-        generators, the first d-subset in ``combinations`` order with a
-        nonzero minor (DECISIONS.md), or None when the rank is below d:
-        from ``_elimination``, so that rows over |det U_S| is U_S^-1."""
-        positions, _, denominator, inverse = self._elimination
-        return (tuple(positions), denominator, inverse) if len(positions) == self.dimension else None
 
 
 def _basis_pairings(members: tuple[int, ...], pairings: Sequence[int], subset: Sequence[int]) -> list[int]:

@@ -96,17 +96,18 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(c == 0 for c in v)
 
 
-def _echelon(rows: Iterable[Sequence[int]], limit: int | None = None, width: int | None = None) -> tuple[list[int], list[int], list[list[int]], int]:
+def _echelon(rows: Iterable[Sequence[int]], width: int | None = None) -> tuple[list[int], list[int], list[list[int]], int]:
     """The one fraction-free elimination, a Gauss-Jordan (Bareiss 1968) on
     int rows of one length, behind ``determinant``, ``generalized_cross``
     and ``_adjugate``.
 
     Reduces each row, in the order given, against the rows kept before it,
     and keeps it when something survives in its first ``width`` columns
-    (all of them by default), until ``limit`` rows are kept. With ``width``
-    given, the columns past it are the record of [A | I]: a row kept after
-    k others gets the pivot it was scaled by at column width + k, 0 in each
-    row kept before, so kept input rows R 0 there come out as [X R | X].
+    (all of them by default), until each of those columns is a lead, after
+    which no row survives. With ``width`` given, the columns past it are
+    the record of [A | I]: a row kept after k others gets the pivot it was
+    scaled by at column width + k, 0 in each row kept before, so kept input
+    rows R 0 there come out as [X R | X].
     Returns the kept rows' positions, their lead columns (each the first
     nonzero entry of the reduced row), the kept rows reduced against each
     other and scaled by the last pivot p, and p: the determinant of the
@@ -118,8 +119,6 @@ def _echelon(rows: Iterable[Sequence[int]], limit: int | None = None, width: int
     (Sylvester's identity), so each division is exact."""
     positions, leads, kept, pivot = [], [], [], 1
     for position, row in enumerate(rows):
-        if len(kept) == limit:
-            break
         work = [pivot * a for a in row]
         for lead, top in zip(leads, kept):
             factor = row[lead]
@@ -136,6 +135,8 @@ def _echelon(rows: Iterable[Sequence[int]], limit: int | None = None, width: int
         positions.append(position)
         leads.append(lead)
         pivot = value
+        if len(leads) == (len(row) if width is None else width):
+            break
     return positions, leads, kept, pivot
 
 
@@ -163,13 +164,13 @@ def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int], int,
     """(P, L, |det B|, sign(det B) adj B): the greedy basis of the int rows
     A, each independent of those kept before it, at the positions P with
     leads L, sorted, and B those rows on the columns L, by one ``_echelon``
-    of [A | I], which keeps at most as many rows as A has columns. They are
+    of [A | I], which stops once each column of A is a lead. They are
     [X A_P | X], each p at its own lead and 0 at the others, so X B = p Q,
     Q the leads' permutation and p = sign(Q) det B the last pivot: row l of
     |det B| B^-1 is sign(p) times the kept row of lead l past A. The 0x0 A
     gives ([], [], 1, [])."""
     width = len(rows[0]) if rows else 0
-    positions, leads, kept, pivot = _echelon(([*row, *[0] * width] for row in rows), width, width)
+    positions, leads, kept, pivot = _echelon(([*row, *[0] * width] for row in rows), width)
     sign = 1 if pivot > 0 else -1
     inverse = [[sign * a for a in row[width : width + len(kept)]] for _, row in sorted(zip(leads, kept))]
     return positions, sorted(leads), abs(pivot), inverse

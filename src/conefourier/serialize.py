@@ -117,32 +117,6 @@ def polynomial_to_json(poly: HomogeneousPolynomial) -> dict:
     }
 
 
-def polynomial_from_json(data) -> HomogeneousPolynomial:
-    if not isinstance(data, dict):
-        raise MalformedInputError("polynomial input must be a JSON object")
-    try:
-        dimension, degree, terms = data["dimension"], data["degree"], data["terms"]
-    except KeyError as err:
-        raise MalformedInputError(f"bad polynomial object: {err}") from None
-    if type(dimension) is not int or type(degree) is not int:  # bool and float are no sizes
-        raise MalformedInputError(f"dimension and degree must be integers, got {dimension!r} and {degree!r}")
-    if dimension < 1 or degree < 0:
-        raise MalformedInputError(f"need dimension >= 1 and degree >= 0, got {dimension} and {degree}")
-    if not isinstance(terms, list):
-        raise MalformedInputError('"terms" must be an array of term objects')
-    basis = monomial_basis(dimension, degree)
-    coeffs = {e: Fraction(0) for e in basis}
-    for term in terms:
-        exponents = term.get("exponents") if isinstance(term, dict) else None
-        if not isinstance(exponents, list) or not all(type(e) is int for e in exponents) or "coefficient" not in term:
-            raise MalformedInputError(f'bad term {term!r}; expected {{"exponents": [int], "coefficient": rational}}')
-        exponents = tuple(exponents)
-        if exponents not in coeffs:
-            raise MalformedInputError(f"exponents {exponents} do not match degree {degree}")
-        coeffs[exponents] = parse_rational(term["coefficient"])
-    return HomogeneousPolynomial(dimension, degree, tuple(coeffs[e] for e in basis))
-
-
 def family_from_json(data) -> tuple[tuple[int, ...], ...]:
     """Read a family as an array of 1-based index arrays."""
     if not isinstance(data, list):

@@ -7,8 +7,11 @@ polynomial p_K directly:
     p_K = sum over simplices S of |det(S)| * prod(<w_j, xi> for j not in S)
 
 This is the reference pipeline that the interpolation route is checked
-against. It reads the generators and their minors only, and expands the
-products a block of simplices at a time, a column per monomial
+against. It cones an anchor over the facets of the integer double
+description (``cones._facets``), the one facet finder that ``validate``
+and polytopes read too, and classifies no diagonal. It reads the
+generators and their minors only for the products, which it expands a
+block of simplices at a time, a column per monomial
 (``geometry.product_columns``), in ``int`` on the integer generators.
 ``ConicTransform.integer_form`` scales its generators by ``geometry._integer_rows``.
 """
@@ -18,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import islice
 from math import prod
 from typing import Sequence
 
-from .cones import Cone, DiagonalKind, classify_pairings, is_general_position
+from .cones import Cone, _facets, is_general_position
 from .errors import DimensionError, NotGenericError, SingularSimplexError
 from .geometry import _BLOCK, Vector, _clear_denominators, _exact, _integer_rows, basis_size, product_columns
 from .polynomials import HomogeneousPolynomial
@@ -73,23 +76,18 @@ class ConicTransform:
 
 def pulling_triangulation(cone: Cone, anchor: int = 0) -> Triangulation:
     """Triangulate by coning the anchor generator over the facets that
-    avoid it.
-
-    Under general position the facets of the cone are exactly its extremal
-    diagonals, so the pieces are {anchor} united with each extremal
-    diagonal not containing the anchor. Any anchor index works; the
+    avoid it, those of the cone's double description (``cones._facets``),
+    in its sorted order. Under general position each facet of a pointed
+    cone holds exactly d - 1 generators, and a cone that is not pointed is
+    all of R^d and has none (DECISIONS.md). Any anchor index works; the
     resulting numerator polynomial does not depend on the choice.
     """
     if not 0 <= anchor < cone.num_generators:
         raise DimensionError(f"anchor index {anchor} out of range")
     if not is_general_position(cone):
         raise NotGenericError("cone has a linearly dependent d-subset of generators")
-    others = [i for i in range(cone.num_generators) if i != anchor]
-    simplices = []
-    for facet in combinations(others, cone.dimension - 1):
-        if classify_pairings(cone.integer_pairings(facet)).kind is DiagonalKind.EXTREMAL:
-            simplices.append(tuple(sorted(facet + (anchor,))))
-    return Triangulation(tuple(simplices))
+    facets = _facets(cone.integer_generators, cone._elimination)
+    return Triangulation(tuple(tuple(sorted(facet + (anchor,))) for facet, _, _ in facets if anchor not in facet))
 
 
 def simplicial_transform(cone: Cone, simplex: Sequence[int]) -> ConicTransform:

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,18 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from conefourier import Cone
 from conefourier.sampling import sample_cone
+
+# When a @given test fails, hypothesis's report hook imports
+# hypothesis.extra._patching, whose libcst import raises mypy_extensions'
+# TypedDict deprecation; as an error (-W error) that ends the session with
+# INTERNALERROR. Importing it here once, with only that warning ignored,
+# leaves the hook nothing to import.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 settings.register_profile(
     "exact",

@@ -22,7 +22,9 @@ from conefourier import (
 from conefourier.errors import (
     DimensionError,
     DuplicateRayError,
+    NotGenericError,
     NotPointedError,
+    RankDeficientError,
     VerificationFailureError,
     ZeroGeneratorError,
 )
@@ -30,6 +32,7 @@ from conefourier.cones import _basis_pairings, classify_pairings
 from conefourier.feasibility import solve_nonnegative
 from conefourier.geometry import _adjugate, _clear_denominators, _pairing_table, _primitive, determinant, dot, generalized_cross
 from conefourier.geometry import maximal_minors
+from conefourier.interpolation import pk_via_interpolation
 from conefourier.sampling import sample_cone
 from conefourier.triangulation import pk_via_triangulation
 
@@ -207,13 +210,19 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "generators",
-        [((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0), (1, 1, 0)), ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1))],
-        ids=["quadrant", "rank-2-in-d-3", "square-pyramid"],
+        [
+            ((1, 0), (0, 1)),
+            ((1, 0, 0), (0, 1, 0), (1, 1, 0)),
+            ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)),
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)),
+        ],
+        ids=["quadrant", "rank-2-in-d-3", "square-pyramid", "generic"],
     )
     def test_validation_eliminates_the_generators_once(self, generators, monkeypatch):
         """The double description starts from the cone's own elimination,
-        the one its dual basis reads, so a new cone's generators are
-        eliminated once however many of its readers run."""
+        the one its minor table and duals read, so a new cone's generators
+        are eliminated once however many of its readers run: both
+        pipelines, whether they refuse the cone or not, and ``validate``."""
         import conefourier.cones as cones
 
         calls = []
@@ -224,8 +233,11 @@ class TestValidation:
 
         monkeypatch.setattr(cones, "_adjugate", counting)
         cone = Cone((0,) * len(generators[0]), generators)
-        validate_cone(cone)
-        cone._dual_basis
+        for run in (pk_via_triangulation, pk_via_interpolation, validate_cone):
+            try:
+                run(cone)
+            except (NotGenericError, RankDeficientError):
+                assert not is_general_position(cone)
         assert calls == [cone.integer_generators]
 
     @pytest.mark.parametrize(
@@ -655,7 +667,7 @@ class TestIntegerDual:
     def test_seeded_cones(self, d, seed):
         cone = sample_cone(random.Random(seed), d, d + 4)
         assert set(assert_duals_match_cross_products(cone)) <= {DiagonalKind.EXTREMAL, DiagonalKind.INTERIOR}
-        assert cone._dual_basis[0] == tuple(range(d))
+        assert cone._elimination[0] == list(range(d))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_rational_cones(self, seed):
@@ -671,13 +683,13 @@ class TestIntegerDual:
             ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, -1, 0), (1, 2, 3)),
         )
         kinds = assert_duals_match_cross_products(cone)
-        assert cone._dual_basis[0] == (0, 1, 3)
+        assert cone._elimination[0] == [0, 1, 3]
         assert kinds.count(DiagonalKind.DEGENERATE) >= 2
         assert cone.integer_dual((1, 4)) == (0, 0, 0)
 
     def test_lower_rank_cone_falls_back_to_the_cross_product(self):
         cone = TestMinorTable.DEGENERATE[1]  # rank 2 in dimension 3
-        assert cone._dual_basis is None
+        assert len(cone._elimination[0]) == 2
         assert_duals_match_cross_products(cone)
         assert cone.integer_dual((0, 1)) == (0, 0, 1)
 
@@ -698,21 +710,21 @@ class TestIntegerDual:
     def test_dual_basis_is_the_first_nonzero_minor(self, generators):
         """The basis, read without filling the table, is the first d-subset
         in ``combinations`` order with a nonzero minor, read off the table,
-        and None when the rank is below d; rows over |det U_S| is U_S^-1."""
+        and short of d rows when the rank is below d; rows over |det U_S|
+        is U_S^-1."""
         d = len(generators[0])
         try:
             cone = Cone((0,) * d, generators)
         except (ZeroGeneratorError, DuplicateRayError):
             return
-        basis = cone._dual_basis
+        subset, _, denominator, inverse = cone._elimination
         assert "_minors" not in vars(cone)
         subsets = combinations(range(cone.num_generators), d)
         first = next((s for s, m in zip(subsets, cone._minors) if m), None)
         if first is None:
-            assert basis is None
+            assert len(subset) < d
             return
-        subset, denominator, inverse = basis
-        assert subset == first
+        assert tuple(subset) == first
         rows = [cone.integer_generators[i] for i in subset]
         assert denominator == abs(determinant(rows))
         for i in range(d):
@@ -738,7 +750,7 @@ def vervan_outcome(cone, family):
 
 class TestRankBelowD:
     """A cone of rank below d has an all-zero minor table, which it reads
-    off the one elimination of ``_dual_basis`` without the Laplace sweep;
+    off its one elimination (``Cone._elimination``) without the Laplace sweep;
     every reader of the table then answers with no rank case of its own.
     (In d = 1 every nonzero generator has rank 1.)"""
 

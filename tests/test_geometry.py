@@ -598,7 +598,7 @@ def test_duals_of_a_cone_of_rank_below_d_at_d_12():
     is a cross product, a multiple of the last axis. The duals of the
     family off generator 0 are parallel, so its minor is 0."""
     cone = Cone((0,) * 12, [(*(t**k for k in range(11)), 0) for t in range(-6, 7)])
-    assert cone._dual_basis is None
+    assert len(cone._elimination[0]) < 12
     for indices in combinations(range(13), 11):
         assert diagonal_for(cone, indices).dual == cofactor_cross([cone.generators[i] for i in indices], 12)
     assert vervan.minor(cone, list(combinations(range(1, 13), 11))) == 0
@@ -627,12 +627,13 @@ def test_echelon_against_reference(width, data):
     reduced against each other over Q times p. With ``width`` given, on
     the rows followed by ``width`` zeros, the same rows and pivot, and past
     the width the record X of [A | I], each kept row X times the kept input
-    rows, as wide as the rows kept."""
+    rows, as wide as the rows kept. No row is read past the one that makes
+    every column a lead."""
     rows = data.draw(int_rows(data.draw(st.integers(0, 7), label="count"), width), label="rows")
-    limit = data.draw(st.none() | st.integers(0, width), label="limit")
     reduced = [(k, lead, row) for k, (lead, _, row) in enumerate(rational_reduction(rows, width)) if lead is not None]
-    reduced = reduced[:limit]
-    positions, leads, kept, pivot = _echelon(rows, limit)
+    unread = iter(rows)
+    positions, leads, kept, pivot = _echelon(unread)
+    assert len(list(unread)) == (len(rows) - 1 - positions[-1] if positions and len(leads) == width else 0)
     assert positions == [k for k, _, _ in reduced]
     assert leads == [lead for _, lead, _ in reduced]
     assert pivot == cofactor_determinant([[rows[k][c] for c in leads] for k in positions])
@@ -643,7 +644,7 @@ def test_echelon_against_reference(width, data):
             full[j] = [a - factor * b for a, b in zip(full[j], full[i])]
     assert kept == [[pivot * a for a in row] for row in full]
     assert all(type(a) is int for row in kept for a in row)
-    recorded = _echelon([[*row, *[0] * width] for row in rows], limit, width)
+    recorded = _echelon([[*row, *[0] * width] for row in rows], width)
     assert (recorded[0], recorded[1], recorded[3]) == (positions, leads, pivot)
     assert [row[:width] for row in recorded[2]] == kept
     for row in recorded[2]:

@@ -192,20 +192,20 @@ class TestColumnBuild:
     def test_basis_with_leading_zero(self):
         """u_0 starts with 0, so the elimination of U_S swaps rows."""
         cone = Cone((0, 0, 0), ((0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1), (2, -1, 1), (-1, 3, 2)))
-        assert cone._dual_basis[0] == (0, 1, 2)
+        assert cone._elimination[0] == [0, 1, 2]
         assert_builds_the_reference(cone)
 
     def test_zero_minors(self):
         cone = Cone((0, 0, 0), ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, -1, 0), (1, 2, 3)))
         system = assert_builds_the_reference(cone)
         assert system.skipped and system.rows
-        assert cone._dual_basis[0] == (0, 1, 3)
+        assert cone._elimination[0] == [0, 1, 3]
 
     def test_rank_below_d(self):
         cone = Cone((0, 0, 0), ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)))
         system = assert_builds_the_reference(cone)
         assert system.rows == () and len(system.skipped) == 6
-        assert cone._dual_basis is None
+        assert len(cone._elimination[0]) == 2
         diagonals = list(combinations(range(4), 2))
         columns = cone._dual_columns(diagonals, [cone.integer_pairings(m) for m in diagonals])
         expected = [generalized_cross([cone.integer_generators[i] for i in m], 3) for m in diagonals]

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conefourier.errors import DimensionError, MalformedInputError
+from conefourier.errors import DimensionError
 from conefourier.polynomials import HomogeneousPolynomial
-from conefourier.serialize import polynomial_from_json, polynomial_to_json
+from conefourier.serialize import polynomial_to_json
 from conefourier.triangulation import expand_linear_forms
 
 from conftest import rationals, vectors
@@ -80,47 +80,24 @@ def test_scale_commutes_with_evaluate(data):
 
 
 def test_json_round_trip():
+    """Only the nonzero terms go out, in monomial order, with their
+    coefficients as exact rational strings."""
     poly = HomogeneousPolynomial(3, 2, (Fraction(1, 2), 0, 0, -3, 0, Fraction(7, 5)))
-    data = polynomial_to_json(poly)
-    assert data["dimension"] == 3 and data["degree"] == 2
-    assert all(term["coefficient"] != "0" for term in data["terms"])
-    assert polynomial_from_json(data) == poly
+    assert polynomial_to_json(poly) == {
+        "dimension": 3,
+        "degree": 2,
+        "terms": [
+            {"exponents": [2, 0, 0], "coefficient": "1/2"},
+            {"exponents": [0, 2, 0], "coefficient": "-3"},
+            {"exponents": [0, 0, 2], "coefficient": "7/5"},
+        ],
+    }
 
 
-@pytest.mark.parametrize(
-    "terms",
-    [
-        {"exponents": [1, 0], "coefficient": "1"},
-        "terms",
-        7,
-        [["1", "0"]],
-        [{"coefficient": "1"}],
-        [{"exponents": [1, 0]}],
-        [{"exponents": 3, "coefficient": "1"}],
-        [{"exponents": [[1], 0], "coefficient": "1"}],
-    ],
-)
-def test_polynomial_from_json_rejects_malformed_terms(terms):
-    with pytest.raises(MalformedInputError):
-        polynomial_from_json({"dimension": 2, "degree": 1, "terms": terms})
-
-
-@pytest.mark.parametrize("dimension,degree", [(2.9, 1), (2, True), ("2", 1)])
-def test_polynomial_from_json_rejects_non_integer_sizes(dimension, degree):
-    with pytest.raises(MalformedInputError):
-        polynomial_from_json({"dimension": dimension, "degree": degree, "terms": []})
-
-
-@pytest.mark.parametrize("dimension,degree", [(0, 1), (-1, 0), (2, -1)])
-def test_polynomial_from_json_rejects_impossible_sizes(dimension, degree):
-    with pytest.raises(MalformedInputError):
-        polynomial_from_json({"dimension": dimension, "degree": degree, "terms": []})
-
-
-def test_polynomial_from_json_in_many_variables():
+def test_polynomial_to_json_in_many_variables():
     """The monomial basis is built without recursing once per variable."""
-    poly = polynomial_from_json({"dimension": 3000, "degree": 0, "terms": []})
-    assert poly == HomogeneousPolynomial.zero(3000, 0)
+    poly = HomogeneousPolynomial.zero(3000, 0)
+    assert polynomial_to_json(poly) == {"dimension": 3000, "degree": 0, "terms": []}
 
 
 def test_equality_is_exact():
@@ -132,20 +109,3 @@ def test_equality_is_exact():
 def test_addition_adds_coefficients():
     total = HomogeneousPolynomial(2, 1, (Fraction(1, 2), 3)) + HomogeneousPolynomial(2, 1, (Fraction(1, 3), -3))
     assert total == HomogeneousPolynomial(2, 1, (Fraction(5, 6), 0))
-
-
-@pytest.mark.parametrize(
-    "data, message",
-    [
-        ([2, 1, []], "polynomial input must be a JSON object"),
-        ({"dimension": 2, "degree": 1}, "bad polynomial object: 'terms'"),
-        (
-            {"dimension": 2, "degree": 1, "terms": [{"exponents": [2, 0], "coefficient": "1"}]},
-            "exponents (2, 0) do not match degree 1",
-        ),
-    ],
-)
-def test_polynomial_from_json_rejects_the_object(data, message):
-    with pytest.raises(MalformedInputError) as err:
-        polynomial_from_json(data)
-    assert (err.value.message, err.value.context) == (message, {})

@@ -18,7 +18,7 @@ from conefourier import (
 )
 from conefourier import triangulation
 from conefourier.cones import is_general_position
-from conefourier.errors import DimensionError, DuplicateRayError, NotGenericError, SingularSimplexError
+from conefourier.errors import DimensionError, DuplicateRayError, NotGenericError, SingularSimplexError, ZeroGeneratorError
 from conefourier.geometry import basis_size, determinant, dot, monomial_basis
 from conefourier.sampling import sample_cone
 
@@ -219,6 +219,50 @@ def test_pk_at_extremal_duals_is_determinant_product(cone):
             if j not in diagonal.indices:
                 product *= dot(diagonal.dual, w)
         assert poly.evaluate(diagonal.dual) == cls.sign * product
+
+
+def classified_triangulation(cone, anchor):
+    """{anchor} joined to each extremal diagonal that avoids it, in
+    ``combinations`` order: the facets of a cone in general position found
+    by classifying every diagonal, apart from the double description."""
+    return tuple(
+        tuple(sorted(diagonal.indices + (anchor,)))
+        for diagonal in enumerate_diagonals(cone)
+        if anchor not in diagonal.indices and classify_diagonal(cone, diagonal).kind is DiagonalKind.EXTREMAL
+    )
+
+
+@st.composite
+def general_position_cones(draw):
+    """Cones in general position in d = 1..5, on small integer or rational
+    generators, pointed or all of R^d."""
+    d = draw(st.integers(1, 5), label="d")
+    entry = draw(st.sampled_from([st.integers(-4, 4), rationals]))
+    generators = [tuple(draw(entry) for _ in range(d)) for _ in range(d + draw(st.integers(0, 4)))]
+    try:
+        cone = Cone((0,) * d, generators)
+    except (ZeroGeneratorError, DuplicateRayError):
+        reject()
+    assume(is_general_position(cone))
+    return cone
+
+
+@given(cone=general_position_cones())
+def test_triangulation_cones_over_the_extremal_diagonals(cone):
+    for anchor in range(cone.num_generators):
+        assert pulling_triangulation(cone, anchor).simplices == classified_triangulation(cone, anchor)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_a_cone_that_is_all_of_space_has_no_simplices(d):
+    """The unit vectors and minus their sum: in general position, and a
+    positive combination of them is 0, so the cone is all of R^d and has
+    no facet and no extremal diagonal."""
+    generators = [tuple(int(i == k) for i in range(d)) for k in range(d)] + [(-1,) * d]
+    cone = Cone((0,) * d, generators)
+    assert is_general_position(cone)
+    for anchor in range(d + 1):
+        assert pulling_triangulation(cone, anchor).simplices == () == classified_triangulation(cone, anchor)
 
 
 @pytest.mark.parametrize(
