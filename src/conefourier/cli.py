@@ -2,6 +2,7 @@
 
 Exit codes: 0 on success, 1 for domain errors (reported as a structured
 {"code", "message", "context"} object), 2 for malformed input or usage.
+Output is ``serialize.format_json``'s indented JSON; ``vervan`` prints compact lines.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .serialize import (
     cone_from_json,
     cone_to_json,
     family_from_json,
+    format_json,
     format_rational,
     format_vector,
     parse_vector,
@@ -161,7 +163,7 @@ def cmd_validate(args) -> str:
     report = report_to_json(validate_cone(cone))
     if sampled:
         report = {"cone": cone_to_json(cone), **report}
-    return json.dumps(report, indent=2) + "\n"
+    return format_json(report) + "\n"
 
 
 def cmd_transform(args) -> str:
@@ -177,9 +179,9 @@ def cmd_transform(args) -> str:
         poly, details = solve_with_details(system)
         extra = {"system": system_to_json(system, details)}
     if not (sampled or args.verbose):
-        return json.dumps(polynomial_to_json(poly), indent=2) + "\n"
+        return format_json(polynomial_to_json(poly)) + "\n"
     out = {"cone": cone_to_json(cone)} if sampled else {}
-    return json.dumps({**out, "polynomial": polynomial_to_json(poly), **extra}, indent=2) + "\n"
+    return format_json({**out, "polynomial": polynomial_to_json(poly), **extra}) + "\n"
 
 
 def cmd_compare(args) -> str:
@@ -192,7 +194,7 @@ def cmd_compare(args) -> str:
     out["triangulation"] = polynomial_to_json(by_triangulation)
     out["interpolation"] = polynomial_to_json(by_interpolation)
     out["equal"] = by_triangulation == by_interpolation
-    return json.dumps(out, indent=2) + "\n"
+    return format_json(out) + "\n"
 
 
 def cmd_vervan(args) -> tuple[str, int]:
@@ -239,7 +241,7 @@ def cmd_brion_eval(args) -> str:
             {"vertex": format_vector(term.apex), "re": v.real, "im": v.imag}
             for term, v in zip(transform.terms, per_term_values(transform, xi))
         ]
-    return json.dumps(out, indent=2) + "\n"
+    return format_json(out) + "\n"
 
 
 def cmd_bench(args) -> tuple[str, int]:
@@ -293,7 +295,7 @@ def cmd_bench(args) -> tuple[str, int]:
             for r in records
         ]
         return "".join(line + "\n" for line in lines), status
-    return json.dumps(records, indent=2) + "\n", status
+    return format_json(records) + "\n", status
 
 
 @functools.cache
@@ -328,7 +330,7 @@ def _error_json(err: ConeFourierError) -> dict:
 
 
 def _print_error(err: ConeFourierError):
-    sys.stdout.write(json.dumps(_error_json(err), indent=2) + "\n")
+    sys.stdout.write(format_json(_error_json(err)) + "\n")
 
 
 if __name__ == "__main__":

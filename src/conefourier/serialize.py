@@ -11,6 +11,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .cones import Cone, ValidationReport
@@ -24,6 +25,9 @@ from .vervan import VerVanRecord
 # accepts: "1e20000" is short, but its value has 20001 digits.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
+# JSON's names of None, True, False and of float.__repr__'s non-finite floats
+_JSON_NAMES = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
 
 def parse_rational(value) -> Fraction:
     if isinstance(value, bool):
@@ -36,6 +40,8 @@ def parse_rational(value) -> Fraction:
         )
     if isinstance(value, str):
         try:
+            if value.isascii() and (value[1:] if value[:1] == "-" else value).isdigit():  # an integer
+                return Fraction(int(value))
             # the exponent is held to the digit limit an integer literal meets
             exponent = _EXPONENT.search(value)
             limit = sys.get_int_max_str_digits()
@@ -56,6 +62,33 @@ def format_rational(value: Fraction) -> str:
     except ValueError:
         numerator = str(Decimal(value.numerator))
         return numerator if value.denominator == 1 else numerator + "/" + str(Decimal(value.denominator))
+
+
+def format_json(value) -> str:
+    """``json.dumps(value)`` at an indent of 2, byte for byte, from json's C
+    string escaper (``json`` indents in pure Python before 3.13). Keys must
+    be strings, and no cycle is checked: the CLI prints trees."""
+    return _json(value, "\n")
+
+
+def _json(value, newline: str) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _JSON_NAMES[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_NAMES.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def parse_vector(values) -> Vector:

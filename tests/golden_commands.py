@@ -26,6 +26,10 @@ NON_GENERIC_CONE = json.dumps(
         "generators": [["1", "0", "0"], ["0", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]],
     }
 )
+# a non-ASCII string in the error message, which the output escapes
+NON_ASCII_APEX = '{"apex": ["1/2", "\u00e9"], "generators": [["1", "0"], ["0", "1"]]}'
+# an error whose context holds a nested list
+DUPLICATE_RAY_CONE = '{"apex": ["0", "0"], "generators": [["1", "0"], ["2", "0"], ["0", "1"]]}'
 
 # (file name, argv, exit status)
 COMMANDS = (
@@ -38,4 +42,6 @@ COMMANDS = (
     ("validate_2_5", ["validate", "--sample", "2", "5", "--seed", "11"], 0),
     ("brion_eval_octahedron", ["brion-eval", OCTAHEDRON, "--xi", '["1/3","2/5","3/7"]', "--verbose"], 0),
     ("transform_non_generic", ["transform", NON_GENERIC_CONE, "--method", "triangulation"], 1),
+    ("validate_non_ascii_error", ["validate", NON_ASCII_APEX], 2),
+    ("transform_duplicate_ray", ["transform", DUPLICATE_RAY_CONE], 1),
 )
