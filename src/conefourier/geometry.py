@@ -15,7 +15,8 @@ as |det B| B^-1 over |det B|, from one pass.
 ``veronese`` maps one point, level by level. ``veronese_columns`` maps a
 batch of points and ``product_columns`` expands a batch of products of
 linear forms, both on coordinate columns, one ``map`` at a time, by one
-table per degree of each monomial as a lower one times a variable.
+table per degree of each monomial as a lower one times a variable;
+``veronese_columns`` makes its top degree from two half degrees instead.
 Vectors are plain tuples, matrices are sequences of equal-length row
 vectors, and nothing here mutates its inputs.
 """
@@ -294,6 +295,20 @@ def _raising_pairs(dimension: int, degree: int) -> tuple[tuple[tuple[int, int], 
     )
 
 
+@lru_cache(maxsize=None)
+def _split_pairs(dimension: int, degree: int) -> tuple[tuple[int, int], ...]:
+    """For each monomial m of degree ``degree``, in basis order, the pair
+    (position of a in degree h = ceil(degree/2), position of m - a in
+    degree ``degree - h``), a the first h of m's variables taken with
+    repetition: x^m = x^a x^(m - a)."""
+    def positions(t: int) -> dict[tuple[int, ...], int]:
+        return {chosen: k for k, chosen in enumerate(combinations_with_replacement(range(dimension), t))}
+
+    half = degree - degree // 2
+    upper, lower = positions(half), positions(degree - half)
+    return tuple((upper[c[:half]], lower[c[half:]]) for c in combinations_with_replacement(range(dimension), degree))
+
+
 def product_columns(constants: list, forms: Iterable[Sequence[list]]) -> list[list]:
     """constants[b] times prod <f[b], xi> over the forms f, for each b of a
     batch, each form given as d coordinate columns: one coefficient column
@@ -337,13 +352,18 @@ def veronese(v: Sequence, degree: int) -> Vector:
 def veronese_columns(columns: Sequence[list], degree: int) -> list[list]:
     """``veronese`` of a batch of points given as d coordinate columns of
     ints or Fractions: one column per monomial, in basis order, each one
-    ``map`` of products over the batch, x^m' = x^(m' - e_i) x_i for the
-    first pair of ``_raising_pairs``. The rows of the result,
+    ``map`` of products over the batch. The levels up to h = ceil(degree/2)
+    come from the first pair of ``_raising_pairs``, x^m' = x^(m' - e_i) x_i;
+    the top degree is one product of a level-h and a level-(degree - h)
+    column per monomial (``_split_pairs``). The rows of the result,
     ``zip(*columns)``, are the points' images."""
     basis_size(len(columns), degree)  # checks the shape
-    if degree == 0:
-        return [[c**0 for c in columns[0]]]
-    level = list(columns)
-    for t in range(1, degree):
-        level = [list(map(mul, level[p[0][0]], columns[p[0][1]])) for p in _raising_pairs(len(columns), t)]
-    return level
+    if degree < 2:
+        return list(columns) if degree else [[c**0 for c in columns[0]]]
+    lower = level = list(columns)
+    for t in range(1, degree - degree // 2):
+        pairs = _raising_pairs(len(columns), t)
+        lower, level = level, [list(map(mul, level[p[0][0]], columns[p[0][1]])) for p in pairs]
+    if degree % 2 == 0:
+        lower = level
+    return [list(map(mul, level[a], lower[b])) for a, b in _split_pairs(len(columns), degree)]

@@ -9,18 +9,23 @@ cone's integer-normal form (``Cone.integer_generators``), whose numerator
 is ``Cone.scale`` times p_K and has integer coefficients, so rows, values
 and solution are ints and the solve divides by the scale once at the end.
 Values and duals are both read off the cone's minor table, one read of
-each diagonal's pairings serving both. The system is built a block of
-diagonals at a time, column by column: the block's duals as d coordinate
-columns, by Cramer's rule through one adjugate (``Cone._dual_columns``),
-and then one column per monomial (``geometry.veronese_columns``), turned
-into rows at the end of the block. The system is solved by one
-elimination modulo a prime on rows packed in 8-byte slots, the prime sized
-to the row width so that no slot overflows and the anchor-star rows first,
-and then by Dixon's p-adic lifting, one O(N^2) pass per further base-p
-digit of the coefficients. The candidate is accepted only when it
-satisfies every row exactly. Otherwise, and for the pivots, exact
-elimination in ``int`` on primitive rows decides. Both read the rows as
-ints by ``geometry._integer_rows``.
+each diagonal's pairings serving both. One row builder (``_rows``) makes
+the rows a block of diagonals at a time, column by column: the block's
+duals as d coordinate columns, by Cramer's rule through one adjugate
+(``Cone._dual_columns``), and then one column per monomial
+(``geometry.veronese_columns``), turned into rows at the end of the block.
+``pk_via_interpolation`` streams them, the anchor-star rows first, into
+one elimination modulo a prime on rows packed in 8-byte slots, the prime
+sized to the row width so that no slot overflows, and then into Dixon's
+p-adic lifting, one O(N^2) pass per further base-p digit of the
+coefficients. Only the square block that the elimination keeps is held:
+every other row is checked exactly after the lift and dropped, the rows
+past the block's last built only then, and the candidate is accepted only
+when it satisfies every row. Otherwise the
+whole system is built (``build_system``) and exact elimination in ``int``
+on primitive rows decides, as it does for the pivots of ``--verbose``.
+Both solves read a built system's rows as ints by
+``geometry._integer_rows``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, compress, count, islice, repeat
+from itertools import chain, combinations, compress, count, islice, repeat
 from math import gcd, isqrt, prod
 from operator import mul
 from sys import byteorder
@@ -111,32 +116,43 @@ def rhs_value(cone: Cone, diagonal: Diagonal) -> Fraction:
     return Fraction(value, cone.scale * c_d ** (cone.num_generators - cone.dimension))
 
 
-def build_system(cone: Cone) -> InterpolationSystem:
-    """One row per non-degenerate diagonal, on the integer generators u: the
-    Veronese expansion of the dual of u_D (``Cone._dual_columns``) against
-    the value there of the numerator of u, all ints. Degenerate diagonals
-    are recorded in ``skipped`` instead of contributing a row, and
-    ``scale`` is the cone's, so that the system's solution over it is p_K.
-    The rows are made ``_BLOCK`` diagonals at a time, so that the columns
-    of a block, not of the whole system, sit beside the finished rows."""
+def _rows(cone: Cone, diagonals: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...] | None]]:
+    """(D, row) for each sorted diagonal D given, on the integer generators
+    u: the row is the Veronese expansion of the dual of u_D
+    (``Cone._dual_columns``) followed by the value there of the numerator
+    of u, all ints, or None when D is degenerate. The rows are made
+    ``_BLOCK`` diagonals at a time, so that the columns of a block, not of
+    all rows, sit beside the finished rows; a block's degenerate diagonals
+    come out as it is read, ahead of its rows."""
     degree = cone.num_generators - cone.dimension
-    rows: list[SystemRow] = []
-    skipped = []
-    diagonals = combinations(range(cone.num_generators), cone.dimension - 1)
+    diagonals = iter(diagonals)
     while block := list(islice(diagonals, _BLOCK)):
         kept, pairings, values = [], [], []
         for indices in block:
             read = cone.integer_pairings(indices)
-            rhs = _row_value(read)
-            if rhs is None:
-                skipped.append(indices)
+            value = _row_value(read)
+            if value is None:
+                yield indices, None
                 continue
             kept.append(indices)
             pairings.append(read)
-            values.append(rhs)
+            values.append(value)
         if kept:
-            columns = veronese_columns(cone._dual_columns(kept, pairings), degree)
-            rows.extend(map(SystemRow, kept, zip(*columns), values))
+            yield from zip(kept, zip(*veronese_columns(cone._dual_columns(kept, pairings), degree), values))
+
+
+def build_system(cone: Cone) -> InterpolationSystem:
+    """One row per non-degenerate diagonal (``_rows``). Degenerate
+    diagonals are recorded in ``skipped`` instead of contributing a row,
+    and ``scale`` is the cone's, so that the system's solution over it is
+    p_K."""
+    rows, skipped = [], []
+    for indices, row in _rows(cone, combinations(range(cone.num_generators), cone.dimension - 1)):
+        if row is None:
+            skipped.append(indices)
+        else:
+            rows.append(SystemRow(indices, row[:-1], row[-1]))
+    degree = cone.num_generators - cone.dimension
     return InterpolationSystem(cone.dimension, degree, tuple(rows), tuple(skipped), cone.scale)
 
 
@@ -199,47 +215,54 @@ def _reduce_mod(
         yield lead, work, factors, inv
 
 
-def _solve_modular(system: InterpolationSystem) -> list[int] | None:
-    """The system's integer solution, lifted p-adically from one reduction
-    modulo a prime and checked exactly, or None.
+def _solve_modular(rows: Iterable[Sequence[int]], unknowns: int) -> list[int] | None:
+    """The integer solution of the int rows ``[*coefficients, rhs]``,
+    lifted p-adically from one reduction modulo a prime and checked
+    exactly, or None. The rows are read one at a time, and only the
+    square block and the rows that vanish mod p before it are kept.
 
-    The rows, rhs included, are read as ints (``_integer_rows``), those
-    whose diagonal avoids generator 0 first: under general position they
-    are the independent anchor-star family (DECISIONS.md).
-    ``_reduce_mod`` reduces them mod the prime p for their width
-    (``_prime``) until full rank, which holds over Q too, so the kept
-    square block B with rhs b has one solution x. Dixon's lifting finds
-    its balanced base-p digits: the first, y, by back-substitution on the
-    reduced rhs; then, while r = (b - B (y_0 + ... + y_i p^i)) / p^(i+1) is
-    not zero, the next by replaying the reduction's factors on r mod p and
-    back-substituting, all O(N^2). r = 0 means the digits so far solve B
-    exactly; they are returned if every other row holds in int. An
-    integral x has |x_i| <= H, H the product of the block's row norms
-    (Cramer, Hadamard), so it has at most k digits once p^k > 2H. None
+    ``_reduce_mod`` reduces the rows, in their given order, mod the prime
+    p for their width (``_prime``) until full rank, which holds over Q
+    too, so the kept square block B with rhs b has one solution x. Under
+    general position the anchor-star rows, whose diagonal avoids generator
+    0, fill it (DECISIONS.md), so the callers give them first. Dixon's
+    lifting finds x's balanced base-p digits: the first, y, by
+    back-substitution on the reduced rhs; then, while
+    r = (b - B (y_0 + ... + y_i p^i)) / p^(i+1) is not zero, the next by
+    replaying the reduction's factors on r mod p and back-substituting,
+    all O(N^2). r = 0 means the digits so far solve B exactly; they are
+    returned if every other row, those that vanished mod p and those
+    after full rank, holds in int. An integral x has |x_i| <= H, H the
+    product of the block's row norms (Cramer, Hadamard), so it has at most
+    k digits once p^k > 2H', H' >= H read off the rows' bit lengths. None
     when the rank falls short mod p or a row leaves only its rhs, when the
-    lift solves the block but not another row (so the system is
-    inconsistent), or when r is still not zero once p^k > 2H (so x is not
-    integral).
+    lift solves the block but not another row (so the rows are
+    inconsistent), or when r is still not zero once p^k > 2H' (so x is
+    not integral).
     """
-    unknowns = system.unknowns
-    ordered = sorted(system.rows, key=lambda r: 0 in r.diagonal)
-    rows, _ = _integer_rows([[*row.coefficients, row.rhs] for row in ordered])
     p = _prime(unknowns + 1)
-    kept = []
-    for r, (lead, work, factors, inv) in enumerate(_reduce_mod(rows, unknowns + 1, p)):
+    rows = iter(rows)
+    row: Sequence[int] = ()
+
+    def reading() -> Iterator[Sequence[int]]:
+        nonlocal row
+        for row in rows:
+            yield row
+
+    kept, vanished = [], []
+    for lead, work, factors, inv in _reduce_mod(reading(), unknowns + 1, p):
         if lead is None:
+            vanished.append(row)
             continue
         if lead == unknowns:
             return None
-        kept.append((r, lead, work, factors, inv))
+        kept.append((row, lead, work[lead + 1 : unknowns], work[unknowns], factors, inv))
         if len(kept) == unknowns:
             break
-    if len(kept) < unknowns:
+    else:
         return None
     half = p // 2
-    stairs = sorted(
-        ((lead, work[lead + 1 : unknowns], k) for k, (_, lead, work, _, _) in enumerate(kept)), reverse=True
-    )
+    stairs = sorted(((lead, tail, k) for k, (_, lead, tail, _, _, _) in enumerate(kept)), reverse=True)
 
     def digit(reduced: list[int]) -> list[int]:
         """The balanced solution mod p of B y = r, from r's reduced entries."""
@@ -249,25 +272,24 @@ def _solve_modular(system: InterpolationSystem) -> list[int] | None:
             y[lead] = s - p if s > half else s
         return y
 
-    block = [rows[r] for r, _, _, _, _ in kept]
-    solution = digit([work[unknowns] for _, _, work, _, _ in kept])
+    block = [row for row, _, _, _, _, _ in kept]
+    solution = digit([residue for _, _, _, residue, _, _ in kept])
     residual = [row[unknowns] - sum(map(mul, row, solution)) for row in block]  # p * r
-    modulus, bound = p, None
+    modulus, bits = p, None
     while any(residual):
-        if bound is None:
-            bound = 4 * prod(sum(map(mul, row, row)) for row in block)
-        if modulus * modulus > bound:
+        if bits is None:  # 4 H^2 <= 4 prod (N + 1) 4^(bits of row) <= 2^bits
+            bits = 2 + unknowns * (unknowns + 1).bit_length() + 2 * sum(max(map(int.bit_length, row)) for row in block)
+        if 2 * modulus.bit_length() - 2 >= bits:  # so modulus^2 >= 2^bits >= 4 H^2, and modulus is odd
             return None
         residual = [t // p for t in residual]
         reduced: list[int] = []
-        for t, (_, _, _, factors, inv) in zip(residual, kept):
+        for t, (_, _, _, _, factors, inv) in zip(residual, kept):
             reduced.append((t - sum(map(mul, factors, reduced))) * inv % p)
         y = digit(reduced)
         residual = [t - sum(map(mul, row, y)) for t, row in zip(residual, block)]
         solution = [x + modulus * c for x, c in zip(solution, y)]
         modulus *= p
-    others = set(range(len(rows))).difference(r for r, _, _, _, _ in kept)
-    return solution if all(sum(map(mul, rows[r], solution)) == rows[r][unknowns] for r in others) else None
+    return solution if all(sum(map(mul, row, solution)) == row[unknowns] for row in chain(vanished, rows)) else None
 
 
 def _eliminate(system: InterpolationSystem) -> list[tuple[tuple[int, ...], int, list[int]]]:
@@ -315,10 +337,40 @@ def _eliminate(system: InterpolationSystem) -> list[tuple[tuple[int, ...], int, 
     return kept
 
 
+def _ordered_rows(system: InterpolationSystem) -> Sequence[Sequence[int]]:
+    """The system's rows, rhs last, as ints (``_integer_rows``), those
+    whose diagonal avoids generator 0 first, each part in its given order:
+    the order ``pk_via_interpolation`` builds them in."""
+    ordered = sorted(system.rows, key=lambda r: 0 in r.diagonal)
+    rows, _ = _integer_rows([[*row.coefficients, row.rhs] for row in ordered])
+    return rows
+
+
+def _eliminated_solution(system: InterpolationSystem) -> list[Fraction]:
+    """The solution of the system by exact elimination (``_eliminate``),
+    which raises InconsistentError or RankDeficientError when there is no
+    unique one."""
+    unknowns = system.unknowns
+    solution = [ZERO] * unknowns
+    for _, col, work in sorted(_eliminate(system), key=lambda k: k[1], reverse=True):
+        # Entries left of the pivot column are zero by construction.
+        terms = (work[j] * solution[j] for j in range(col + 1, unknowns) if work[j])
+        solution[col] = (work[unknowns] - sum(terms, ZERO)) / work[col]
+    return solution
+
+
+def _polynomial(dimension: int, degree: int, solution: Sequence, scale: int) -> HomogeneousPolynomial:
+    """The polynomial whose coefficients are the solution over the scale."""
+    if scale != 1:
+        solution = [Fraction(c, scale) for c in solution]
+    return HomogeneousPolynomial(dimension, degree, tuple(solution))
+
+
 def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomial, SolveDetails]:
     """The exact solution of the system over its scale, and its details.
 
-    The solve mod p (``_solve_modular``) is tried first; every solution it
+    The solve mod p (``_solve_modular``) is tried first, on the rows in
+    the order ``pk_via_interpolation`` builds them; every solution it
     returns has been checked against every row exactly. When it gives
     none, exact elimination (``_eliminate``) solves the system or raises
     InconsistentError or RankDeficientError. Either way the pivots in the
@@ -330,16 +382,10 @@ def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomi
             wire = tuple(i + 1 for i in row.diagonal)
             message = f"row for diagonal {wire} has {len(row.coefficients)} entries, expected {unknowns}"
             raise DimensionError(message, diagonal=wire)
-    solution = _solve_modular(system)
+    solution = _solve_modular(_ordered_rows(system), unknowns)
     if solution is None:
-        solution = [ZERO] * unknowns
-        for _, col, work in sorted(_eliminate(system), key=lambda k: k[1], reverse=True):
-            # Entries left of the pivot column are zero by construction.
-            terms = (work[j] * solution[j] for j in range(col + 1, unknowns) if work[j])
-            solution[col] = (work[unknowns] - sum(terms, ZERO)) / work[col]
-    if system.scale != 1:
-        solution = [Fraction(c, system.scale) for c in solution]
-    poly = HomogeneousPolynomial(system.dimension, system.degree, tuple(solution))
+        solution = _eliminated_solution(system)
+    poly = _polynomial(system.dimension, system.degree, solution, system.scale)
     return poly, SolveDetails(rank=unknowns, system=system)
 
 
@@ -352,5 +398,16 @@ def solve_exact(system: InterpolationSystem) -> HomogeneousPolynomial:
 def pk_via_interpolation(cone: Cone) -> HomogeneousPolynomial:
     """Numerator polynomial of the cone transform, recovered by solving
     the diagonal interpolation system. Agrees exactly with
-    pk_via_triangulation whenever both pipelines succeed."""
-    return solve_exact(build_system(cone))
+    pk_via_triangulation whenever both pipelines succeed.
+
+    The rows are streamed into the modular solve as they are built, a
+    block at a time, the anchor-star rows first: it keeps the square block
+    it reduces and checks every other row and drops it. If it gives up,
+    the whole system is built once and exact elimination decides, with
+    the errors of ``solve_exact(build_system(cone))``."""
+    d, n = cone.dimension, cone.num_generators
+    diagonals = chain(combinations(range(1, n), d - 1), (D for D in combinations(range(n), d - 1) if 0 in D))
+    solution = _solve_modular((row for _, row in _rows(cone, diagonals) if row is not None), basis_size(d, n - d))
+    if solution is None:
+        solution = _eliminated_solution(build_system(cone))
+    return _polynomial(d, n - d, solution, cone.scale)

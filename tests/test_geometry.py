@@ -5,7 +5,7 @@ from math import lcm, prod
 import pytest
 from hypothesis import given, strategies as st
 
-from conefourier import vervan
+from conefourier import geometry, vervan
 from conefourier.cones import Cone, diagonal_for
 from conefourier.errors import DimensionError
 from conefourier.geometry import (
@@ -379,8 +379,8 @@ def test_veronese_types_on_fraction_input(s):
         assert {type(c) for c in image} == {Fraction if fractions else int}
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
-@pytest.mark.parametrize("s", [0, 1, 2, 3, 6])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("s", range(10))
 def test_veronese_columns_are_the_rows_of_veronese(d, s):
     points = [tuple(range(k - d, k)) for k in range(7)] + [tuple(Fraction(k, j + 2) for j in range(d)) for k in range(3)]
     for batch in (points[:7], points[7:]):
@@ -388,6 +388,19 @@ def test_veronese_columns_are_the_rows_of_veronese(d, s):
         assert len(columns) == len(monomial_basis(d, s))
         assert list(zip(*columns)) == [veronese(v, s) for v in batch]
         assert [type(c) for row in zip(*columns) for c in row] == [type(c) for v in batch for c in veronese(v, s)]
+
+
+@pytest.mark.parametrize("d, s, products", [(4, 5, 86), (5, 5, 176), (6, 7, 995), (3, 2, 6), (3, 1, 0)])
+def test_veronese_columns_top_degree_from_two_halves(d, s, products, monkeypatch):
+    """The levels up to ceil(s/2) take one product per monomial, and so
+    does the top degree, from a level-ceil(s/2) and a level-floor(s/2)
+    column: 15 + 35 + 126 column products at (d, s) = (5, 5), not the
+    15 + 35 + 70 + 126 of every level."""
+    calls = []
+    monkeypatch.setattr(geometry, "mul", lambda a, b: calls.append(1) or a * b)
+    columns = veronese_columns([[k + 2] for k in range(d)], s)  # a batch of one point
+    assert len(calls) == products
+    assert list(zip(*columns)) == [veronese(tuple(range(2, d + 2)), s)]
 
 
 def test_veronese_columns_rejects_no_coordinates():

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt, prod
@@ -34,8 +35,10 @@ from conefourier.interpolation import (
     InterpolationSystem,
     SystemRow,
     _eliminate,
+    _ordered_rows,
     _prime,
     _reduce_mod,
+    _rows,
     _solve_modular,
     solve_with_details,
 )
@@ -44,6 +47,12 @@ from conefourier.sampling import sample_cone
 from conftest import random_cones, rational_cone, rational_reduction, rationals
 
 P = _prime(3)  # the prime of the two-row systems below (3 entries a row)
+
+
+def modular(system):
+    """The modular solve on the system's rows, in the order
+    ``solve_with_details`` gives them."""
+    return _solve_modular(_ordered_rows(system), system.unknowns)
 
 
 class TestRhsValues:
@@ -365,11 +374,27 @@ class TestModularSolve:
     )
     def test_hand_built_systems(self, first, second, solution, accepted):
         system = two_row_system(first, second)
-        assert (_solve_modular(system) is not None) == accepted
+        assert (modular(system) is not None) == accepted
         poly, details = solve_with_details(system)
         assert poly.coefficients == solution
         assert details.rank == 2
         assert details.pivots == (((0,), 0), ((1,), 1)) == exact_pivots(system)
+
+    def test_row_vanishing_mod_p_is_checked_exactly(self):
+        """A row that vanishes mod p before full rank stays out of the
+        block, so only the exact check after the lift reads it: consistent
+        over Q it is accepted, inconsistent it leaves the system to exact
+        elimination, which raises."""
+
+        def system(rhs):
+            rows = (SystemRow((1,), (1, 0), 1), SystemRow((2,), (P, 0), rhs), SystemRow((3,), (0, 1), 1))
+            return InterpolationSystem(dimension=2, degree=1, rows=rows)
+
+        assert modular(system(P)) == [1, 1]
+        assert modular(system(0)) is None
+        with pytest.raises(InconsistentError) as exc:
+            solve_exact(system(0))
+        assert exc.value.context == {"diagonal": (3,), "residual": -P}
 
     def test_bool_and_fraction_rows_are_scaled_to_ints(self):
         system = InterpolationSystem(
@@ -380,7 +405,7 @@ class TestModularSolve:
                 SystemRow((1,), (0, Fraction(1, 2)), Fraction(5, 2)),
             ),
         )
-        assert _solve_modular(system) == [3, 5]
+        assert modular(system) == [3, 5]
         assert solve_exact(system).coefficients == (3, 5)
 
     def test_solution_wider_than_the_prime_is_lifted(self):
@@ -392,7 +417,7 @@ class TestModularSolve:
         assert p < x < p * p // 2
         for coefficient, lifted in ((3, [x]), (p, None)):
             system = InterpolationSystem(dimension=1, degree=1, rows=(SystemRow((0,), (coefficient,), coefficient * x),))
-            assert _solve_modular(system) == lifted
+            assert modular(system) == lifted
             assert solve_exact(system).coefficients == (x,)
 
     @pytest.mark.parametrize("kind", ["integral", "fractional", "inconsistent"])
@@ -419,18 +444,18 @@ class TestModularSolve:
             rows.append(SystemRow((unknowns + 1,), rows[0].coefficients, rows[0].rhs + 1))
         system = InterpolationSystem(dimension=2, degree=unknowns - 1, rows=tuple(rows))
         if kind == "inconsistent":
-            assert _solve_modular(system) is None
+            assert modular(system) is None
             with pytest.raises(InconsistentError):
                 _eliminate(system)
             return
         exact = exact_solution(system)
         assert exact == [Fraction(c, q) for c in x]
-        assert _solve_modular(system) == (x if q == 1 else None)
+        assert modular(system) == (x if q == 1 else None)
 
     @pytest.mark.parametrize("d, n", [(3, 6), (4, 8)])
     def test_pivots_are_exact_on_sampled_cones(self, d, n):
         system = build_system(sample_cone(random.Random(5), d, n))
-        assert _solve_modular(system) is not None
+        assert modular(system) is not None
         _, details = solve_with_details(system)
         assert "pivots" not in vars(details)  # not computed until read
         assert details.pivots == exact_pivots(system)
@@ -447,7 +472,7 @@ class TestModularSolve:
             for generators in (shifted, rational):
                 cone = Cone(base.apex, tuple(generators))
                 assert is_general_position(cone)
-                accepted.append(_solve_modular(build_system(cone)) is not None)
+                accepted.append(modular(build_system(cone)) is not None)
                 assert pk_via_interpolation(cone) == pk_via_triangulation(cone)
         # Every cone takes the modular path: rational ones through their
         # integer form, large ones with as many digits as their
@@ -717,7 +742,7 @@ class TestBeyondOnePrime:
         passes = []
         reduce_mod = interpolation._reduce_mod
         monkeypatch.setattr(interpolation, "_reduce_mod", lambda *args: passes.append(args) or reduce_mod(*args))
-        solution = _solve_modular(system)
+        solution = modular(system)
         p = _prime(system.unknowns + 1)
         assert len(passes) == 1 and passes[0][2] == p
         assert cone.num_generators == 11 and max(abs(c) for c in solution) > p * p // 2
@@ -734,10 +759,140 @@ class TestBeyondOnePrime:
         last = system.rows[-1]
         extra = SystemRow((n,) * (d - 1), last.coefficients, last.rhs + 1)
         broken = InterpolationSystem(d, system.degree, (*system.rows, extra), scale=system.scale)
-        assert _solve_modular(broken) is None
+        assert modular(broken) is None
         with pytest.raises(InconsistentError) as exc:
             solve_exact(broken)
         assert exc.value.context == {"diagonal": (n + 1,) * (d - 1), "residual": 1}
+
+
+def moment_cone(d, n):
+    """The cone over (t, t^2, ..., t^(d-1), 1) for the n consecutive
+    integers t from -(n // 2): every d of them form a Vandermonde matrix,
+    so it is in general position at every size."""
+    return Cone((0,) * d, tuple(tuple([t**k for k in range(1, d)] + [1]) for t in range(-(n // 2), n - n // 2)))
+
+
+def outcome(solve, cone):
+    """The coefficients the solve gives, or its error's code, message and
+    context."""
+    try:
+        return solve(cone).coefficients
+    except (RankDeficientError, InconsistentError) as err:
+        return err.code, err.message, err.context
+
+
+def solved_whole(cone):
+    return solve_exact(build_system(cone))
+
+
+def with_last_the_sum_of_the_first_two(cone):
+    first, second = cone.generators[:2]
+    return Cone(cone.apex, (*cone.generators[:-1], tuple(map(sum, zip(first, second)))))
+
+
+# Cones out of general position, whose systems fall short of full rank: a
+# random one, one of rank d - 1 and a seeded one with a dependent triple.
+NON_GENERIC = [
+    Cone((0,) * 4, ((-2, 2, 1, 0), (-1, 0, -2, -1), (2, -1, -1, -1), (2, 1, -2, -2), (0, 2, 1, -2), (0, 2, 0, -2))),
+    Cone((0,) * 6, tuple(tuple([t**k for k in range(5)] + [0]) for t in range(-3, 4))),
+    with_last_the_sum_of_the_first_two(sample_cone(random.Random(1), 5, 10)),
+]
+
+
+def count_calls(monkeypatch, *names):
+    """The list to which each call of the named interpolation functions
+    appends the function's name, in call order."""
+    calls = []
+    for name in names:
+        original = getattr(interpolation, name)
+        monkeypatch.setattr(interpolation, name, lambda *args, name=name, f=original: calls.append(name) or f(*args))
+    return calls
+
+
+class TestStreamedSolve:
+    """``pk_via_interpolation`` builds its rows a block at a time into the
+    modular solve, anchor-star rows first, and keeps only the square block
+    it reduces. It must give what the whole system gives."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
+    def test_seeded_cones(self, d, k):
+        cone = sample_cone(random.Random(d + 10 * k), d, d + k)
+        assert pk_via_interpolation(cone) == solved_whole(cone)
+
+    @pytest.mark.parametrize("d, n, seed", [(2, 4, 1), (3, 6, 2), (4, 8, 3), (5, 9, 4)])
+    def test_rational_cones(self, d, n, seed):
+        cone = rational_cone(random.Random(seed), d, n)
+        assert cone.scale != 1
+        assert pk_via_interpolation(cone) == solved_whole(cone)
+
+    @pytest.mark.parametrize("d, n", [(3, 9), (8, 10), (10, 13)])
+    def test_moment_cones(self, d, n):
+        cone = moment_cone(d, n)
+        assert pk_via_interpolation(cone) == solved_whole(cone) == pk_via_triangulation(cone)
+
+    @pytest.mark.parametrize("cone", NON_GENERIC)
+    def test_cones_out_of_general_position(self, cone):
+        assert not is_general_position(cone)
+        expected = outcome(solved_whole, cone)
+        assert expected[0] == "RankDeficient"
+        assert outcome(pk_via_interpolation, cone) == expected
+
+    @given(data=st.data())
+    def test_random_small_integer_cones(self, data):
+        d = data.draw(st.integers(2, 4), label="d")
+        n = data.draw(st.integers(d, d + 3), label="n")
+        entries = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+        generators = data.draw(st.lists(entries, min_size=n, max_size=n), label="generators")
+        try:
+            cone = Cone((0,) * d, tuple(map(tuple, generators)))
+        except (ZeroGeneratorError, DuplicateRayError):
+            reject()
+        assert outcome(pk_via_interpolation, cone) == outcome(solved_whole, cone)
+
+    @pytest.mark.parametrize("d, n", [(3, 6), (5, 10), (6, 12)])
+    def test_general_position_builds_no_system(self, d, n, monkeypatch):
+        """The streamed rows fill the block and pass every check, so the
+        whole system is never built and exact elimination never runs."""
+        calls = count_calls(monkeypatch, "build_system", "_eliminate")
+        cone = sample_cone(random.Random(2), d, n)
+        poly = pk_via_interpolation(cone)
+        assert calls == []
+        assert poly == pk_via_triangulation(cone)
+
+    def test_fallback_builds_once_with_no_second_modular_solve(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_solve_modular", "build_system", "_eliminate")
+        with pytest.raises(RankDeficientError):
+            pk_via_interpolation(NON_GENERIC[1])
+        assert calls == ["_solve_modular", "build_system", "_eliminate"]
+
+    def test_rows_are_the_system_in_solve_order(self):
+        """The builder gives the system's rows as int tuples, rhs last, and
+        the anchor-star rows first when asked for them first."""
+        cone = sample_cone(random.Random(3), 4, 8)
+        system = build_system(cone)
+        n, d = cone.num_generators, cone.dimension
+        diagonals = [*combinations(range(1, n), d - 1), *(D for D in combinations(range(n), d - 1) if 0 in D)]
+        rows = [row for _, row in _rows(cone, diagonals)]
+        assert rows == [tuple(row) for row in _ordered_rows(system)]
+        assert all(type(c) is int for row in rows for c in row)
+
+    def test_peak_memory_is_below_the_whole_system(self):
+        """At (10, 13), 495 of the 715 rows are only checked: the streamed
+        solve peaks below what the built system alone holds."""
+        cone = moment_cone(10, 13)
+        expected = pk_via_interpolation(cone)  # fills the cone's minor table and the per-shape tables
+        tracemalloc.start()
+        try:
+            assert pk_via_interpolation(cone) == expected
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            system = build_system(cone)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(system.rows) == 715 and system.unknowns == 220
+        assert peak < held
 
 
 def moved(rng, cone, offsets):
@@ -793,7 +948,7 @@ class TestIntegerNormalForm:
         cone = moved(rng, sample_cone(rng, d, n), RATIONAL)
         assert is_general_position(cone) and cone.scale > 1
         system = self.assert_rows_rescale_rational_rows(cone)
-        assert _solve_modular(system) is not None
+        assert modular(system) is not None
         expected = pk_via_triangulation(cone)
         assert solve_exact(system) == pk_via_interpolation(cone) == expected
         assert expected == pk_via_triangulation(Cone(cone.apex, cone.integer_generators)).scale(Fraction(1, cone.scale))
