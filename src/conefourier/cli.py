@@ -20,7 +20,7 @@ from .brion import METHODS, evaluate_transform, evaluation_point, per_term_value
 from .brion import polytope_transform
 from .cones import Cone, validate_cone
 from .errors import ConeFourierError, MalformedInputError
-from .interpolation import build_system, pk_via_interpolation, solve_with_details
+from .interpolation import build_system, pivots, pk_via_interpolation, solve_exact
 from .sampling import sample_cone, sample_family
 from .serialize import (
     cone_from_json,
@@ -176,8 +176,8 @@ def cmd_transform(args) -> str:
         extra = {"triangulation": {"simplices": [[i + 1 for i in s] for s in pulling_triangulation(cone).simplices]}}
     else:
         system = build_system(cone)
-        poly, details = solve_with_details(system)
-        extra = {"system": system_to_json(system, details)}
+        poly = solve_exact(system)
+        extra = {"system": system_to_json(system, pivots(system))}
     if not (sampled or args.verbose):
         return format_json(polynomial_to_json(poly)) + "\n"
     out = {"cone": cone_to_json(cone)} if sampled else {}

@@ -238,6 +238,12 @@ class DiagonalClass:
     sign: int | None = None  # +1 or -1 for extremal diagonals
 
 
+_DEGENERATE = DiagonalClass(DiagonalKind.DEGENERATE)
+_INTERIOR = DiagonalClass(DiagonalKind.INTERIOR)
+_POSITIVE = DiagonalClass(DiagonalKind.EXTREMAL, sign=1)
+_NEGATIVE = DiagonalClass(DiagonalKind.EXTREMAL, sign=-1)
+
+
 @dataclass(frozen=True)
 class Diagonal:
     """A (d-1)-subset of generator indices together with its dual vector."""
@@ -292,19 +298,17 @@ def classify_diagonal(cone: Cone, diagonal: Diagonal) -> DiagonalClass:
     return classify_pairings(cone.integer_pairings(diagonal.indices))
 
 
-def classify_pairings(pairings: Iterable[Fraction]) -> DiagonalClass:
+def classify_pairings(pairings: Sequence[Fraction]) -> DiagonalClass:
     """All positive gives Extremal(+1), all negative Extremal(-1), mixed
     signs Interior. Any zero, as from a zero dual, is Degenerate; none
-    occurs when the cone is in general position.
+    occurs when the cone is in general position. The classes are shared
+    constants, so classifying builds no object.
     """
-    signs: set[int] = set()
-    for value in pairings:
-        if value == 0:
-            return DiagonalClass(DiagonalKind.DEGENERATE)
-        signs.add(1 if value > 0 else -1)
-    if len(signs) == 2:
-        return DiagonalClass(DiagonalKind.INTERIOR)
-    return DiagonalClass(DiagonalKind.EXTREMAL, sign=signs.pop())
+    if 0 in pairings:
+        return _DEGENERATE
+    if min(pairings) > 0:
+        return _POSITIVE
+    return _NEGATIVE if max(pairings) < 0 else _INTERIOR
 
 
 def is_general_position(cone: Cone) -> bool:

@@ -14,31 +14,32 @@ the rows a block of diagonals at a time, column by column: the block's
 duals as d coordinate columns, by Cramer's rule through one adjugate
 (``Cone._dual_columns``), and then one column per monomial
 (``geometry.veronese_columns``), turned into rows at the end of the block.
-``pk_via_interpolation`` streams them, the anchor-star rows first, into
-one elimination modulo a prime on rows packed in 8-byte slots, the prime
-sized to the row width so that no slot overflows, and then into Dixon's
-p-adic lifting, one O(N^2) pass per further base-p digit of the
-coefficients. Only the square block that the elimination keeps is held:
-every other row is checked exactly after the lift and dropped, the rows
-past the block's last built only then, and the candidate is accepted only
-when it satisfies every row. Otherwise the
+``pk_via_interpolation`` streams them, the anchor-star rows first
+(``_anchor_star_first``), into one elimination modulo a prime on rows
+packed in 8-byte slots, the prime sized to the row width so that no slot
+overflows, and then into Dixon's p-adic lifting, one O(N^2) pass per
+further base-p digit of the coefficients. Only the square block that the
+elimination keeps is held: every other row is checked exactly after the
+lift and dropped, the rows past the block's last built only then, and the
+candidate is accepted only when it satisfies every row. Otherwise the
 whole system is built (``build_system``) and exact elimination in ``int``
-on primitive rows decides, as it does for the pivots of ``--verbose``.
-Both solves read a built system's rows as ints by
-``geometry._integer_rows``.
+on primitive rows decides. ``solve_exact`` takes the same step
+(``_solve``) on a built system, its rows read as ints by
+``geometry._integer_rows`` in the same order. ``pivots`` reads the exact
+elimination's pivot choices, which ``transform --verbose`` prints.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain, combinations, compress, count, islice, repeat
 from math import gcd, isqrt, prod
-from operator import mul
+from operator import attrgetter, mul
 from sys import byteorder
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cones import Cone, Diagonal, DiagonalKind, classify_pairings
 from .errors import (
@@ -75,22 +76,6 @@ class InterpolationSystem:
     @property
     def unknowns(self) -> int:
         return basis_size(self.dimension, self.degree)
-
-
-@dataclass(frozen=True)
-class SolveDetails:
-    """The exact rank of a solved system, which equals its unknowns, and
-    the system itself, from which ``pivots`` is derived."""
-
-    rank: int
-    system: InterpolationSystem = field(repr=False)
-
-    @cached_property
-    def pivots(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(diagonal, pivot column) of each row the exact reduction keeps,
-        in row order. Computed on first read and kept; the value depends
-        only on the system, so sharing the details between threads is safe."""
-        return tuple((diagonal, lead) for diagonal, lead, _ in _eliminate(self.system))
 
 
 def _row_value(pairings: Sequence[int]) -> int | None:
@@ -337,62 +322,58 @@ def _eliminate(system: InterpolationSystem) -> list[tuple[tuple[int, ...], int, 
     return kept
 
 
-def _ordered_rows(system: InterpolationSystem) -> Sequence[Sequence[int]]:
-    """The system's rows, rhs last, as ints (``_integer_rows``), those
-    whose diagonal avoids generator 0 first, each part in its given order:
-    the order ``pk_via_interpolation`` builds them in."""
-    ordered = sorted(system.rows, key=lambda r: 0 in r.diagonal)
-    rows, _ = _integer_rows([[*row.coefficients, row.rhs] for row in ordered])
-    return rows
+def _anchor_star_first(items: Iterable, diagonal: Callable = lambda D: D) -> list:
+    """The items, rows or diagonals, in solve order: those whose diagonal
+    avoids generator 0, the anchor-star rows that fill the modular solve's
+    block under general position (DECISIONS.md), first, each part in its
+    given order."""
+    return sorted(items, key=lambda item: 0 in diagonal(item))
 
 
-def _eliminated_solution(system: InterpolationSystem) -> list[Fraction]:
-    """The solution of the system by exact elimination (``_eliminate``),
-    which raises InconsistentError or RankDeficientError when there is no
-    unique one."""
-    unknowns = system.unknowns
-    solution = [ZERO] * unknowns
-    for _, col, work in sorted(_eliminate(system), key=lambda k: k[1], reverse=True):
-        # Entries left of the pivot column are zero by construction.
-        terms = (work[j] * solution[j] for j in range(col + 1, unknowns) if work[j])
-        solution[col] = (work[unknowns] - sum(terms, ZERO)) / work[col]
-    return solution
-
-
-def _polynomial(dimension: int, degree: int, solution: Sequence, scale: int) -> HomogeneousPolynomial:
-    """The polynomial whose coefficients are the solution over the scale."""
+def _solve(
+    dimension: int, degree: int, scale: int, rows: Iterable[Sequence[int]], whole: Callable[[], InterpolationSystem]
+) -> HomogeneousPolynomial:
+    """The solution over its scale of the system of this shape and scale
+    whose int rows ``[*coefficients, rhs]`` are given in solve order. The
+    modular solve (``_solve_modular``) is tried first; every solution it
+    returns has been checked against every row exactly. When it gives
+    none, exact elimination (``_eliminate``) on the whole system,
+    ``whole()``, solves it or raises InconsistentError or
+    RankDeficientError."""
+    unknowns = basis_size(dimension, degree)
+    solution = _solve_modular(rows, unknowns)
+    if solution is None:
+        solution = [ZERO] * unknowns
+        for _, col, work in sorted(_eliminate(whole()), key=lambda k: k[1], reverse=True):
+            # Entries left of the pivot column are zero by construction.
+            terms = (work[j] * solution[j] for j in range(col + 1, unknowns) if work[j])
+            solution[col] = (work[unknowns] - sum(terms, ZERO)) / work[col]
     if scale != 1:
         solution = [Fraction(c, scale) for c in solution]
     return HomogeneousPolynomial(dimension, degree, tuple(solution))
 
 
-def solve_with_details(system: InterpolationSystem) -> tuple[HomogeneousPolynomial, SolveDetails]:
-    """The exact solution of the system over its scale, and its details.
+def pivots(system: InterpolationSystem) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(diagonal, lead) of each row the exact elimination (``_eliminate``)
+    keeps, in row order: the pivot choices ``transform --verbose`` prints,
+    as many as the system's rank. On a system of rows of the right width
+    it raises what ``solve_exact`` raises."""
+    return tuple((diagonal, lead) for diagonal, lead, _ in _eliminate(system))
 
-    The solve mod p (``_solve_modular``) is tried first, on the rows in
-    the order ``pk_via_interpolation`` builds them; every solution it
-    returns has been checked against every row exactly. When it gives
-    none, exact elimination (``_eliminate``) solves the system or raises
-    InconsistentError or RankDeficientError. Either way the pivots in the
-    details are those of the exact elimination, computed when first read.
-    """
+
+def solve_exact(system: InterpolationSystem) -> HomogeneousPolynomial:
+    """The exact solution of the system over its scale (``_solve``), its
+    rows read as ints (``_integer_rows``) in solve order; DimensionError
+    for a row of the wrong width."""
     unknowns = system.unknowns
     for row in system.rows:
         if len(row.coefficients) != unknowns:
             wire = tuple(i + 1 for i in row.diagonal)
             message = f"row for diagonal {wire} has {len(row.coefficients)} entries, expected {unknowns}"
             raise DimensionError(message, diagonal=wire)
-    solution = _solve_modular(_ordered_rows(system), unknowns)
-    if solution is None:
-        solution = _eliminated_solution(system)
-    poly = _polynomial(system.dimension, system.degree, solution, system.scale)
-    return poly, SolveDetails(rank=unknowns, system=system)
-
-
-def solve_exact(system: InterpolationSystem) -> HomogeneousPolynomial:
-    """Solve the interpolation system, verifying every dependent row."""
-    poly, _ = solve_with_details(system)
-    return poly
+    ordered = _anchor_star_first(system.rows, attrgetter("diagonal"))
+    rows, _ = _integer_rows([[*row.coefficients, row.rhs] for row in ordered])
+    return _solve(system.dimension, system.degree, system.scale, rows, lambda: system)
 
 
 def pk_via_interpolation(cone: Cone) -> HomogeneousPolynomial:
@@ -401,13 +382,11 @@ def pk_via_interpolation(cone: Cone) -> HomogeneousPolynomial:
     pk_via_triangulation whenever both pipelines succeed.
 
     The rows are streamed into the modular solve as they are built, a
-    block at a time, the anchor-star rows first: it keeps the square block
-    it reduces and checks every other row and drops it. If it gives up,
-    the whole system is built once and exact elimination decides, with
-    the errors of ``solve_exact(build_system(cone))``."""
+    block at a time, in solve order: it keeps the square block it reduces
+    and checks every other row and drops it. If it gives up, the whole
+    system is built once and exact elimination decides, with the errors
+    of ``solve_exact(build_system(cone))``."""
     d, n = cone.dimension, cone.num_generators
-    diagonals = chain(combinations(range(1, n), d - 1), (D for D in combinations(range(n), d - 1) if 0 in D))
-    solution = _solve_modular((row for _, row in _rows(cone, diagonals) if row is not None), basis_size(d, n - d))
-    if solution is None:
-        solution = _eliminated_solution(build_system(cone))
-    return _polynomial(d, n - d, solution, cone.scale)
+    diagonals = _anchor_star_first(combinations(range(n), d - 1))
+    rows = (row for _, row in _rows(cone, diagonals) if row is not None)
+    return _solve(d, n - d, cone.scale, rows, lambda: build_system(cone))

@@ -17,7 +17,7 @@ from typing import Sequence
 from .cones import Cone, ValidationReport
 from .errors import MalformedInputError
 from .geometry import Vector, monomial_basis
-from .interpolation import InterpolationSystem, SolveDetails
+from .interpolation import InterpolationSystem
 from .polynomials import HomogeneousPolynomial
 from .vervan import VerVanRecord
 
@@ -162,7 +162,9 @@ def family_from_json(data) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def system_to_json(system: InterpolationSystem, details: SolveDetails) -> dict:
+def system_to_json(system: InterpolationSystem, pivots: Sequence[tuple[tuple[int, ...], int]]) -> dict:
+    """The system, its (diagonal, lead) pivots (``interpolation.pivots``) and
+    its rank, their count."""
     basis = monomial_basis(system.dimension, system.degree)
     out = {
         "dimension": system.dimension,
@@ -182,9 +184,9 @@ def system_to_json(system: InterpolationSystem, details: SolveDetails) -> dict:
         out["scale"] = format_rational(system.scale)
     out["pivots"] = [
         {"diagonal": [i + 1 for i in diag], "monomial": list(basis[col])}
-        for diag, col in details.pivots
+        for diag, col in pivots
     ]
-    out["rank"] = details.rank
+    out["rank"] = len(pivots)
     return out
 
 

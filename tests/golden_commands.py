@@ -28,6 +28,13 @@ NON_GENERIC_CONE = json.dumps(
 )
 # a non-ASCII string in the error message, which the output escapes
 NON_ASCII_APEX = '{"apex": ["1/2", "\u00e9"], "generators": [["1", "0"], ["0", "1"]]}'
+# rational generators: the rows are the integer generators', so the system prints its "scale"
+RATIONAL_CONE = json.dumps(
+    {
+        "apex": ["1/2", "0", "-1/3"],
+        "generators": [["1/2", "0", "1"], ["0", "2/3", "1"], ["-3/4", "1/5", "1"], ["1/3", "-1", "1"], ["2", "3/2", "1"]],
+    }
+)
 # an error whose context holds a nested list
 DUPLICATE_RAY_CONE = '{"apex": ["0", "0"], "generators": [["1", "0"], ["2", "0"], ["0", "1"]]}'
 
@@ -37,6 +44,7 @@ COMMANDS = (
     ("transform_3_6_triangulation", ["transform", "--sample", "3", "6", "--seed", "42", "--verbose", "--method", "triangulation"], 0),
     ("transform_5_8_triangulation", ["transform", "--sample", "5", "8", "--seed", "8", "--method", "triangulation", "--verbose"], 0),
     ("transform_4_7_interpolation", ["transform", "--sample", "4", "7", "--seed", "9", "--verbose", "--method", "interpolation"], 0),
+    ("transform_rational_verbose", ["transform", RATIONAL_CONE, "--verbose", "--method", "interpolation"], 0),
     ("compare_4_7", ["compare", "--sample", "4", "7", "--seed", "9"], 0),
     ("vervan_3_6_random", ["vervan", "--sample", "3", "6", "--seed", "2", "--random", "20"], 0),
     ("validate_2_5", ["validate", "--sample", "2", "5", "--seed", "11"], 0),

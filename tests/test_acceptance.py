@@ -34,7 +34,7 @@ from conefourier import (
 )
 from conefourier.errors import VerificationFailureError
 from conefourier.geometry import dot
-from conefourier.interpolation import solve_with_details
+from conefourier.interpolation import pivots, solve_exact
 from conefourier.sampling import sample_cone, sample_family
 
 CORPUS_SIZES = [(d, d + extra) for d in (2, 3, 4) for extra in range(5)]
@@ -56,14 +56,13 @@ def cone_corpus():
         cone = sample_cone(random.Random(7000 + i), d, n)
         by_triangulation = pk_via_triangulation(cone)
         system = build_system(cone)
-        by_interpolation, details = solve_with_details(system)
-        entries.append((cone, by_triangulation, system, by_interpolation, details))
+        entries.append((cone, by_triangulation, system, solve_exact(system)))
     return entries, time.perf_counter() - start
 
 
 def test_criterion_1_oracle_equivalence(cone_corpus):
     entries, elapsed = cone_corpus
-    mismatches = sum(1 for _, tri, _, interp, _ in entries if tri != interp)
+    mismatches = sum(1 for _, tri, _, interp in entries if tri != interp)
     ok = mismatches == 0 and len(entries) == 200 and elapsed < 60.0
     report(
         1,
@@ -94,9 +93,9 @@ def test_criterion_2_main_theorem_spot_values(square_cone, fan_cone):
 def test_criterion_3_full_rank(cone_corpus):
     entries, _ = cone_corpus
     ok = True
-    for cone, _, system, _, details in entries:
+    for cone, _, system, _ in entries:
         expected = comb(cone.num_generators - 1, cone.dimension - 1)
-        if details.rank != expected or system.skipped:
+        if len(pivots(system)) != expected or system.skipped:
             ok = False
             break
     report(

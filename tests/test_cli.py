@@ -579,6 +579,19 @@ def test_transform_eliminates_exactly_only_under_verbose(capsys, monkeypatch, me
 
 
 
+def test_verbose_transform_solves_once_and_eliminates_once(capsys, monkeypatch):
+    """--verbose solves by the modular solve and reads its pivots and rank
+    off one exact elimination."""
+    calls = []
+    for name in ("_solve_modular", "_eliminate"):
+        original = getattr(interpolation, name)
+        monkeypatch.setattr(interpolation, name, lambda *args, name=name, f=original: calls.append(name) or f(*args))
+    code, out = run(capsys, "transform", "--sample", "4", "8", "--seed", "1", "--verbose")
+    system = json.loads(out)["system"]
+    assert code == 0 and calls == ["_solve_modular", "_eliminate"]
+    assert system["rank"] == len(system["pivots"]) == system["unknowns"] == 35
+
+
 def test_main_builds_the_parser_once(capsys, monkeypatch):
     builds = []
     build = cli.build_parser

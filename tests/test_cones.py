@@ -28,7 +28,7 @@ from conefourier.errors import (
     VerificationFailureError,
     ZeroGeneratorError,
 )
-from conefourier.cones import _basis_pairings, classify_pairings
+from conefourier.cones import DiagonalClass, _basis_pairings, classify_pairings
 from conefourier.feasibility import solve_nonnegative
 from conefourier.geometry import _adjugate, _clear_denominators, _pairing_table, _primitive, determinant, dot, generalized_cross
 from conefourier.geometry import maximal_minors
@@ -329,6 +329,21 @@ class TestClassification:
         cls = classify_diagonal(cone, diagonal_for(cone, (0, 1)))
         # generator 3 lies in the plane of the first two
         assert cls.kind is DiagonalKind.DEGENERATE
+
+    @given(pairings=st.lists(st.integers(-3, 3) | rationals, min_size=1, max_size=6))
+    def test_pairings_classes_are_shared_constants(self, pairings):
+        """The sign rule, one pairing at a time, gives an equal class, and
+        equal classes are one object."""
+        signs = {(value > 0) - (value < 0) for value in pairings}
+        if 0 in signs:
+            expected = DiagonalClass(DiagonalKind.DEGENERATE)
+        elif len(signs) == 2:
+            expected = DiagonalClass(DiagonalKind.INTERIOR)
+        else:
+            expected = DiagonalClass(DiagonalKind.EXTREMAL, sign=signs.pop())
+        cls = classify_pairings(tuple(pairings))
+        assert cls == expected
+        assert cls is classify_pairings(list(pairings))
 
     @given(cone=random_cones())
     def test_generic_cones_have_no_degenerate_diagonals(self, cone):

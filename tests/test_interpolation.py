@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt, prod
-from operator import mul
+from operator import attrgetter, mul
 
 import pytest
 from hypothesis import assume, given, reject, strategies as st
@@ -29,18 +29,18 @@ from conefourier.errors import (
     ZeroGeneratorError,
 )
 from conefourier.cones import is_general_position
-from conefourier.geometry import determinant, dot, generalized_cross, monomial_basis, veronese
+from conefourier.geometry import _integer_rows, determinant, dot, generalized_cross, monomial_basis, veronese
 from conefourier.brion import polytope_combinatorics, tangent_cone
 from conefourier.interpolation import (
     InterpolationSystem,
     SystemRow,
+    _anchor_star_first,
     _eliminate,
-    _ordered_rows,
     _prime,
     _reduce_mod,
     _rows,
     _solve_modular,
-    solve_with_details,
+    pivots,
 )
 from conefourier.sampling import sample_cone
 
@@ -49,10 +49,17 @@ from conftest import random_cones, rational_cone, rational_reduction, rationals
 P = _prime(3)  # the prime of the two-row systems below (3 entries a row)
 
 
+def solve_order(system):
+    """The system's rows, rhs last, as ints, in the order ``solve_exact``
+    gives them to the modular solve."""
+    rows, _ = _integer_rows([[*row.coefficients, row.rhs] for row in _anchor_star_first(system.rows, attrgetter("diagonal"))])
+    return rows
+
+
 def modular(system):
-    """The modular solve on the system's rows, in the order
-    ``solve_with_details`` gives them."""
-    return _solve_modular(_ordered_rows(system), system.unknowns)
+    """The modular solve on the system's rows, in the order ``solve_exact``
+    gives them."""
+    return _solve_modular(solve_order(system), system.unknowns)
 
 
 class TestRhsValues:
@@ -265,7 +272,7 @@ class TestSolver:
             rows=(SystemRow((0,), (1, 0), 1), SystemRow((1,), (1, 0, 2), 1)),
         )
         with pytest.raises(DimensionError) as err:
-            solve_with_details(system)
+            solve_exact(system)
         assert err.value.message == "row for diagonal (2,) has 3 entries, expected 2"
         assert err.value.context == {"diagonal": (2,)}
 
@@ -275,7 +282,7 @@ class TestSolver:
             degree=1,
             rows=(SystemRow((0,), (1, 0), 1), SystemRow((1,), (0, 0.5), 1)),
         )
-        for solve in (solve_with_details, _eliminate):
+        for solve in (solve_exact, _eliminate, pivots):
             with pytest.raises(TypeError):
                 solve(system)
 
@@ -290,10 +297,28 @@ class TestSolver:
             solve_exact(system)
         assert exc.value.context["skipped"] == ((2,),)
 
+    @pytest.mark.parametrize(
+        "rows, skipped",
+        [
+            ((SystemRow((0,), (1, 0), 1), SystemRow((1,), (1, 0), 2)), ()),
+            ((SystemRow((0,), (1, 0), 1),), ((1,),)),
+            ((SystemRow((0,), (Fraction(1, 2), 0), 1), SystemRow((1,), (1, 0), Fraction(5, 3))), ()),
+        ],
+        ids=["inconsistent", "rank-deficient", "fraction-residual"],
+    )
+    def test_pivots_raise_what_the_solve_raises(self, rows, skipped):
+        system = InterpolationSystem(dimension=2, degree=1, rows=rows, skipped=skipped)
+        errors = []
+        for solve in (solve_exact, pivots):
+            with pytest.raises((InconsistentError, RankDeficientError)) as exc:
+                solve(system)
+            errors.append((type(exc.value), exc.value.message, exc.value.context))
+        assert errors[0] == errors[1]
+
     def test_details_report_full_rank(self, square_cone):
         system = build_system(square_cone)
-        poly, details = solve_with_details(system)
-        assert details.rank == system.unknowns == 3
+        poly = solve_exact(system)
+        assert len(pivots(system)) == system.unknowns == 3
         assert poly.coefficients == (0, 0, 4)
 
 
@@ -331,8 +356,7 @@ class TestPipelineEquivalence:
     @given(cone=random_cones(dims=(2, 3), extras=(1, 2, 3)))
     def test_full_rank_on_generic_cones(self, cone):
         system = build_system(cone)
-        _, details = solve_with_details(system)
-        assert details.rank == comb(cone.num_generators - 1, cone.dimension - 1)
+        assert len(pivots(system)) == comb(cone.num_generators - 1, cone.dimension - 1)
         assert system.skipped == ()
 
 
@@ -375,10 +399,9 @@ class TestModularSolve:
     def test_hand_built_systems(self, first, second, solution, accepted):
         system = two_row_system(first, second)
         assert (modular(system) is not None) == accepted
-        poly, details = solve_with_details(system)
-        assert poly.coefficients == solution
-        assert details.rank == 2
-        assert details.pivots == (((0,), 0), ((1,), 1)) == exact_pivots(system)
+        assert solve_exact(system).coefficients == solution
+        assert len(pivots(system)) == 2
+        assert pivots(system) == (((0,), 0), ((1,), 1)) == exact_pivots(system)
 
     def test_row_vanishing_mod_p_is_checked_exactly(self):
         """A row that vanishes mod p before full rank stays out of the
@@ -453,13 +476,14 @@ class TestModularSolve:
         assert modular(system) == (x if q == 1 else None)
 
     @pytest.mark.parametrize("d, n", [(3, 6), (4, 8)])
-    def test_pivots_are_exact_on_sampled_cones(self, d, n):
+    def test_pivots_are_exact_on_sampled_cones(self, d, n, monkeypatch):
         system = build_system(sample_cone(random.Random(5), d, n))
         assert modular(system) is not None
-        _, details = solve_with_details(system)
-        assert "pivots" not in vars(details)  # not computed until read
-        assert details.pivots == exact_pivots(system)
-        assert details.rank == system.unknowns == len(details.pivots)
+        calls = count_calls(monkeypatch, "_eliminate")
+        solve_exact(system)
+        assert calls == []  # the pivots are not computed by the solve
+        assert pivots(system) == exact_pivots(system)
+        assert len(pivots(system)) == system.unknowns
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_large_and_rational_coordinates(self, seed):
@@ -478,28 +502,6 @@ class TestModularSolve:
         # integer form, large ones with as many digits as their
         # coefficients need.
         assert accepted == [True] * 10
-
-    def test_shared_details_across_threads(self):
-        system = build_system(sample_cone(random.Random(6), 3, 6))
-        _, details = solve_with_details(system)
-        expected = exact_pivots(system)
-        results = []
-
-        def work():
-            results.append(details.pivots)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == [expected] * 6
 
 
 def exact_solution(system):
@@ -582,9 +584,8 @@ class TestExactElimination:
         for _, lead, reduced in sorted(kept, key=lambda k: k[1], reverse=True):
             solution[lead] = reduced[-1] - sum(reduced[j] * solution[j] for j in range(lead + 1, unknowns))
         assert exact_solution(system) == solution
-        poly, details = solve_with_details(system)
-        assert poly.coefficients == tuple(solution)
-        assert details.pivots == exact_pivots(system)
+        assert solve_exact(system).coefficients == tuple(solution)
+        assert pivots(system) == exact_pivots(system)
 
 
 def leads_and_rows(rows, width, p):
@@ -873,8 +874,9 @@ class TestStreamedSolve:
         system = build_system(cone)
         n, d = cone.num_generators, cone.dimension
         diagonals = [*combinations(range(1, n), d - 1), *(D for D in combinations(range(n), d - 1) if 0 in D)]
+        assert _anchor_star_first(combinations(range(n), d - 1)) == diagonals
         rows = [row for _, row in _rows(cone, diagonals)]
-        assert rows == [tuple(row) for row in _ordered_rows(system)]
+        assert rows == [tuple(row) for row in solve_order(system)]
         assert all(type(c) is int for row in rows for c in row)
 
     def test_peak_memory_is_below_the_whole_system(self):
